@@ -1,9 +1,10 @@
-"""Brute-force circuit evolution against the channel predictions.
+"""Exact circuit evolution against the channel predictions.
 
-A dense brickwork circuit on 8 qubits (or 6 qutrits) is small enough to
-evolve exactly.  For dual gates the single-site correlator must vanish
-strictly inside the light cone and equal channel powers on it; for the
-2-unitary cat even two-site correlators vanish everywhere off the origin.
+Brickwork circuits on 8 qubits (or 6 qutrits) are evolved exactly, each
+operator on its light-cone support.  For dual gates the single-site
+correlator must vanish strictly inside the light cone and equal channel
+powers on it; for the 2-unitary cat even two-site correlators vanish
+everywhere off the origin.
 """
 
 import numpy as np

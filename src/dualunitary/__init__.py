@@ -16,7 +16,7 @@ from .channels import (
     inhomogeneous_bound,
     lightcone_correlation_prediction,
 )
-from .circuit_sim import CircuitConfig, CircuitSimulator, build_floquet, weyl_basis
+from .circuit_sim import CircuitConfig, CircuitSimulator, weyl_basis
 from .constructions import (
     MRTrace,
     block_channel_forms,

@@ -1,10 +1,16 @@
-"""Brute-force brickwork-circuit evolution on a ring of 2L qudits.
+"""Brickwork-circuit correlators on a ring of 2L qudits, evolved on the light cone.
 
 The one-period evolution is U_F = T U^(xL) T^dag U^(xL): a layer of two-site
 gates on pairs (x, x+1/2), then the same layer shifted by one site.  Sites
-sit at half-integer positions; site x maps to tensor leg 2x.  Everything is
-dense - the feasibility guard q^(2L) <= 2^16 keeps this exact - and the
-correlators are infinite-temperature traces, so no state sampling enters.
+sit at half-integer positions; site x maps to tensor leg 2x.  Operators are
+evolved in the Heisenberg picture gate by gate and kept as a tensor on their
+support legs, the identity elsewhere: a gate g touching the support acts as
+g^dag O g on its two legs, and a gate off the support cancels.  After t
+periods a single-site operator lives on at most 4t legs, so the cost grows
+with the light cone, not with the ring (the folded picture of Bertini, Kos
+and Prosen, PRL 123, 210601 (2019)).  The correlators are
+infinite-temperature traces, i.e. partial traces of the support tensor, so
+no state sampling enters and the results are exact.
 
 The simulator exists to validate channel predictions: for dual gates the
 single-site correlator vanishes strictly inside the light cone and equals
@@ -21,6 +27,9 @@ import numpy as np
 from .tensor_ops import local_dim
 
 DENSE_GUARD = 2**16
+# bytes of the largest support tensor an evolution may build (16 q^(2 |supp|));
+# the gate steps hold about three such arrays at once
+SUPPORT_BUDGET = 2**28
 
 
 @dataclass
@@ -30,7 +39,6 @@ class CircuitConfig:
     gate: np.ndarray
     even_gates: list = None   # optional per-bond gates for the (x, x+1/2) layer
     odd_gates: list = None    # ... and the (x+1/2, x+1) layer; L entries each
-    site_locals: list = None  # optional 2L single-site unitaries applied each period
 
     def __post_init__(self):
         self.gate = np.asarray(self.gate, dtype=complex)
@@ -44,8 +52,6 @@ class CircuitConfig:
             gates = getattr(self, name)
             if gates is not None and len(gates) != self.L:
                 raise ValueError(f"{name} must list one gate per cell (L entries)")
-        if self.site_locals is not None and len(self.site_locals) != 2 * self.L:
-            raise ValueError("site_locals must list one unitary per site (2L entries)")
 
 
 def weyl_basis(q):
@@ -70,59 +76,13 @@ def weyl_basis(q):
     return np.array(basis)
 
 
-def _translation_index(q, n_legs):
-    """Basis-index image of the one-site shift T|k1 ... kn> = |kn k1 ... k(n-1)>.
-
-    The orientation is chosen so that an operator seeded on the first leg of
-    a first-layer gate propagates towards larger x, putting the M_plus ray
-    on x = +t.
-    """
-    dim = q**n_legs
-    idx = np.arange(dim)
-    digits = np.empty((n_legs, dim), dtype=np.int64)
-    rem = idx
-    for leg in range(n_legs - 1, -1, -1):
-        digits[leg] = rem % q
-        rem = rem // q
-    shifted = np.roll(digits, 1, axis=0)  # leg j of the image holds k_{j-1}
-    out = np.zeros(dim, dtype=np.int64)
-    for leg in range(n_legs):
-        out = out * q + shifted[leg]
-    return out
-
-
-def translation_matrix(q, n_legs):
-    """Dense one-site translation operator."""
-    dim = q**n_legs
-    tgt = _translation_index(q, n_legs)
-    T = np.zeros((dim, dim))
-    T[tgt, np.arange(dim)] = 1.0
-    return T
-
-
-def build_floquet(cfg):
-    """The one-period brickwork operator: the shifted layer on pairs
-    (x+1/2, x+1), then the unshifted layer on pairs (x, x+1/2).
-
-    The half-period convention is fixed by the observable contract, not by
-    taste: with site x on leg 2x and numpy's kron putting the first gate
-    factor on the left leg, this order is the one for which the correlator
-    ray leaving y = 0 towards x = +t carries the powers of M_plus (and the
-    y = 1/2 ray towards -t those of M_minus).  For L = 1 it reads U . SUS.
-    """
-    even = cfg.even_gates if cfg.even_gates is not None else [cfg.gate] * cfg.L
-    odd = cfg.odd_gates if cfg.odd_gates is not None else [cfg.gate] * cfg.L
-    A = reduce(np.kron, [np.asarray(g, dtype=complex) for g in even])
-    B = reduce(np.kron, [np.asarray(g, dtype=complex) for g in odd])
-    T = translation_matrix(cfg.q, 2 * cfg.L)
-    F = A @ T @ B @ T.T
-    if cfg.site_locals is not None:
-        F = reduce(np.kron, [np.asarray(u, dtype=complex) for u in cfg.site_locals]) @ F
-    return F
-
-
 class CircuitSimulator:
-    """Holds the dense evolution operator and evaluates correlators."""
+    """Evolves local operators on their light cone and evaluates correlators.
+
+    An evolved operator is a pair (legs, tensor): the tensor has one output
+    axis per support leg, then one input axis per leg, in the order of
+    `legs`.  Correlator tables are cached per initial operator and time.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -130,27 +90,29 @@ class CircuitSimulator:
         self.L = cfg.L
         self.n_legs = 2 * cfg.L
         self.dim = cfg.q**self.n_legs
-        self.floquet = build_floquet(cfg)
         self.basis = weyl_basis(cfg.q)
-        self._powers = {0: np.eye(self.dim, dtype=complex)}
-
-    def power(self, t):
-        if t not in self._powers:
-            self._powers[t] = self.power(t - 1) @ self.floquet
-        return self._powers[t]
+        even = cfg.even_gates if cfg.even_gates is not None else [cfg.gate] * cfg.L
+        odd = cfg.odd_gates if cfg.odd_gates is not None else [cfg.gate] * cfg.L
+        # One period of U_F^dag O U_F, gate by gate: the unshifted layer on legs
+        # (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate factor
+        # on the first leg.  This is the convention for which the correlator
+        # ray leaving y = 0 towards x = +t carries the powers of M_plus (and
+        # the y = 1/2 ray towards -t those of M_minus); for L = 1 it reads
+        # U_F = U . SUS.
+        pairs = ([(2 * k, 2 * k + 1) for k in range(cfg.L)]
+                 + [(2 * k + 1, (2 * k + 2) % self.n_legs) for k in range(cfg.L)])
+        gates = [np.asarray(g, dtype=complex) for g in list(even) + list(odd)]
+        shape = (cfg.q,) * 4
+        self._period = [(a, b, g.reshape(shape), g.conj().T.reshape(shape))
+                        for (a, b), g in zip(pairs, gates)]
+        self._single = {}
+        self._two = {}
 
     def site_leg(self, x):
         leg = int(round(2 * x))
         if abs(2 * x - leg) > 1e-12:
             raise ValueError(f"site {x} is not a half-integer position")
         return leg % self.n_legs
-
-    def embed(self, op, x):
-        """1 x ... x op x ... x 1 with op on the leg of site x."""
-        leg = self.site_leg(x)
-        left = self.q**leg
-        right = self.q ** (self.n_legs - leg - 1)
-        return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
     def _check_window(self, t, override=False):
         if t < 0:
@@ -162,19 +124,107 @@ class CircuitSimulator:
                 "(pass override_window=True to force)"
             )
 
-    def heisenberg(self, op_embedded, t):
-        """U_F^(-t) A U_F^t."""
-        Ut = self.power(t)
-        return Ut.conj().T @ op_embedded @ Ut
+    def _check_budget(self, legs, t):
+        """Refuse, before building anything, an evolution whose support is too big."""
+        support = set(legs)
+        for _ in range(t):
+            for a, b, _, _ in self._period:
+                if a in support or b in support:
+                    support |= {a, b}
+        nbytes = 16 * self.q ** (2 * len(support))
+        if nbytes > SUPPORT_BUDGET:
+            raise ValueError(
+                f"at t = {t} the evolved operator covers {len(support)} legs: "
+                f"{nbytes / 2**20:.0f} MiB as a q={self.q} tensor, above the "
+                f"{SUPPORT_BUDGET / 2**20:.0f} MiB budget"
+            )
+
+    def _evolve(self, factors, t):
+        """U_F^-t (x_leg factors[leg]) U_F^t as (support legs, tensor)."""
+        self._check_budget(factors, t)
+        q = self.q
+        legs = list(factors)
+        s = len(legs)
+        T = reduce(np.multiply.outer, [np.asarray(factors[leg], dtype=complex) for leg in legs])
+        T = T.transpose(list(range(0, 2 * s, 2)) + list(range(1, 2 * s, 2)))
+        for _ in range(t):
+            for a, b, g, gd in self._period:
+                if a not in legs and b not in legs:
+                    continue
+                for leg in (a, b):
+                    if leg not in legs:  # O x 1 on the new leg
+                        T = np.moveaxis(np.multiply.outer(T, np.eye(q)), 2 * s, s)
+                        legs.append(leg)
+                        s += 1
+                pa, pb = legs.index(a), legs.index(b)
+                T = np.moveaxis(np.tensordot(gd, T, axes=([2, 3], [pa, pb])), [0, 1], [pa, pb])
+                T = np.moveaxis(np.tensordot(T, g, axes=([s + pa, s + pb], [0, 1])),
+                                [-2, -1], [s + pa, s + pb])
+        return legs, T
+
+    def _marginal(self, op, legs):
+        """tr_rest(O) / q^(traced legs) on `legs`, axes (outputs..., inputs...).
+
+        A leg outside the support carries the identity, so the correlator of
+        an observable B on `legs` is tr(B rho) / q^len(legs).
+        """
+        support, T = op
+        s = len(support)
+        labels = list(range(s)) * 2  # equal output and input labels: traced
+        operands, outs, ins = [T, labels], [], []
+        for k, leg in enumerate(legs):
+            if leg in support:
+                p = support.index(leg)
+                labels[s + p] = s + p
+                outs.append(p)
+                ins.append(s + p)
+            else:
+                operands += [np.eye(self.q), [2 * s + 2 * k, 2 * s + 2 * k + 1]]
+                outs.append(2 * s + 2 * k)
+                ins.append(2 * s + 2 * k + 1)
+        traced = s - sum(leg in support for leg in legs)
+        return np.einsum(*operands, outs + ins) / self.q**traced
+
+    def single_site_table(self, i, y, t, override_window=False):
+        """C[x, j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and basis index j."""
+        self._check_window(t, override_window)
+        key = (i, self.site_leg(y), t)
+        if key not in self._single:
+            op = self._evolve({key[1]: self.basis[i]}, t)
+            rows = [np.einsum("jab,ba->j", self.basis, self._marginal(op, [x]))
+                    for x in range(self.n_legs)]
+            table = np.array(rows) / self.q
+            table.setflags(write=False)
+            self._single[key] = table
+        return self._single[key]
+
+    def _two_site_table(self, i, j, t, override_window=False):
+        """C[x1, x2, k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L)
+        for every pair of legs and basis indices."""
+        self._check_window(t, override_window)
+        key = (i, j, t)
+        if key not in self._two:
+            n, q, B = self.n_legs, self.q, self.basis
+            op = self._evolve({0: B[i], 1: B[j]}, t)
+            products = np.einsum("kab,lbc->klac", B, B)  # a_k a_l on one leg
+            table = np.empty((n, n, q * q, q * q), dtype=complex)
+            for x1 in range(n):
+                for x2 in range(n):
+                    if x1 == x2:
+                        table[x1, x2] = np.einsum(
+                            "klab,ba->kl", products, self._marginal(op, [x1])) / q
+                    else:
+                        table[x1, x2] = np.einsum(
+                            "kab,lcd,bdac->kl", B, B, self._marginal(op, [x1, x2])) / q**2
+            table.setflags(write=False)
+            self._two[key] = table
+        return self._two[key]
 
     def correlation_single(self, i, j, x, y, t, override_window=False):
         """D^{ij}(x, y, t) = tr[a_j^x U^-t a_i^y U^t] / q^(2L), i, j > 0."""
         if i <= 0 or j <= 0:
             raise ValueError("basis indices must be nontrivial (> 0)")
-        self._check_window(t, override_window)
-        A = self.heisenberg(self.embed(self.basis[i], y), t)
-        B = self.embed(self.basis[j], x)
-        return complex(np.einsum("ij,ji->", B, A)) / self.dim
+        return complex(self.single_site_table(i, y, t, override_window)[self.site_leg(x), j])
 
     def c_plus(self, i, j, x, t, **kw):
         return self.correlation_single(i, j, x, 0.0, t, **kw)
@@ -184,11 +234,8 @@ class CircuitSimulator:
 
     def correlation_two_site(self, i, j, k, l, x1, x2, t, override_window=False):
         """tr[a_k^{x1} a_l^{x2} U^-t a_i^{0} a_j^{1/2} U^t] / q^(2L)."""
-        self._check_window(t, override_window)
-        init = self.embed(self.basis[i], 0.0) @ self.embed(self.basis[j], 0.5)
-        A = self.heisenberg(init, t)
-        B = self.embed(self.basis[k], x1) @ self.embed(self.basis[l], x2)
-        return complex(np.einsum("ij,ji->", B, A)) / self.dim
+        table = self._two_site_table(i, j, t, override_window)
+        return complex(table[self.site_leg(x1), self.site_leg(x2), k, l])
 
     def lightcone_scan(self, t_max, basis_pairs=None, override_window=False):
         """Max |C_+| / |C_-| over basis pairs on the (x, t) grid.
@@ -199,22 +246,14 @@ class CircuitSimulator:
         if basis_pairs is None:
             nb = self.q**2
             basis_pairs = [(i, j) for i in range(1, nb) for j in range(1, nb)]
-        i_set = sorted({p[0] for p in basis_pairs})
         records = []
         for t in range(1, t_max + 1):
             self._check_window(t, override_window)
-            heis = {(i, 0.0): self.heisenberg(self.embed(self.basis[i], 0.0), t) for i in i_set}
-            heis.update(
-                {(i, 0.5): self.heisenberg(self.embed(self.basis[i], 0.5), t) for i in i_set}
-            )
             for n in range(self.n_legs):
                 x = 0.5 * n
                 for side, y in (("plus", 0.0), ("minus", 0.5)):
-                    xx = x if side == "plus" else x + 0.5
-                    best = 0.0
-                    for (i, j) in basis_pairs:
-                        B = self.embed(self.basis[j], xx)
-                        val = abs(complex(np.einsum("ij,ji->", B, heis[(i, y)]))) / self.dim
-                        best = max(best, val)
+                    leg = self.site_leg(x if side == "plus" else x + 0.5)
+                    best = max((abs(self.single_site_table(i, y, t, override_window)[leg, j])
+                                for (i, j) in basis_pairs), default=0.0)
                     records.append({"x": x, "t": t, "side": side, "max_abs": best})
         return records

@@ -162,12 +162,17 @@ def avg_spectral_radius(U, n, seed, four_locals=False, workers=None):
 
 
 def avg_mixing_rate(U, n, seed, zero_tol=ZERO_TOL, workers=None):
-    """mu_plus = E[-ln|lambda_1|]; zero modes are counted, not averaged."""
+    """mu_plus = E[-ln|lambda_1|].
+
+    A zero mode (|lambda_1| < zero_tol) has an infinite rate, so any zero mode
+    makes the mean and its stderr infinite; extras count them.
+    """
     vals = spectral_radius_samples(U, n, seed, workers=workers, label="mixing-rate")
     finite = vals >= zero_tol
-    rates = -np.log(vals[finite])
     extras = {"infinite_count": int(n - finite.sum()), "e_p": entangling_power(U)}
-    return _estimate(rates, seed, extras)
+    if extras["infinite_count"]:
+        return MCEstimate(mean=math.inf, stderr=math.inf, n=int(n), seed=seed, extras=extras)
+    return _estimate(-np.log(vals), seed, extras)
 
 
 def max_mixing_rate(U, n, seed, refine_steps=0, zero_tol=ZERO_TOL):

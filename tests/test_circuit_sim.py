@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
+from dense_circuit import DenseCircuitSimulator, build_floquet, translation_matrix
 from dualunitary import circuit_sim as cs
 from dualunitary import tensor_ops as to
 from dualunitary.channels import lightcone_correlation_prediction
@@ -34,16 +38,16 @@ def test_config_validation():
 
 def test_floquet_l1_hand_composition():
     U = cartan_gate(0.3)
-    F = cs.build_floquet(cs.CircuitConfig(q=2, L=1, gate=U))
+    F = build_floquet(cs.CircuitConfig(q=2, L=1, gate=U))
     S = to.swap_operator(2)
     assert np.abs(F - U @ S @ U @ S).max() < 1e-14
 
 
 def test_floquet_unitarity_and_two_site_shift_symmetry():
     U = diagonal_dual_sample(2, 1.0, substream(0, "circ"))
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=U))
+    sim = DenseCircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=U))
     assert to.unitarity_defect(sim.floquet) < 1e-11
-    T = cs.translation_matrix(2, 8)
+    T = translation_matrix(2, 8)
     assert np.abs(sim.floquet @ T @ T - T @ T @ sim.floquet).max() < 1e-12
 
 
@@ -172,7 +176,71 @@ def test_inhomogeneous_bond_gates_run():
     gates_odd = [diagonal_dual_sample(2, 1.0, rng) for _ in range(2)]
     cfg = cs.CircuitConfig(q=2, L=2, gate=gates_even[0],
                            even_gates=gates_even, odd_gates=gates_odd)
-    sim = cs.CircuitSimulator(cfg)
-    assert to.unitarity_defect(sim.floquet) < 1e-11
+    assert to.unitarity_defect(DenseCircuitSimulator(cfg).floquet) < 1e-11
     # translation symmetry is broken but the evolution stays unitary
-    sim.c_plus(1, 1, 1.0, 1)
+    cs.CircuitSimulator(cfg).c_plus(1, 1, 1.0, 1)
+
+
+def _oracle_worst(cfg, t_max, i_set, y_set, two_site):
+    """max |engine - dense oracle| over t <= t_max: single-site tables (every
+    x, j) for the given i and y, and two-site correlators (every x1, x2) for
+    the given (i, j, k, l).  The oracle's embedded observables are monomial
+    matrices, so their products are taken as sparse matrices."""
+    sim, ref = cs.CircuitSimulator(cfg), DenseCircuitSimulator(cfg)
+    n, nb = sim.n_legs, cfg.q**2
+    E = {(x, j): ref.embed(ref.basis[j], 0.5 * x) for x in range(n) for j in range(nb)}
+    Es = {key: sparse.csr_matrix(op) for key, op in E.items()}
+    worst = 0.0
+    for t in range(t_max + 1):
+        for i in i_set:
+            for y in y_set:
+                A = ref.heisenberg(ref.embed(ref.basis[i], y), t)
+                table = sim.single_site_table(i, y, t, override_window=True)
+                for (x, j), B in E.items():
+                    val = complex(np.einsum("ij,ji->", B, A)) / ref.dim
+                    worst = max(worst, abs(table[x, j] - val))
+        for (i, j, k, l) in two_site:
+            A = ref.heisenberg(E[(0, i)] @ E[(1, j)], t)
+            for x1 in range(n):
+                for x2 in range(n):
+                    val = complex((Es[(x1, k)] @ Es[(x2, l)]).multiply(A.T).sum()) / ref.dim
+                    got = sim.correlation_two_site(i, j, k, l, 0.5 * x1, 0.5 * x2, t,
+                                                   override_window=True)
+                    worst = max(worst, abs(got - val))
+    return worst
+
+
+def test_engine_matches_dense_oracle():
+    rng = substream(5, "oracle")
+    haar2 = sample_haar(4, rng)
+    bonds = [sample_haar(4, rng) for _ in range(8)]
+    cases = [
+        # (config, t_max, i, y, two-site (i, j, k, l))
+        (cs.CircuitConfig(q=2, L=1, gate=haar2), 1, (1, 2, 3), (0.0, 0.5),
+         [(1, 3, 2, 1), (3, 0, 1, 1)]),
+        (cs.CircuitConfig(q=3, L=1, gate=fixtures()["dual_q3_ep8over9"]), 1, (1, 5), (0.0, 0.5),
+         [(1, 2, 3, 4)]),
+        (cs.CircuitConfig(q=2, L=4, gate=haar2), 4, (1, 3), (0.0, 1.5), [(1, 3, 2, 1)]),
+        (cs.CircuitConfig(q=2, L=4, gate=bonds[0], even_gates=bonds[:4], odd_gates=bonds[4:]),
+         4, (2,), (0.5, 2.0), [(2, 1, 1, 3)]),
+        (cs.CircuitConfig(q=3, L=3, gate=sample_haar(9, rng)), 3, (4,), (0.0, 0.5), [(1, 8, 2, 4)]),
+    ]
+    for cfg, t_max, i_set, y_set, two_site in cases:
+        assert _oracle_worst(cfg, t_max, i_set, y_set, two_site) < 1e-12
+
+
+def test_support_budget_refuses_before_allocating():
+    # q = 2, L = 8 passes the ring guard, but at t = 4 the operator covers all
+    # 16 legs: a 64 GiB tensor
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=8, gate=cartan_gate(0.3)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            sim.c_plus(1, 1, 4.0, 4)
+        with pytest.raises(ValueError, match="budget"):
+            sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    sim.c_plus(1, 1, 2.0, 2)  # at t = 2 the support is 8 legs, well inside the budget

@@ -79,6 +79,7 @@ def test_avg_mixing_rate_dcnot_limit():
     assert abs(est.mean - 1.0) < 3 * est.stderr
     est2 = hm.avg_mixing_rate(cat_map(3), 50, seed=7)
     assert est2.extras["infinite_count"] == 50
+    assert est2.mean == math.inf
 
 
 def test_max_mixing_rate_reports_and_two_unitary():
