@@ -37,7 +37,6 @@ from .constructions import (
     unistochastic_reduction,
 )
 from .haar_mc import (
-    HaarSampler,
     MCEstimate,
     avg_mixing_rate,
     avg_norm_power,

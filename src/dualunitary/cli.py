@@ -306,13 +306,24 @@ def _load_circuit(path):
     return CircuitConfig(q=int(cfg["q"]), L=int(cfg["L"]), gate=gate), cfg
 
 
+def _basis_pairs(pairs, d):
+    """The configured (i, j) basis-index pairs, each index an int in [0, d)."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(k) is int and 0 <= k < d for k in p)
+        for p in pairs
+    ):
+        raise ValidationError(f"basis_pairs must be [i, j] pairs of integers in [0, {d}), "
+                              f"got {pairs!r}")
+    return [tuple(p) for p in pairs]
+
+
 def cmd_circuit_corr(args):
     cfg, raw = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
     t_max = int(raw.get("t_max", cfg.L // 2))
     pairs = raw.get("basis_pairs")
     nb = min(cfg.q * cfg.q, 4)
-    pairs = [tuple(p) for p in pairs] if pairs else [
+    pairs = _basis_pairs(pairs, cfg.q * cfg.q) if pairs else [
         (i, j) for i in range(1, nb) for j in range(1, nb)
     ]
     rows = []

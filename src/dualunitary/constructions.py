@@ -26,7 +26,6 @@ import scipy.linalg
 import scipy.optimize
 
 from .channels import build_m_plus, channel_spectrum
-from .haar_mc import sample_haar
 from .invariants import (
     DualityClass,
     classify_duality,
@@ -41,6 +40,7 @@ from .tensor_ops import (
     partial_transpose_t2,
     realign_r1,
     realign_r2,
+    sample_haar,
     swap_operator,
 )
 

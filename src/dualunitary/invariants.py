@@ -140,6 +140,7 @@ def invariants_report(U, tol=DUALITY_TOL):
     q = local_dim(U)
     dc = classify_duality(U, tol=tol)
     ep = entangling_power(U)
+    thresholds = threshold_report(q, ep)
     return {
         "q": q,
         "e_p": ep,
@@ -153,7 +154,7 @@ def invariants_report(U, tol=DUALITY_TOL):
             "residuals": dc.residuals,
         },
         "thresholds": {
-            "guaranteed_mixing_modes": threshold_report(q, ep)["guaranteed_mixing_modes"],
-            "boundary": threshold_report(q, ep)["boundary"],
+            "guaranteed_mixing_modes": thresholds["guaranteed_mixing_modes"],
+            "boundary": thresholds["boundary"],
         },
     }

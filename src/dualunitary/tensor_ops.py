@@ -1,4 +1,5 @@
-"""Index reshuffles, partial transposes, swap and vectorization for two-qudit operators.
+"""Index reshuffles, partial transposes, swap, vectorization and Haar
+sampling for two-qudit operators.
 
 A two-qudit operator X lives on C^q (x) C^q with the composite basis index
 (i, a) -> i*q + a, i.e. the first tensor factor is the slow index.  The four
@@ -104,6 +105,21 @@ def sandwich_locals(U, u1, u2, v1, v2):
     return np.kron(u1, u2) @ np.asarray(U) @ np.kron(v1, v2)
 
 
+def haar_from_ginibre(z):
+    """Haar unitaries from Ginibre matrices z (one d x d matrix or a stack of
+    them): the QR factor Q with the phases of diag(R) folded back in, so the
+    distribution is exactly Haar (Mezzadri, Notices AMS 54, 592 (2007))."""
+    Q, R = np.linalg.qr(z)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]
+
+
+def sample_haar(d, rng):
+    """One Haar-distributed d x d unitary drawn from the generator rng."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    return haar_from_ginibre(z)
+
+
 def unitarity_defect(U):
     """Max-entry norm of U U^dag - 1."""
     U = np.asarray(U)
@@ -165,7 +181,7 @@ def verify_reshuffle_identities(X, locals_=None):
 
     if locals_ is None:
         rng = np.random.default_rng(0)
-        locals_ = [_haar_local(q, rng) for _ in range(4)]
+        locals_ = [sample_haar(q, rng) for _ in range(4)]
     u1, u2, u3, u4 = locals_
     Y = np.kron(u1, u2) @ X @ np.kron(u3, u4)
     res["local_covariance_r1"] = _maxabs(
@@ -181,13 +197,6 @@ def verify_reshuffle_identities(X, locals_=None):
         partial_transpose_t2(Y) - np.kron(u1, u4.T) @ partial_transpose_t2(X) @ np.kron(u3, u2.T)
     )
     return res
-
-
-def _haar_local(q, rng):
-    # local copy to avoid an import cycle with haar_mc
-    z = (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))) / math.sqrt(2)
-    Q, R = np.linalg.qr(z)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def gate_to_json(U, q=None):

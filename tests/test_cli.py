@@ -1,8 +1,11 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
+import dualunitary
 from dualunitary.cli import main
 from dualunitary.constructions import perm_spec_to_json, PERM_OLS_EXAMPLE_Q3
 
@@ -106,6 +109,20 @@ def test_circuit_corr_and_verify(tmp_path):
     assert main(["circuit", "verify", str(cfg)]) == 0
 
 
+def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
+    gate = tmp_path / "g.json"
+    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
+    cfg = tmp_path / "cfg.json"
+    # q = 2 has basis indices 0..3: 7 is out of range, -1 would wrap to 3
+    for pairs in ([[1, 7]], [[-1, 1]]):
+        cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
+                                   "basis_pairs": pairs}))
+        capsys.readouterr()
+        assert main(["circuit", "corr", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert err["error"] == "validation" and "basis_pairs" in err["message"]
+
+
 def test_oracles(tmp_path, capsys):
     assert main(["oracle", "reshuffle-identities", "-q", "4", "--seed", "7"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -151,6 +168,11 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child finds the package where this process found it, also when that
+    # is pytest's `pythonpath` setting rather than PYTHONPATH
+    src = str(pathlib.Path(dualunitary.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "dualunitary.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.stats
 
 from dualunitary import haar_mc as hm
 from dualunitary import tensor_ops as to
-from dualunitary.channels import build_m_plus, deflate_trivial
+from dualunitary.channels import build_m_plus, deflate_trivial, eigvals_schur
+from dualunitary.cli import main as cli_main
 from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
 from dualunitary.invariants import entangling_power
 from dualunitary.qubit_exact import cartan_gate
@@ -133,3 +135,106 @@ def test_averaged_radius_inequality():
     est = hm.avg_spectral_radius(U, 2000, seed=17)
     bound = (9 - 1) ** 0.25 * math.sqrt(1 - entangling_power(U))
     assert est.mean <= bound + 3 * est.stderr
+
+
+# ---------------------------------------------------------------------------
+# the block engine against the per-index recipe it replaces, bit for bit
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# two full blocks and a partial one
+N_BLOCKS = 2 * hm.BLOCK + 7
+
+
+def _engine_gates():
+    fx = fixtures()
+    return {
+        2: diagonal_dual_sample(2, 1.0, hm.substream(18, "gate")),
+        3: fx["dual_q3_d3s"],
+        4: fx["dual_q4_d4s"],
+    }
+
+
+def _reference_radii(U, n, seed, four_locals, label="spectral-radius"):
+    q = to.local_dim(U)
+    Mt = deflate_trivial(build_m_plus(U))
+    out = np.empty(n)
+    for i in range(n):
+        if four_locals:
+            rng = hm.substream(seed, label, i)
+            u1 = hm.sample_haar(q, rng)
+            v2 = hm.sample_haar(q, rng)
+            A = np.kron(v2.conj().T, v2.T) @ Mt @ np.kron(u1.conj().T, u1.T)
+        else:
+            u = hm.haar_sample_at(q, seed, label, i)
+            A = np.kron(u, u.conj()) @ Mt
+        out[i] = np.abs(np.linalg.eigvals(A)).max()
+    return out
+
+
+@pytest.mark.parametrize("four_locals", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_block_radii_equal_per_index_reference(q, four_locals):
+    U = _engine_gates()[q]
+    ref = _reference_radii(U, N_BLOCKS, 19, four_locals)
+    serial = hm.spectral_radius_samples(U, N_BLOCKS, 19, four_locals=four_locals)
+    split = hm.spectral_radius_samples(U, N_BLOCKS, 19, four_locals=four_locals, workers=3)
+    assert np.array_equal(serial, ref)
+    assert np.array_equal(split, ref)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_block_max_mixing_rate_equals_per_index_reference(q):
+    U = _engine_gates()[q]
+    Mt = deflate_trivial(build_m_plus(U))
+    best_r, best_u = np.inf, None
+    for i in range(N_BLOCKS):
+        u = hm.haar_sample_at(q, 20, "max-rate", i)
+        r = np.abs(eigvals_schur(np.kron(u, u.conj()) @ Mt)).max()
+        if r < best_r:
+            best_r, best_u = r, u
+    rep = hm.max_mixing_rate(U, N_BLOCKS, 20)
+    assert rep["min_radius"] == best_r
+    assert np.array_equal(rep["local"], best_u)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_block_norm_power_and_monomial_equal_per_index_reference(q):
+    U = _engine_gates()[q]
+    Mt = deflate_trivial(build_m_plus(U))
+    n = hm.BLOCK + 5
+    vals = []
+    for i in range(n):
+        u = hm.haar_sample_at(q, 21, "norm-power-3", i)
+        B = np.linalg.matrix_power(np.kron(u, u.conj()) @ Mt, 3)
+        vals.append(np.vdot(B, B).real)
+    est = hm.avg_norm_power(U, 3, n, 21)
+    assert est.mean == np.mean(vals)
+    assert est.stderr == np.std(vals, ddof=1) / math.sqrt(n)
+
+    rng = np.random.default_rng(22)
+    X, Y = (rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
+            for _ in range(2))
+    vals = []
+    for i in range(n):
+        u = hm.haar_sample_at(q, 23, "monomial", i)
+        W = np.kron(u, u.conj())
+        vals.append(np.trace(X @ W @ Y @ W.conj().T))
+    rep = hm.haar_monomial_oracle(X, Y, n, 23)
+    assert rep["mc_mean"] == np.mean(vals)
+
+
+# `dualu sweep haar fixtures/dual_q3_d3s.json fixtures/dual_q4_d4s.json -N 300
+# --seed 13` as written by the per-sample engine
+SWEEP_GOLDEN = """\
+e_p,mean_lambda1,stderr,mu_plus,nu_plus,N,seed
+0.7500000000000001,0.4710783907922758,0.010615414703545828,0.8076877258156239,3.162725987491758,300,13
+0.8,0.46489247544084633,0.008077055116271114,0.8486239936838365,2.6710841205909857,300,13
+"""
+
+
+def test_sweep_haar_csv_matches_golden_bytes(tmp_path):
+    out = tmp_path / "sweep.csv"
+    gates = [str(FIXTURE_DIR / f"{name}.json") for name in ("dual_q3_d3s", "dual_q4_d4s")]
+    assert cli_main(["sweep", "haar", *gates, "-N", "300", "--seed", "13", "-o", str(out)]) == 0
+    assert out.read_bytes() == SWEEP_GOLDEN.encode()
