@@ -11,6 +11,7 @@ import math
 import os
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from dualunitary import build_m_plus, channel_spectrum
 from dualunitary.qubit_exact import (
@@ -75,7 +76,7 @@ print("\n=== The cos(theta)-averaged rate over the w family ===")
 for Jv in (math.pi / 16, 0.3):
     c = np.linspace(-1, 1, 20001)
     lam = np.array([np.abs(restricted_w_spectrum(Jv, math.acos(x))).max() for x in c])
-    quad = float(np.trapz(-np.log(lam), c) / 2)
+    quad = float(trapezoid(-np.log(lam), c) / 2)
     print(f"  J = {Jv:.4f}: quadrature {quad:.6f} vs closed form "
           f"(1-sin2J)/(1+sin2J) = {mu_prime(Jv):.6f}")
 

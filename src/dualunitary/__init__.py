@@ -29,7 +29,6 @@ from .constructions import (
     enumerate_dual_permutations,
     fixtures,
     mr_iterate,
-    mr_step,
     mrt_iterate,
     ols_pair,
     permutation_gate,

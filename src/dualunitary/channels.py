@@ -31,15 +31,8 @@ from .tensor_ops import (
     require_unitary,
     vectorize,
 )
-
-# |lambda| below this is an exact-zero mode (instant mixing, infinite rate)
-ZERO_TOL = 1e-9
-# |lambda| above 1 - UNIT_TOL counts as a non-decaying unit-modulus mode
-UNIT_TOL = 1e-9
-# proximity to unit modulus that triggers a boundary flag on classification
-BOUNDARY_TOL = 1e-6
-
-UNITALITY_TOL = 1e-12
+from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, GATE_UNITARY_TOL, UNIT_BOUNDARY_TOL,
+                         UNIT_TOL, UNITALITY_TOL, ZERO_TOL)
 
 ERGODIC_CLASSES = (
     "NonInteracting",
@@ -72,7 +65,7 @@ class ErgodicReport:
     boundary: bool = False
 
 
-def build_m_plus(U, tol=1e-8):
+def build_m_plus(U, tol=GATE_UNITARY_TOL):
     """Superoperator of a -> tr_1[U^dag (a x 1) U]/q."""
     U = require_unitary(np.asarray(U, dtype=complex), tol=tol, what="gate")
     q = local_dim(U)
@@ -80,7 +73,7 @@ def build_m_plus(U, tol=1e-8):
     return realign_r1(T @ T.conj().T) / q
 
 
-def build_m_minus(U, tol=1e-8):
+def build_m_minus(U, tol=GATE_UNITARY_TOL):
     """Superoperator of a -> tr_2[U^dag (1 x a) U]/q."""
     U = require_unitary(np.asarray(U, dtype=complex), tol=tol, what="gate")
     q = local_dim(U)
@@ -103,11 +96,11 @@ def unitality_residual(M):
     return float(max(right, left))
 
 
-def deflate_trivial(M, tol=UNITALITY_TOL):
+def deflate_trivial(M):
     """Remove the trivial mode: Mtilde = M - |Phi+><Phi+|."""
     M = np.asarray(M, dtype=complex)
     r = unitality_residual(M)
-    if r > tol:
+    if not r <= UNITALITY_TOL:
         raise ValueError(f"channel is not unital: trivial-mode residual {r:.3e}")
     q = local_dim(M)
     phi = max_entangled_vector(q)
@@ -156,14 +149,13 @@ def channel_spectrum(M, side="plus", deflated=False):
     return ChannelSpectrum(q=q, side=side, eigenvalues=vals, rates=rates)
 
 
-def classify_ergodicity(spec_plus, spec_minus, zero_tol=ZERO_TOL, unit_tol=UNIT_TOL,
-                        boundary_tol=BOUNDARY_TOL):
+def classify_ergodicity(spec_plus, spec_minus):
     """Five-way ergodic class from the nontrivial spectra of both channels."""
     lam = np.concatenate([spec_plus.eigenvalues, spec_minus.eigenvalues])
     mods = np.abs(lam)
-    one_count = int(np.count_nonzero(np.abs(lam - 1.0) <= unit_tol))
-    unit_count = int(np.count_nonzero(mods >= 1.0 - unit_tol))
-    zero_count = int(np.count_nonzero(mods <= zero_tol))
+    one_count = int(np.count_nonzero(np.abs(lam - 1.0) <= UNIT_TOL))
+    unit_count = int(np.count_nonzero(mods >= 1.0 - UNIT_TOL))
+    zero_count = int(np.count_nonzero(mods < ZERO_TOL))
     total = lam.size
 
     if one_count == total:
@@ -177,9 +169,9 @@ def classify_ergodicity(spec_plus, spec_minus, zero_tol=ZERO_TOL, unit_tol=UNIT_
     else:
         label = "ErgodicMixing"
 
-    # a spectrum is "boundary" when any mode sits within boundary_tol of unit
-    # modulus: the NonErgodic / ErgodicNonMixing split is tolerance-sensitive
-    boundary = bool(np.any(np.abs(mods - 1.0) <= boundary_tol))
+    # a spectrum is "boundary" when any mode sits within UNIT_BOUNDARY_TOL of
+    # unit modulus: the NonErgodic / ErgodicNonMixing split is tolerance-sensitive
+    boundary = bool(np.any(np.abs(mods - 1.0) <= UNIT_BOUNDARY_TOL))
     return ErgodicReport(label=label, unit_count=unit_count, one_count=one_count,
                          zero_count=zero_count, total=total, boundary=boundary)
 
@@ -191,12 +183,12 @@ def classify_gate(U):
     return classify_ergodicity(sp, sm)
 
 
-def check_norm_and_bounds(U, dual_tol=1e-8, slack_tol=1e-9):
+def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
     """Norm identity and the eigenvalue bounds for a dual-unitary gate.
 
     Returns the residual of ||Mtilde_plus||^2 = (q^2-1)(1-e_p) and the slack
     of every bound |lambda_k| <= sqrt(1-e_p) sqrt((q^2-1)/k); negative slack
-    beyond slack_tol means a violation.
+    beyond BOUND_SLACK_TOL means a violation.
     """
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
@@ -223,7 +215,7 @@ def check_norm_and_bounds(U, dual_tol=1e-8, slack_tol=1e-9):
         "slack": slack,
         "min_slack": float(slack.min()),
         "smallest_eig_slack": float(np.sqrt(max(1.0 - ep, 0.0)) - mods[-1]),
-        "ok": bool(slack.min() >= -slack_tol),
+        "ok": bool(slack.min() >= -BOUND_SLACK_TOL),
     }
 
 
@@ -236,7 +228,7 @@ def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):
     return complex(np.trace(devectorize(v) @ np.asarray(a_j))) / q
 
 
-def inhomogeneous_bound(gates, dual_tol=1e-8):
+def inhomogeneous_bound(gates):
     """Disorder-averaged squared-correlation bound for a sequence of dual gates.
 
     The bound after applying the listed gates once each is
@@ -249,7 +241,7 @@ def inhomogeneous_bound(gates, dual_tol=1e-8):
     q = local_dim(gates[0])
     eps = []
     for U in gates:
-        if not classify_duality(U, tol=dual_tol).is_dual:
+        if not classify_duality(U).is_dual:
             raise ValueError("all gates must be dual-unitary")
         eps.append(entangling_power(U))
     bound = (q * q - 1) * float(np.prod([1.0 - e for e in eps]))

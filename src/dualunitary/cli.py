@@ -63,6 +63,7 @@ from .haar_mc import (
 from .invariants import entangling_power, invariants_report
 from .qubit_exact import cartan_gate
 from .tensor_ops import gate_from_json, gate_to_json, verify_reshuffle_identities
+from .tolerances import CONE_TOL, FLOW_TOL, INPUT_UNITARY_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,8 +195,8 @@ def cmd_gate_make(args):
 def cmd_gate_classify(args):
     U = _read_gate(args.gate)
     rep = invariants_report(U)
-    sp = channel_spectrum(build_m_plus(U, tol=1e-6), side="plus")
-    sm = channel_spectrum(build_m_minus(U, tol=1e-6), side="minus")
+    sp = channel_spectrum(build_m_plus(U, tol=INPUT_UNITARY_TOL), side="plus")
+    sm = channel_spectrum(build_m_minus(U, tol=INPUT_UNITARY_TOL), side="minus")
     erg = classify_ergodicity(sp, sm)
     rep["ergodic_class"] = erg.label
     rep["ergodic_counts"] = {
@@ -221,7 +222,7 @@ def cmd_channel_spectrum(args):
             with open(args.locals) as fh:
                 u = gate_from_json(fh.read())
         U = U @ np.kron(np.eye(u.shape[0]), u)
-    M = build_m_plus(U, tol=1e-6) if args.side == "plus" else build_m_minus(U, tol=1e-6)
+    M = (build_m_plus if args.side == "plus" else build_m_minus)(U, tol=INPUT_UNITARY_TOL)
     spec = channel_spectrum(M, side=args.side)
     rows = [
         (lam.real, lam.imag, abs(lam), rate)
@@ -391,7 +392,7 @@ def cmd_oracle_haar_identity(args):
         )
         + "\n",
     )
-    if rep["z_score"] > 3.0:
+    if not rep["z_score"] <= ORACLE_SIGMAS:
         raise ValidationError(f"MC estimate {rep['z_score']:.2f} sigma from closed form")
     return [out]
 
@@ -403,8 +404,8 @@ def cmd_oracle_reshuffle(args):
     res = verify_reshuffle_identities(X)
     out = _write_text(args.output, json.dumps(res, indent=2) + "\n")
     worst = max(res.values())
-    if worst > 1e-12:
-        raise ValidationError(f"identity residual {worst:.3e} above 1e-12")
+    if not worst <= RESHUFFLE_TOL:
+        raise ValidationError(f"identity residual {worst:.3e} above {RESHUFFLE_TOL:.0e}")
     return [out]
 
 
@@ -439,7 +440,7 @@ def build_parser():
     gm.add_argument("--b", type=float, default=None, help="cat-family parameter")
     gm.add_argument("--J", type=float, default=0.0)
     gm.add_argument("--max-iter", type=int, default=10_000)
-    gm.add_argument("--tol", type=float, default=1e-10)
+    gm.add_argument("--tol", type=float, default=FLOW_TOL)
     gm.add_argument("--name", help="fixture name")
     gm.add_argument("-o", "--output", default="-")
     add_seed(gm)
@@ -489,7 +490,7 @@ def build_parser():
     cc.set_defaults(func=cmd_circuit_corr)
     cv = circ.add_parser("verify")
     cv.add_argument("config")
-    cv.add_argument("--tol", type=float, default=1e-10)
+    cv.add_argument("--tol", type=float, default=CONE_TOL)
     cv.add_argument("-o", "--output", default="-")
     cv.set_defaults(func=cmd_circuit_verify)
 

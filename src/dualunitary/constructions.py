@@ -31,6 +31,7 @@ from .invariants import (
     classify_duality,
     entangling_power,
     operator_entanglement,
+    operator_entanglement_swapped,
     schmidt_spectrum,
     swap_entanglement,
 )
@@ -43,8 +44,7 @@ from .tensor_ops import (
     sample_haar,
     swap_operator,
 )
-
-POLAR_RANK_TOL = 1e-13
+from .tolerances import CAT_CHECK_TOL, FLOW_TOL, POLAR_RANK_TOL, REFLOW_TOL, UNISTOCHASTIC_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +195,15 @@ def s_half(U):
     return float(2.0 * (np.sqrt(p).sum() - 1.0))
 
 
-def nearest_unitary(X, rank_tol=POLAR_RANK_TOL):
+def nearest_unitary(X):
     """Polar factor of X: the unitary closest to X in any invariant norm.
 
-    Returns (V, rank_deficient).  When a singular value is below rank_tol the
-    polar factor is not unique; the phase on that subspace comes from the
-    LAPACK basis completion, which is deterministic for a given input.
+    Returns (V, rank_deficient).  When a singular value is below
+    POLAR_RANK_TOL the polar factor is not unique; the phase on that subspace
+    comes from the LAPACK basis completion, deterministic for a given input.
     """
     P, sigma, Qh = np.linalg.svd(X)
-    return P @ Qh, bool(sigma.min() < rank_tol)
-
-
-def mr_step(U):
-    """One realign + nearest-unitary step."""
-    V, flag = nearest_unitary(realign_r2(np.asarray(U, dtype=complex)))
-    return V, flag
+    return P @ Qh, bool(sigma.min() < POLAR_RANK_TOL)
 
 
 def _iterate(U0, steps, max_iter, tol):
@@ -230,7 +224,7 @@ def _iterate(U0, steps, max_iter, tol):
         s_hist.append(s_half(U))
         deficit = es - e_hist[-1]
         if len(steps) == 2:
-            deficit = max(deficit, es - _e_t2(U))
+            deficit = max(deficit, es - operator_entanglement_swapped(U))
         if deficit < tol:
             converged = True
             break
@@ -246,13 +240,7 @@ def _iterate(U0, steps, max_iter, tol):
     return U, trace
 
 
-def _e_t2(U):
-    from .invariants import operator_entanglement_swapped
-
-    return operator_entanglement_swapped(U)
-
-
-def mr_iterate(U0, max_iter=10_000, tol=1e-10):
+def mr_iterate(U0, max_iter=10_000, tol=FLOW_TOL):
     """Iterate the realign-polar map towards a dual-unitary gate.
 
     Stops when E(S) - E(U) < tol; the trace records the monotone
@@ -262,20 +250,20 @@ def mr_iterate(U0, max_iter=10_000, tol=1e-10):
     return _iterate(U0, [realign_r2], max_iter, tol)
 
 
-def mrt_iterate(U0, max_iter=10_000, tol=1e-10):
+def mrt_iterate(U0, max_iter=10_000, tol=FLOW_TOL):
     """Alternate realign-polar and partial-transpose-polar steps, targeting
     2-unitary gates (both deficits below tol)."""
     return _iterate(U0, [realign_r2, partial_transpose_t2], max_iter, tol)
 
 
-def perturbed_two_unitary(U2, scale, rng, max_iter=6000, tol=1e-13):
+def perturbed_two_unitary(U2, scale, rng, max_iter=6000):
     """A dual gate with e_p slightly below 1: kick a 2-unitary with a random
     Hermitian generator and flow back to the dual manifold."""
     q = local_dim(U2)
     H = rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
     H = (H + H.conj().T) / 2
     kicked = np.asarray(U2, dtype=complex) @ scipy.linalg.expm(1j * scale * H)
-    U, _ = mr_iterate(kicked, max_iter=max_iter, tol=tol)
+    U, _ = mr_iterate(kicked, max_iter=max_iter, tol=REFLOW_TOL)
     return U
 
 
@@ -486,11 +474,11 @@ def phased_dft_local(q, phi1, phi2):
     return np.exp(2j * math.pi * (l + phi1) * (k + phi2) / q) / math.sqrt(q)
 
 
-def cat_fourier_local_lambda1(q, phi1, phi2, check_tol=1e-7):
+def cat_fourier_local_lambda1(q, phi1, phi2):
     """Leading nontrivial channel eigenvalue of the even-q cat under a phased
     DFT local: cos(pi phi2).  Computed as <Psibar|(u x u*)|Psi> and verified
-    against the eigensolver (tolerance sqrt(eps): the zero of the nilpotent
-    channel sits in a size-2 Jordan block)."""
+    against the eigensolver to CAT_CHECK_TOL (sqrt(eps): the zero of the
+    nilpotent channel sits in a size-2 Jordan block)."""
     if q % 2:
         raise ValueError("defined for even q")
     u = phased_dft_local(q, phi1, phi2)
@@ -499,7 +487,7 @@ def cat_fourier_local_lambda1(q, phi1, phi2, check_tol=1e-7):
 
     M = np.kron(u, u.conj()) @ build_m_plus(cat_map(q))
     top = channel_spectrum(M).eigenvalues[0]
-    if abs(abs(top) - abs(lam)) > check_tol:
+    if not abs(abs(top) - abs(lam)) <= CAT_CHECK_TOL:
         raise AssertionError(
             f"closed form |{lam:.12f}| disagrees with eigensolve |{top:.12f}|"
         )
@@ -661,7 +649,7 @@ def _deltoid_contains(z, samples=720):
     return inside
 
 
-def unistochastic_reduction(u, tol=1e-10):
+def unistochastic_reduction(u):
     """Spectrum of the locally rotated D3.S channel vs the bistochastic
     matrix |u_ij|^2.
 
@@ -696,5 +684,5 @@ def unistochastic_reduction(u, tol=1e-10):
         "bistochastic_spectrum": eigs,
         "deltoid_inside": inside,
         "deltoid_fraction": float(np.mean(inside)),
-        "ok": spectrum_residual <= tol,
+        "ok": spectrum_residual <= UNISTOCHASTIC_TOL,
     }

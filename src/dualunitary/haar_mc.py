@@ -40,8 +40,8 @@ import scipy.linalg
 from .channels import build_m_plus, deflate_trivial, eigvals_schur
 from .invariants import entangling_power
 from .tensor_ops import haar_from_ginibre, local_dim, realign_r2, sample_haar
+from .tolerances import ZERO_TOL
 
-ZERO_TOL = 1e-9
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 64
 
@@ -175,21 +175,21 @@ def avg_spectral_radius(U, n, seed, four_locals=False, workers=None):
     return _estimate(vals, seed, extras)
 
 
-def avg_mixing_rate(U, n, seed, zero_tol=ZERO_TOL, workers=None):
+def avg_mixing_rate(U, n, seed, workers=None):
     """mu_plus = E[-ln|lambda_1|].
 
-    A zero mode (|lambda_1| < zero_tol) has an infinite rate, so any zero mode
+    A zero mode (|lambda_1| < ZERO_TOL) has an infinite rate, so any zero mode
     makes the mean and its stderr infinite; extras count them.
     """
     vals = spectral_radius_samples(U, n, seed, workers=workers, label="mixing-rate")
-    finite = vals >= zero_tol
+    finite = vals >= ZERO_TOL
     extras = {"infinite_count": int(n - finite.sum()), "e_p": entangling_power(U)}
     if extras["infinite_count"]:
         return MCEstimate(mean=math.inf, stderr=math.inf, n=int(n), seed=seed, extras=extras)
     return _estimate(-np.log(vals), seed, extras)
 
 
-def max_mixing_rate(U, n, seed, refine_steps=0, zero_tol=ZERO_TOL):
+def max_mixing_rate(U, n, seed, refine_steps=0):
     """nu_plus as a sampled (lower-bound) maximum of mu_1 over Haar locals.
 
     With refine_steps > 0 the best sample is polished by a hill-climb
@@ -223,7 +223,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0, zero_tol=ZERO_TOL):
             best_r, best_u = r, trial
         else:
             eps *= 0.97
-    nu = float("inf") if best_r < zero_tol else float(-math.log(best_r))
+    nu = float("inf") if best_r < ZERO_TOL else float(-math.log(best_r))
     return {
         "nu": nu,
         "min_radius": float(best_r),

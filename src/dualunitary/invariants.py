@@ -25,11 +25,7 @@ from .tensor_ops import (
     realign_r1,
     unitarity_defect,
 )
-
-# max-entry unitarity defect below which a reshuffle counts as unitary
-DUALITY_TOL = 1e-8
-# e_p this close to a mixing threshold is reported as a boundary case
-THRESHOLD_BOUNDARY_TOL = 1e-12
+from .tolerances import DUALITY_TOL, GATE_UNITARY_TOL, THRESHOLD_BOUNDARY_TOL
 
 
 @dataclass
@@ -47,14 +43,15 @@ class DualityClass:
     residuals: dict = field(default_factory=dict)
 
 
-def schmidt_spectrum(U, tol=1e-8):
+def schmidt_spectrum(U):
     """Schmidt coefficients of U: eigenvalues of U^R1 U^R1^dag, descending."""
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     R = realign_r1(U)
     gamma = np.linalg.eigvalsh(R @ R.conj().T)[::-1]
     gamma = np.clip(gamma, 0.0, None)
-    return SchmidtSpectrum(q=q, gamma=gamma, unitary_input=unitarity_defect(U) <= tol)
+    unitary = unitarity_defect(U) <= GATE_UNITARY_TOL
+    return SchmidtSpectrum(q=q, gamma=gamma, unitary_input=unitary)
 
 
 def swap_entanglement(q):
@@ -115,15 +112,15 @@ def mixing_thresholds(q):
     return 1.0 - k / (q * q - 1.0)
 
 
-def threshold_report(q, ep, boundary_tol=THRESHOLD_BOUNDARY_TOL):
+def threshold_report(q, ep):
     """Guaranteed number of mixing modes for a dual gate of entangling power ep.
 
-    Values of ep within boundary_tol of a threshold are not silently
+    Values of ep within THRESHOLD_BOUNDARY_TOL of a threshold are not silently
     classified; the report carries a `boundary` flag instead.
     """
     ladder = mixing_thresholds(q)
-    boundary = bool(np.any(np.abs(ladder - ep) <= boundary_tol))
-    exceeded = np.nonzero(ep > ladder + boundary_tol)[0]
+    boundary = bool(np.any(np.abs(ladder - ep) <= THRESHOLD_BOUNDARY_TOL))
+    exceeded = np.nonzero(ep > ladder + THRESHOLD_BOUNDARY_TOL)[0]
     k = int(exceeded[0]) + 1 if exceeded.size else None  # smallest k with ep > e*_{p,k}
     guaranteed = q * q - k if k is not None else 0
     return {
@@ -135,10 +132,10 @@ def threshold_report(q, ep, boundary_tol=THRESHOLD_BOUNDARY_TOL):
     }
 
 
-def invariants_report(U, tol=DUALITY_TOL):
+def invariants_report(U):
     """The full invariant record for one gate (CLI-facing)."""
     q = local_dim(U)
-    dc = classify_duality(U, tol=tol)
+    dc = classify_duality(U)
     ep = entangling_power(U)
     thresholds = threshold_report(q, ep)
     return {

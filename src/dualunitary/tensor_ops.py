@@ -19,9 +19,7 @@ import math
 
 import numpy as np
 
-# max-entry tolerance on |U U^dag - 1| below which a matrix counts as unitary
-UNITARY_TOL_EXACT = 1e-10    # analytic constructions
-UNITARY_TOL_ITERATIVE = 1e-6  # outputs of iterative (polar-map) searches
+from .tolerances import GATE_UNITARY_TOL
 
 
 def local_dim(X):
@@ -127,13 +125,9 @@ def unitarity_defect(U):
     return float(np.abs(G - np.eye(G.shape[0])).max())
 
 
-def is_unitary(U, tol=UNITARY_TOL_EXACT):
-    return unitarity_defect(U) <= tol
-
-
-def require_unitary(U, tol=UNITARY_TOL_EXACT, what="matrix"):
+def require_unitary(U, tol=GATE_UNITARY_TOL, what="matrix"):
     d = unitarity_defect(U)
-    if d > tol:
+    if not d <= tol:
         raise ValueError(f"{what} is not unitary: max-entry defect {d:.3e} > {tol:.1e}")
     return U
 
@@ -212,7 +206,10 @@ def gate_from_json(obj):
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     q = int(obj["q"])
-    U = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("gate payload has non-finite entries")
+    U = re + 1j * im
     if U.shape != (q * q, q * q):
         raise ValueError(f"gate payload has shape {U.shape}, expected {(q*q, q*q)}")
     return U

@@ -9,6 +9,7 @@ from dualunitary import tensor_ops as to
 from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
 from dualunitary.haar_mc import sample_haar, substream
 from dualunitary.qubit_exact import cartan_gate
+from dualunitary.tolerances import ZERO_TOL
 
 
 def haar(d, label, i=0, seed=0):
@@ -142,6 +143,17 @@ def test_classify_ergodicity_reference_gates():
     U = diagonal_dual_sample(2, 1.0, substream(4, "erg"))
     rep_d = ch.classify_gate(U)
     assert rep_d.label in ("NonErgodic", "ErgodicNonMixing", "ErgodicMixing")
+
+
+@pytest.mark.parametrize("lam", [ZERO_TOL, np.nextafter(ZERO_TOL, 0.0)])
+def test_zero_mode_boundary_agrees_between_rates_and_classes(lam):
+    # a mode is zero iff |lambda| < ZERO_TOL, for the rate and the class count alike
+    Mt = np.diag([0.5, 0.25, lam, 0.0]).astype(complex)
+    spec = ch.channel_spectrum(Mt, deflated=True)
+    assert spec.eigenvalues[2] == lam
+    zero = lam < ZERO_TOL
+    assert np.isinf(spec.rates[2]) == zero
+    assert ch.classify_ergodicity(spec, spec).zero_count == 2 * zero
 
 
 def test_norm_identity_and_bounds():

@@ -123,6 +123,19 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
         assert err["error"] == "validation" and "basis_pairs" in err["message"]
 
 
+def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
+    gate = tmp_path / "g.json"
+    main(["gate", "make", "fixture", "--name", "dual_q3_d3s", "-o", str(gate)])
+    payload = json.loads(gate.read_text())
+    payload["re"][4][2] = float("nan")
+    gate.write_text(json.dumps(payload))
+    for argv in (["gate", "classify", str(gate)], ["sweep", "haar", str(gate), "-N", "10"]):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert err["error"] == "validation" and "non-finite" in err["message"]
+
+
 def test_oracles(tmp_path, capsys):
     assert main(["oracle", "reshuffle-identities", "-q", "4", "--seed", "7"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ from dualunitary import tensor_ops as to
 from dualunitary.constructions import cat_map, fixtures
 from dualunitary.haar_mc import sample_haar, substream
 from dualunitary.qubit_exact import cartan_gate, ep_cartan
+from dualunitary.tolerances import DUALITY_TOL
 
 DCNOT = to.swap_operator(2) @ np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -72,6 +73,16 @@ def test_classify_duality_reference_gates():
     assert iv.classify_duality(DCNOT).is_dual
     dc2 = iv.classify_duality(fixtures()["two_unitary_q3"])
     assert dc2.is_two_unitary and dc2.is_dual and dc2.is_t_dual
+
+
+def test_classify_duality_accepts_defect_equal_to_tolerance():
+    # U^R1 = 1 + d |0><1| has max-entry defect exactly d (1 + d^2 rounds to 1)
+    for d, dual in ((DUALITY_TOL, True), (np.nextafter(DUALITY_TOL, 1.0), False)):
+        R = np.eye(4, dtype=complex)
+        R[0, 1] = d
+        dc = iv.classify_duality(to.realign_r1(R))
+        assert dc.residuals["dual"] == d
+        assert dc.is_dual is dual
 
 
 def test_two_unitary_implies_dual_and_t_dual_consistency():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,17 @@ def test_unitarity_defect_and_require():
     assert to.unitarity_defect(u) < 1e-12
     with pytest.raises(ValueError):
         to.require_unitary(np.ones((4, 4)))
+    nan = u.copy()
+    nan[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        to.require_unitary(nan)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gate_json_rejects_non_finite_entries(part, bad):
+    payload = to.gate_to_json(np.eye(4))
+    payload[part][0][3] = bad
+    for obj in (payload, json.dumps(payload)):
+        with pytest.raises(ValueError, match="non-finite"):
+            to.gate_from_json(obj)
