@@ -135,12 +135,21 @@ def _emit_manifest(args, outputs, t0):
         sys.stderr.write(blob)
 
 
-def _default_seed():
-    return int(os.environ.get("DUALUNITARY_SEED", "0"))
+def _env_int(name, default):
+    try:
+        return int(os.environ.get(name, default))
+    except ValueError:
+        raise ValidationError(f"{name} must be an integer, got {os.environ[name]!r}") from None
 
 
-def _default_workers():
-    return int(os.environ.get("DUALUNITARY_WORKERS", "1"))
+def _resolve_defaults(args):
+    """Fill --seed/--workers from the environment and check --workers."""
+    if getattr(args, "seed", 0) is None:
+        args.seed = _env_int("DUALUNITARY_SEED", 0)
+    if getattr(args, "workers", 1) is None:
+        args.workers = _env_int("DUALUNITARY_WORKERS", 1)
+    if getattr(args, "workers", 1) < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +309,29 @@ def cmd_sweep_family(args):
 # ---------------------------------------------------------------------------
 # circuit
 
+CIRCUIT_KEYS = ("q", "L", "gate", "t_max", "basis_pairs")
+
+
+def _positive_int(raw, key, default=None):
+    value = raw.get(key, default)
+    if type(value) is not int or value < 1:
+        raise ValidationError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _load_circuit(path):
+    """The circuit config, its t_max (default L // 2) and its basis pairs."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    gate = gate_from_json(cfg["gate"]) if isinstance(cfg["gate"], dict) else _read_gate(cfg["gate"])
-    return CircuitConfig(q=int(cfg["q"]), L=int(cfg["L"]), gate=gate), cfg
+        raw = json.load(fh)
+    if not isinstance(raw, dict) or "gate" not in raw:
+        raise ValidationError("a circuit config is a JSON object with a gate")
+    unknown = sorted(raw.keys() - set(CIRCUIT_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown circuit config keys {unknown}; allowed {list(CIRCUIT_KEYS)}")
+    q, L = _positive_int(raw, "q"), _positive_int(raw, "L")
+    t_max = _positive_int(raw, "t_max", L // 2)
+    gate = gate_from_json(raw["gate"]) if isinstance(raw["gate"], dict) else _read_gate(raw["gate"])
+    return CircuitConfig(q=q, L=L, gate=gate), t_max, raw.get("basis_pairs")
 
 
 def _basis_pairs(pairs, d):
@@ -319,10 +346,8 @@ def _basis_pairs(pairs, d):
 
 
 def cmd_circuit_corr(args):
-    cfg, raw = _load_circuit(args.config)
+    cfg, t_max, pairs = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
-    t_max = int(raw.get("t_max", cfg.L // 2))
-    pairs = raw.get("basis_pairs")
     nb = min(cfg.q * cfg.q, 4)
     pairs = _basis_pairs(pairs, cfg.q * cfg.q) if pairs else [
         (i, j) for i in range(1, nb) for j in range(1, nb)
@@ -339,9 +364,8 @@ def cmd_circuit_corr(args):
 
 
 def cmd_circuit_verify(args):
-    cfg, raw = _load_circuit(args.config)
+    cfg, t_max, _ = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
-    t_max = int(raw.get("t_max", cfg.L // 2))
     nb = min(cfg.q * cfg.q, 4)
     worst_cone, worst_interior = 0.0, 0.0
     for t in range(1, t_max + 1):
@@ -426,7 +450,7 @@ def build_parser():
     sub = p.add_subparsers(dest="group", required=True)
 
     def add_seed(sp):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None)
 
     # gate
     gate = sub.add_parser("gate").add_subparsers(dest="sub", required=True)
@@ -466,7 +490,7 @@ def build_parser():
     sh = sweep.add_parser("haar")
     sh.add_argument("gates", nargs="+")
     sh.add_argument("-N", "--n", type=int, default=10_000)
-    sh.add_argument("--workers", type=int, default=_default_workers())
+    sh.add_argument("--workers", type=int, default=None)
     sh.add_argument("-o", "--output", default="-")
     add_seed(sh)
     sh.set_defaults(func=cmd_sweep_haar)
@@ -477,7 +501,7 @@ def build_parser():
     sf.add_argument("--points", type=int, default=10)
     sf.add_argument("--epsilon", type=float, default=1.0)
     sf.add_argument("-N", "--n", type=int, default=2000)
-    sf.add_argument("--workers", type=int, default=_default_workers())
+    sf.add_argument("--workers", type=int, default=None)
     sf.add_argument("-o", "--output", default="-")
     add_seed(sf)
     sf.set_defaults(func=cmd_sweep_family)
@@ -529,6 +553,7 @@ def main(argv=None):
     args._command_path = [args.group, getattr(args, "sub", "")]
     t0 = time.time()
     try:
+        _resolve_defaults(args)
         outputs = args.func(args)
     except (NonConvergence, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": "non-convergence", "message": str(exc)}) + "\n")

@@ -30,9 +30,7 @@ from .invariants import (
     DualityClass,
     classify_duality,
     entangling_power,
-    operator_entanglement,
     operator_entanglement_swapped,
-    schmidt_spectrum,
     swap_entanglement,
 )
 from .tensor_ops import (
@@ -181,18 +179,10 @@ def block_channel_forms(q, blocks, side="ds"):
 @dataclass
 class MRTrace:
     n_iter: int
-    e_history: np.ndarray
-    s_half_history: np.ndarray
+    s_half_history: np.ndarray  # entry k: S_1/2 of iterate k, k = 1..n_iter
     final_defects: dict = field(default_factory=dict)
     converged: bool = False
     rank_deficient_steps: int = 0
-
-
-def s_half(U):
-    """Tsallis-1/2 entropy of the Schmidt distribution p_j = gamma_j/q^2."""
-    spec = schmidt_spectrum(U)
-    p = spec.gamma / spec.q**2
-    return float(2.0 * (np.sqrt(p).sum() - 1.0))
 
 
 def nearest_unitary(X):
@@ -206,24 +196,31 @@ def nearest_unitary(X):
     return P @ Qh, bool(sigma.min() < POLAR_RANK_TOL)
 
 
-def _iterate(U0, steps, max_iter, tol):
-    """Shared driver: `steps` is a list of reshuffle callables applied in turn,
-    each followed by the nearest-unitary projection."""
+def _iterate(U0, max_iter, tol, two_unitary=False):
+    """The loop of both flows.  The SVD P diag(sigma) Q^dag of U^R2 is the next
+    polar step P Q^dag and, as U^R1 = (S U^R2 S)^T, U's Schmidt spectrum
+    gamma_j = sigma_j^2: E(U) = 1 - sum sigma^4/q^4, S_1/2 = 2(sum sigma/q - 1)
+    and the rank flag sigma_min < POLAR_RANK_TOL.  Each step ends with the new
+    iterate's SVD, so entry k describes iterate k; two_unitary inserts the
+    partial-transpose polar step before it and also stops on E(S) - E(US)."""
     U = np.asarray(U0, dtype=complex)
     q = local_dim(U)
     es = swap_entanglement(q)
-    e_hist, s_hist = [], []
+    P, sigma, Qh = np.linalg.svd(realign_r2(U))
+    s_hist = []
     rank_flags = 0
     converged = False
     n = 0
     for n in range(1, max_iter + 1):
-        for reshuffle in steps:
-            U, flag = nearest_unitary(reshuffle(U))
+        U = P @ Qh
+        rank_flags += bool(sigma.min() < POLAR_RANK_TOL)
+        if two_unitary:
+            U, flag = nearest_unitary(partial_transpose_t2(U))
             rank_flags += flag
-        e_hist.append(operator_entanglement(U))
-        s_hist.append(s_half(U))
-        deficit = es - e_hist[-1]
-        if len(steps) == 2:
+        P, sigma, Qh = np.linalg.svd(realign_r2(U))
+        s_hist.append(2.0 * (sigma.sum() / q - 1.0))
+        deficit = es - (1.0 - (sigma**4).sum() / q**4)
+        if two_unitary:
             deficit = max(deficit, es - operator_entanglement_swapped(U))
         if deficit < tol:
             converged = True
@@ -231,7 +228,6 @@ def _iterate(U0, steps, max_iter, tol):
     dc = classify_duality(U)
     trace = MRTrace(
         n_iter=n,
-        e_history=np.array(e_hist),
         s_half_history=np.array(s_hist),
         final_defects=dc.residuals,
         converged=converged,
@@ -243,17 +239,18 @@ def _iterate(U0, steps, max_iter, tol):
 def mr_iterate(U0, max_iter=10_000, tol=FLOW_TOL):
     """Iterate the realign-polar map towards a dual-unitary gate.
 
-    Stops when E(S) - E(U) < tol; the trace records the monotone
-    Tsallis-1/2 entropy and the final unitarity/duality defects.  Feeding it
+    Stops when E(S) - E(U) < tol; each step takes one SVD, whose singular
+    values give the trace's monotone Tsallis-1/2 entropy of every iterate.
+    The trace also records the final unitarity/duality defects.  Feeding it
     Haar seeds produces the "dual-CUE" ensemble.
     """
-    return _iterate(U0, [realign_r2], max_iter, tol)
+    return _iterate(U0, max_iter, tol)
 
 
 def mrt_iterate(U0, max_iter=10_000, tol=FLOW_TOL):
     """Alternate realign-polar and partial-transpose-polar steps, targeting
-    2-unitary gates (both deficits below tol)."""
-    return _iterate(U0, [realign_r2, partial_transpose_t2], max_iter, tol)
+    2-unitary gates (both deficits below tol); two SVDs per step."""
+    return _iterate(U0, max_iter, tol, two_unitary=True)
 
 
 def perturbed_two_unitary(U2, scale, rng, max_iter=6000):
@@ -318,7 +315,7 @@ def perm_spec_from_json(obj):
     """Parse the 1-indexed JSON permutation spec into 0-indexed arrays.
 
     Expected keys: "q", "K", "L" (1-indexed q x q integer arrays) and an
-    optional "theta" phase matrix.
+    optional finite q x q "theta" phase matrix.
     """
     q = int(obj["q"])
     K = np.asarray(obj["K"], dtype=int) - 1
@@ -326,6 +323,8 @@ def perm_spec_from_json(obj):
     if K.shape != (q, q) or L.shape != (q, q):
         raise ValueError("K and L must be q x q")
     theta = np.asarray(obj["theta"], dtype=float) if "theta" in obj else None
+    if theta is not None and (theta.shape != (q, q) or not np.isfinite(theta).all()):
+        raise ValueError(f"theta must be a finite q x q matrix, got shape {theta.shape}")
     return K, L, theta
 
 

@@ -130,23 +130,34 @@ def _radius_chunk(args):
     return lo, out
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def spectral_radius_samples(U, n, seed, four_locals=False, workers=None,
                             label="spectral-radius"):
-    """|lambda_1| of the locally rotated deflated channel, one value per index."""
+    """|lambda_1| of the locally rotated deflated channel, one value per index.
+
+    workers > 1 splits the indices into ceil(n / workers)-sized chunks, run by
+    at most one process per usable CPU; workers=None means 1.
+    """
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     Mt = deflate_trivial(build_m_plus(U))
-    workers = workers or int(os.environ.get("DUALUNITARY_WORKERS", "1"))
+    Mt_bytes = Mt.tobytes()
     out = np.empty(n)
-    if workers <= 1:
-        _, out[:] = _radius_chunk((Mt.tobytes(), Mt.shape, q, seed, label, 0, n, four_locals))
+    if workers is None or workers <= 1:
+        _, out[:] = _radius_chunk((Mt_bytes, Mt.shape, q, seed, label, 0, n, four_locals))
         return out
     chunk = max(1, (n + workers - 1) // workers)
     jobs = [
-        (Mt.tobytes(), Mt.shape, q, seed, label, lo, min(lo + chunk, n), four_locals)
+        (Mt_bytes, Mt.shape, q, seed, label, lo, min(lo + chunk, n), four_locals)
         for lo in range(0, n, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=max(1, min(len(jobs), _usable_cpus()))) as pool:
         for lo, vals in pool.map(_radius_chunk, jobs):
             out[lo : lo + len(vals)] = vals
     return out

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 import dualunitary
 from dualunitary.cli import main
@@ -189,3 +192,80 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "dualunitary.cli", "--version"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+# sha256 of the gate files the realign-polar flows write at the CLI defaults;
+# a change to the flow's stop rule or step shows up here as a re-golden
+FLOW_GOLDEN = {
+    "mr": "757d36e00649043e48b07c9a14f794137b2843005828a9924aa6a2d371df6124",
+    "mrt": "5f65a2f51d15c46a90aeda882942ad1f867607dd91ac7000e84f3cbe48fc9eab",
+}
+
+
+def test_flow_gate_files_match_golden_digests(tmp_path):
+    for fam, digest in FLOW_GOLDEN.items():
+        out = tmp_path / f"{fam}.json"
+        assert main(["gate", "make", fam, "-q", "3", "--seed", "1", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fam
+
+
+def _validation_error(capsys):
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["error"] == "validation"
+    return err["message"]
+
+
+def test_malformed_environment_defaults_are_validation_errors(tmp_path, monkeypatch, capsys):
+    gate = tmp_path / "g.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    for name, argv in (("DUALUNITARY_SEED", ["gate", "make", "block", "-q", "2"]),
+                       ("DUALUNITARY_WORKERS", ["sweep", "haar", str(gate), "-N", "10"])):
+        monkeypatch.setenv(name, "abc")
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert name in _validation_error(capsys)
+        monkeypatch.delenv(name)
+
+
+def test_fewer_than_one_worker_is_a_validation_error(tmp_path, capsys):
+    gate = tmp_path / "g.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    for workers in ("0", "-2"):
+        capsys.readouterr()
+        assert main(["sweep", "haar", str(gate), "-N", "10", "--workers", workers]) == 3
+        assert "--workers" in _validation_error(capsys)
+    assert main(["sweep", "family", "cartan", "--points", "2", "-N", "10",
+                 "--workers", "0"]) == 3
+
+
+def test_gate_make_perm_rejects_theta_of_the_wrong_shape(tmp_path, capsys):
+    spec = tmp_path / "perm.json"
+    for theta in (np.zeros((2, 2)), np.zeros((4, 4)), np.full((3, 3), np.nan)):
+        spec.write_text(json.dumps(perm_spec_to_json(*PERM_OLS_EXAMPLE_Q3, theta)))
+        capsys.readouterr()
+        assert main(["gate", "make", "perm", "--spec", str(spec)]) == 3
+        assert "theta" in _validation_error(capsys)
+
+
+def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):
+    gate = tmp_path / "g.json"
+    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
+    cfg = tmp_path / "cfg.json"
+    base = {"q": 2, "L": 2, "gate": str(gate)}
+    for extra, word in (({"t_max": 0}, "t_max"), ({"t_max": 1.7}, "t_max"),
+                        ({"t_max": True}, "t_max"), ({"t_max": "1"}, "t_max"),
+                        ({"basis_pair": [[1, 1]]}, "basis_pair"), ({"L": 2.9}, "L"),
+                        ({"q": 2.0}, "q"), ({}, None)):
+        cfg.write_text(json.dumps({**base, **extra}))
+        for cmd in ("corr", "verify"):
+            capsys.readouterr()
+            code = main(["circuit", cmd, str(cfg)])
+            if word is None:
+                assert code == 0
+            else:
+                assert code == 3
+                assert word in _validation_error(capsys)
+    for bad in ([], {"q": 2, "L": 2}, {"q": 2, "gate": str(gate)}):
+        cfg.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["circuit", "corr", str(cfg)]) == 3

@@ -96,6 +96,30 @@ def test_mr_fixed_point_and_trace():
     assert iv.classify_duality(U1).residuals["dual"] < 1e-5
 
 
+@pytest.mark.parametrize("flow", [co.mr_iterate, co.mrt_iterate])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_history_describes_the_returned_gate(flow, seed):
+    # the S_1/2 history is read off each step's SVD; its last entry is the
+    # returned gate's, not the one before it
+    U0 = sample_haar(9, substream(seed, "flow-no-lag"))
+    U, trace = flow(U0, max_iter=60, tol=1e-10)
+    assert len(trace.s_half_history) == trace.n_iter
+    p = iv.schmidt_spectrum(U).gamma / 9
+    assert abs(trace.s_half_history[-1] - 2 * (np.sqrt(p).sum() - 1)) < 1e-12
+
+
+def test_flow_takes_one_svd_per_realign_step(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda X: calls.append(1) or svd(X))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # no second spectrum per step
+    U0 = sample_haar(9, substream(8, "flow-svd-count"))
+    for flow, per_step in ((co.mr_iterate, 1), (co.mrt_iterate, 2)):
+        calls.clear()
+        _, trace = flow(U0, max_iter=25, tol=1e-10)
+        assert len(calls) == per_step * trace.n_iter + 1  # + the seed's SVD
+
+
 def test_mrt_reaches_two_unitary_from_documented_seed():
     K, L = co.PERM_DUAL_EXAMPLE_Q3
     P = co.permutation_gate(K, L)

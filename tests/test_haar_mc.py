@@ -1,5 +1,4 @@
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -56,6 +55,44 @@ def test_worker_split_reproduces_serial():
     a = hm.spectral_radius_samples(cartan_gate(0.2), 48, seed=7)
     b = hm.spectral_radius_samples(cartan_gate(0.2), 48, seed=7, workers=3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cpus, workers, n, pool, jobs", [
+    (2, 100_000, 48, 2, 48),   # one index per chunk, one process per CPU
+    (64, 100_000, 5, 5, 5),    # never more processes than chunks
+    (2, 3, 48, 2, 3),          # the split stays three ways
+])
+def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch, cpus, workers, n, pool, jobs):
+    # a stand-in pool that records its size and maps in this process
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            seen.append(len(args))
+            return map(fn, args)
+
+    monkeypatch.setattr(hm, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: cpus, raising=False)
+    a = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7)
+    b = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=workers)
+    assert seen == [pool, jobs]
+    assert np.array_equal(a, b)
+
+
+def test_unset_workers_run_serially_whatever_the_environment(monkeypatch):
+    monkeypatch.setenv("DUALUNITARY_WORKERS", "4")
+    monkeypatch.setattr(hm, "ProcessPoolExecutor", None)  # any pool would fail
+    assert hm.spectral_radius_samples(cartan_gate(0.2), 8, seed=7).shape == (8,)
 
 
 def test_avg_spectral_radius_two_unitary_is_zero():
@@ -140,8 +177,6 @@ def test_averaged_radius_inequality():
 # ---------------------------------------------------------------------------
 # the block engine against the per-index recipe it replaces, bit for bit
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
 # two full blocks and a partial one
 N_BLOCKS = 2 * hm.BLOCK + 7
 
@@ -224,8 +259,9 @@ def test_block_norm_power_and_monomial_equal_per_index_reference(q):
     assert rep["mc_mean"] == np.mean(vals)
 
 
-# `dualu sweep haar fixtures/dual_q3_d3s.json fixtures/dual_q4_d4s.json -N 300
-# --seed 13` as written by the per-sample engine
+# `dualu sweep haar d3s.json d4s.json -N 300 --seed 13` as written by the
+# per-sample engine, the gate files from `dualu gate make fixture --name
+# dual_q3_d3s` and `--name dual_q4_d4s`
 SWEEP_GOLDEN = """\
 e_p,mean_lambda1,stderr,mu_plus,nu_plus,N,seed
 0.7500000000000001,0.4710783907922758,0.010615414703545828,0.8076877258156239,3.162725987491758,300,13
@@ -235,6 +271,8 @@ e_p,mean_lambda1,stderr,mu_plus,nu_plus,N,seed
 
 def test_sweep_haar_csv_matches_golden_bytes(tmp_path):
     out = tmp_path / "sweep.csv"
-    gates = [str(FIXTURE_DIR / f"{name}.json") for name in ("dual_q3_d3s", "dual_q4_d4s")]
+    gates = [str(tmp_path / f"{name}.json") for name in ("dual_q3_d3s", "dual_q4_d4s")]
+    for name, path in zip(("dual_q3_d3s", "dual_q4_d4s"), gates):
+        assert cli_main(["gate", "make", "fixture", "--name", name, "-o", path]) == 0
     assert cli_main(["sweep", "haar", *gates, "-N", "300", "--seed", "13", "-o", str(out)]) == 0
     assert out.read_bytes() == SWEEP_GOLDEN.encode()
