@@ -5,7 +5,7 @@ Subcommand map (program name `dualu`):
     gate make <family> ... -o gate.json     every gate factory
     gate classify <gate.json|->             invariants + duality report
     channel spectrum <gate.json> --side ... spectrum CSV
-    sweep haar <gate.json ...> -N --seed    E|lambda1|, mu+, nu+ per gate
+    sweep haar <gate.json ...> -N --seed    E|lambda1|, mu+, nu+ per gate, one sample set
     sweep family <cartan|diag> --points ... parameter sweeps
     circuit corr <config.json> -o grid.csv  light-cone grids
     circuit verify <config.json>            channel-vs-circuit residuals
@@ -53,11 +53,12 @@ from .constructions import (
     random_uniform_block_gate,
 )
 from .haar_mc import (
-    avg_mixing_rate,
-    avg_spectral_radius,
     haar_monomial_oracle,
-    max_mixing_rate,
+    max_rate,
+    mixing_rate_estimate,
+    radius_estimate,
     sample_haar,
+    spectral_radius_samples,
     substream,
 )
 from .invariants import entangling_power, invariants_report
@@ -143,13 +144,15 @@ def _env_int(name, default):
 
 
 def _resolve_defaults(args):
-    """Fill --seed/--workers from the environment and check --workers."""
+    """Fill --seed/--workers from the environment and check --workers and -N."""
     if getattr(args, "seed", 0) is None:
         args.seed = _env_int("DUALUNITARY_SEED", 0)
     if getattr(args, "workers", 1) is None:
         args.workers = _env_int("DUALUNITARY_WORKERS", 1)
     if getattr(args, "workers", 1) < 1:
         raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+    if getattr(args, "n", 1) < 1:
+        raise ValidationError(f"-N must be at least 1, got {args.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +260,11 @@ def cmd_channel_spectrum(args):
 # sweeps
 
 def _sweep_row(U, n, seed, workers):
-    est = avg_spectral_radius(U, n, seed, workers=workers)
-    mu = avg_mixing_rate(U, n, seed, workers=workers)
-    nu = max_mixing_rate(U, min(n, 2000), seed, refine_steps=0)
-    return (
-        entangling_power(U),
-        est.mean,
-        est.stderr,
-        mu.mean,
-        nu["nu"],
-        n,
-        seed,
-    )
+    # E|lambda1|, mu+ and nu+ are reductions of one sample set
+    r = spectral_radius_samples(U, n, seed, workers=workers)
+    est = radius_estimate(r, seed, entangling_power(U))
+    return (est.extras["e_p"], est.mean, est.stderr, mixing_rate_estimate(r, seed).mean,
+            max_rate(r), n, seed)
 
 
 SWEEP_HEADER = ("e_p", "mean_lambda1", "stderr", "mu_plus", "nu_plus", "N", "seed")
@@ -487,7 +483,9 @@ def build_parser():
 
     # sweep
     sweep = sub.add_parser("sweep").add_subparsers(dest="sub", required=True)
-    sh = sweep.add_parser("haar")
+    sh = sweep.add_parser(
+        "haar", description="Per gate: e_p, E|lambda1| and its stderr, mu+ = E[-ln|lambda1|] and "
+        "nu+ = max -ln|lambda1|, all from one set of N Haar locals (stream 'spectral-radius').")
     sh.add_argument("gates", nargs="+")
     sh.add_argument("-N", "--n", type=int, default=10_000)
     sh.add_argument("--workers", type=int, default=None)

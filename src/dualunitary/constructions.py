@@ -311,15 +311,27 @@ def classify_permutation(K, L):
     )
 
 
+def _json_ints(value, key):
+    """A JSON integer, or nested lists of them, as an int array; floats and
+    bools are refused, never truncated."""
+    a = np.asarray(value, dtype=object)
+    if not all(type(x) is int for x in a.flat):
+        raise ValueError(f"{key} must hold only integers, got {value!r}")
+    try:
+        return a.astype(int)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer out of range, got {value!r}") from None
+
+
 def perm_spec_from_json(obj):
     """Parse the 1-indexed JSON permutation spec into 0-indexed arrays.
 
-    Expected keys: "q", "K", "L" (1-indexed q x q integer arrays) and an
-    optional finite q x q "theta" phase matrix.
+    Expected keys: "q" (an integer), "K", "L" (1-indexed q x q integer
+    arrays) and an optional finite q x q "theta" phase matrix.
     """
-    q = int(obj["q"])
-    K = np.asarray(obj["K"], dtype=int) - 1
-    L = np.asarray(obj["L"], dtype=int) - 1
+    q = int(_json_ints(obj["q"], "q"))
+    K = _json_ints(obj["K"], "K") - 1
+    L = _json_ints(obj["L"], "L") - 1
     if K.shape != (q, q) or L.shape != (q, q):
         raise ValueError("K and L must be q x q")
     theta = np.asarray(obj["theta"], dtype=float) if "theta" in obj else None

@@ -15,11 +15,16 @@ eigensolve.  The stacked numpy calls still hand LAPACK/BLAS one matrix at a
 time, so every value equals the per-index recipe's bit for bit and neither
 BLOCK nor the worker split changes an output.
 
-The central estimates: for a dual gate U with deflated channel Mt,
+The central estimates: for a dual gate U with deflated channel Mt and
+r = |lambda_1((u x u*) Mt)|, u Haar,
 
-    E|lambda_1|  over  (u x u*) Mt,  u Haar        (~ f_q sqrt(1-e_p))
-    mu_plus = E[-ln|lambda_1|],  nu_plus = max mu_1 over sampled locals
+    E r  (~ f_q sqrt(1-e_p)),  mu_plus = E[-ln r],  nu_plus = -ln min r
     E||[(u x u*) Mt]^k||^2   (exact (q^2-1)(1-e_p)^2 at k = 2)
+
+The first three are reductions of one radius vector (`radius_estimate`,
+`mixing_rate_estimate`, `max_rate`).  `dualu sweep` applies all three to one
+sample set on the "spectral-radius" stream, so its nu_plus is the minimum
+over all N samples; the standalone estimators keep their own stream labels.
 
 plus a Monte-Carlo oracle for the degree-2 Haar monomial identity
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .channels import build_m_plus, deflate_trivial, eigvals_schur
+from .channels import build_m_plus, deflate_trivial
 from .invariants import entangling_power
 from .tensor_ops import haar_from_ginibre, local_dim, realign_r2, sample_haar
 from .tolerances import ZERO_TOL
@@ -171,33 +176,44 @@ def _estimate(values, seed, extras=None):
     return MCEstimate(mean=mean, stderr=stderr, n=int(n), seed=seed, extras=extras or {})
 
 
+# Reductions of one radius vector r = spectral_radius_samples(...); the
+# estimators below and `dualu sweep` both read their numbers through these.
+
+def radius_estimate(r, seed, ep):
+    """E|lambda_1| and its stderr, with the e_p comparison in extras."""
+    ref = math.sqrt(max(1.0 - ep, 0.0))
+    sq = _estimate(r**2, seed)
+    extras = {"e_p": ep, "sqrt_one_minus_ep": ref,
+              "fudge_factor": float(r.mean() / ref) if ref > 0 else float("inf"),
+              "mean_sq": sq.mean, "stderr_sq": sq.stderr}
+    return _estimate(r, seed, extras)
+
+
+def mixing_rate_estimate(r, seed, extras=None):
+    """mu_plus = E[-ln r].  A zero mode (r < ZERO_TOL) has an infinite rate,
+    so any zero mode makes the mean and its stderr infinite; extras count them."""
+    extras = {"infinite_count": int(r.size - (r >= ZERO_TOL).sum()), **(extras or {})}
+    if extras["infinite_count"]:
+        return MCEstimate(mean=math.inf, stderr=math.inf, n=int(r.size), seed=seed, extras=extras)
+    return _estimate(-np.log(r), seed, extras)
+
+
+def max_rate(r):
+    """nu_plus = -ln min r; infinite for a zero mode."""
+    r_min = np.min(r)
+    return math.inf if r_min < ZERO_TOL else float(-np.log(r_min))
+
+
 def avg_spectral_radius(U, n, seed, four_locals=False, workers=None):
     """Haar average of the channel spectral radius under local rotations."""
-    vals = spectral_radius_samples(U, n, seed, four_locals=four_locals, workers=workers)
-    ep = entangling_power(U)
-    ref = math.sqrt(max(1.0 - ep, 0.0))
-    extras = {
-        "e_p": ep,
-        "sqrt_one_minus_ep": ref,
-        "fudge_factor": float(vals.mean() / ref) if ref > 0 else float("inf"),
-        "mean_sq": float((vals**2).mean()),
-        "stderr_sq": float((vals**2).std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf"),
-    }
-    return _estimate(vals, seed, extras)
+    r = spectral_radius_samples(U, n, seed, four_locals=four_locals, workers=workers)
+    return radius_estimate(r, seed, entangling_power(U))
 
 
 def avg_mixing_rate(U, n, seed, workers=None):
-    """mu_plus = E[-ln|lambda_1|].
-
-    A zero mode (|lambda_1| < ZERO_TOL) has an infinite rate, so any zero mode
-    makes the mean and its stderr infinite; extras count them.
-    """
-    vals = spectral_radius_samples(U, n, seed, workers=workers, label="mixing-rate")
-    finite = vals >= ZERO_TOL
-    extras = {"infinite_count": int(n - finite.sum()), "e_p": entangling_power(U)}
-    if extras["infinite_count"]:
-        return MCEstimate(mean=math.inf, stderr=math.inf, n=int(n), seed=seed, extras=extras)
-    return _estimate(-np.log(vals), seed, extras)
+    """mu_plus = E[-ln|lambda_1|] on its own stream (see mixing_rate_estimate)."""
+    r = spectral_radius_samples(U, n, seed, workers=workers, label="mixing-rate")
+    return mixing_rate_estimate(r, seed, {"e_p": entangling_power(U)})
 
 
 def max_mixing_rate(U, n, seed, refine_steps=0):
@@ -210,18 +226,9 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     Mt = deflate_trivial(build_m_plus(U))
-
-    def radius(A):
-        # the channel-spectrum eigensolver, one matrix at a time
-        return np.abs(eigvals_schur(A)).max()
-
-    best_r, best_u = np.inf, None
-    for b, e in _blocks(0, n):
-        u = _haar_block(q, seed, "max-rate", b, e)[:, 0]
-        for uj, A in zip(u, _kron_conj(u) @ Mt):
-            r = radius(A)
-            if r < best_r:
-                best_r, best_u = r, uj
+    r = spectral_radius_samples(U, n, seed, label="max-rate")
+    i = int(np.argmin(r))  # the first strict minimum
+    best_r, best_u = r[i], haar_sample_at(q, seed, "max-rate", i)
 
     rng = substream(seed, "max-rate-refine")
     eps = 0.15
@@ -229,14 +236,13 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
         H = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         H = (H + H.conj().T) / 2
         trial = best_u @ scipy.linalg.expm(1j * eps * H)
-        r = radius(np.kron(trial, trial.conj()) @ Mt)
-        if r < best_r:
-            best_r, best_u = r, trial
+        r_trial = np.abs(np.linalg.eigvals(np.kron(trial, trial.conj()) @ Mt)).max()
+        if r_trial < best_r:
+            best_r, best_u = r_trial, trial
         else:
             eps *= 0.97
-    nu = float("inf") if best_r < ZERO_TOL else float(-math.log(best_r))
     return {
-        "nu": nu,
+        "nu": max_rate(best_r),
         "min_radius": float(best_r),
         "n": n,
         "refine_steps": refine_steps,

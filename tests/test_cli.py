@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import dualunitary
 from dualunitary.cli import main
@@ -245,6 +246,30 @@ def test_gate_make_perm_rejects_theta_of_the_wrong_shape(tmp_path, capsys):
         capsys.readouterr()
         assert main(["gate", "make", "perm", "--spec", str(spec)]) == 3
         assert "theta" in _validation_error(capsys)
+
+
+def test_fewer_than_one_sample_is_a_validation_error(tmp_path, capsys):
+    gate = tmp_path / "g.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    for argv in (["sweep", "haar", str(gate)], ["sweep", "family", "cartan", "--points", "2"],
+                 ["oracle", "haar-identity", "-q", "2"]):
+        for n in ("0", "-3"):
+            capsys.readouterr()
+            assert main([*argv, "-N", n]) == 3
+            assert "-N" in _validation_error(capsys)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("q", 3.7), ("q", 3.0), ("q", True),
+    ("K", [[1, 2, 3], [2, 3, 1], [3, 1, 2.5]]), ("K", [[1, 2, 3], [2, 3, True], [3, 1, 2]]),
+    ("L", [[1.9, 3, 2], [2, 1, 3], [3, 2, 1]]), ("L", [[1, 3, 2], [2, 1, 3], [3, 2, 1.0]]),
+    ("q", 10**23), ("K", [[1, 2, 3], [2, 3, 1], [3, 1, 10**23]]),
+])
+def test_gate_make_perm_rejects_non_integer_spec_entries(tmp_path, capsys, key, value):
+    spec = tmp_path / "perm.json"
+    spec.write_text(json.dumps({**perm_spec_to_json(*PERM_OLS_EXAMPLE_Q3), key: value}))
+    assert main(["gate", "make", "perm", "--spec", str(spec)]) == 3
+    assert key in _validation_error(capsys)
 
 
 def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):

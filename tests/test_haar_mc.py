@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from dualunitary import haar_mc as hm
 from dualunitary import tensor_ops as to
-from dualunitary.channels import build_m_plus, deflate_trivial, eigvals_schur
-from dualunitary.cli import main as cli_main
+from dualunitary.channels import build_m_plus, deflate_trivial
+from dualunitary.cli import _sweep_row, main as cli_main
 from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
 from dualunitary.invariants import entangling_power
 from dualunitary.qubit_exact import cartan_gate
+from dualunitary.tolerances import ZERO_TOL
 
 
 def test_samples_are_unitary():
@@ -225,7 +227,7 @@ def test_block_max_mixing_rate_equals_per_index_reference(q):
     best_r, best_u = np.inf, None
     for i in range(N_BLOCKS):
         u = hm.haar_sample_at(q, 20, "max-rate", i)
-        r = np.abs(eigvals_schur(np.kron(u, u.conj()) @ Mt)).max()
+        r = np.abs(np.linalg.eigvals(np.kron(u, u.conj()) @ Mt)).max()
         if r < best_r:
             best_r, best_u = r, u
     rep = hm.max_mixing_rate(U, N_BLOCKS, 20)
@@ -259,20 +261,101 @@ def test_block_norm_power_and_monomial_equal_per_index_reference(q):
     assert rep["mc_mean"] == np.mean(vals)
 
 
-# `dualu sweep haar d3s.json d4s.json -N 300 --seed 13` as written by the
-# per-sample engine, the gate files from `dualu gate make fixture --name
-# dual_q3_d3s` and `--name dual_q4_d4s`
+# `dualu sweep haar d3s.json d4s.json -N 300 --seed 13`, the gate files from
+# `dualu gate make fixture --name dual_q3_d3s` and `--name dual_q4_d4s`.
+# e_p, mean_lambda1 and stderr are the bytes the per-sample engine wrote;
+# mu_plus and nu_plus are read off the same samples as mean_lambda1 (checked
+# against a per-index loop below)
 SWEEP_GOLDEN = """\
 e_p,mean_lambda1,stderr,mu_plus,nu_plus,N,seed
-0.7500000000000001,0.4710783907922758,0.010615414703545828,0.8076877258156239,3.162725987491758,300,13
-0.8,0.46489247544084633,0.008077055116271114,0.8486239936838365,2.6710841205909857,300,13
+0.7500000000000001,0.4710783907922758,0.010615414703545828,0.8393738809645249,2.892810222132936,300,13
+0.8,0.46489247544084633,0.008077055116271114,0.813335297776842,1.703212691416462,300,13
 """
+SWEEP_GOLDEN_RADIUS_FIELDS = [
+    ["0.7500000000000001", "0.4710783907922758", "0.010615414703545828"],
+    ["0.8", "0.46489247544084633", "0.008077055116271114"],
+]
 
 
-def test_sweep_haar_csv_matches_golden_bytes(tmp_path):
+def _golden_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     gates = [str(tmp_path / f"{name}.json") for name in ("dual_q3_d3s", "dual_q4_d4s")]
     for name, path in zip(("dual_q3_d3s", "dual_q4_d4s"), gates):
         assert cli_main(["gate", "make", "fixture", "--name", name, "-o", path]) == 0
     assert cli_main(["sweep", "haar", *gates, "-N", "300", "--seed", "13", "-o", str(out)]) == 0
-    assert out.read_bytes() == SWEEP_GOLDEN.encode()
+    return out.read_bytes()
+
+
+def _csv_rows(text):
+    lines = text.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_sweep_haar_csv_matches_golden_bytes(tmp_path):
+    assert _golden_sweep(tmp_path) == SWEEP_GOLDEN.encode()
+
+
+def test_golden_sweep_keeps_the_radius_bytes_and_rates_follow_one_sample_set(tmp_path):
+    rows = _csv_rows(_golden_sweep(tmp_path).decode())
+    fx = fixtures()
+    for row, radius_fields, name in zip(rows, SWEEP_GOLDEN_RADIUS_FIELDS,
+                                        ("dual_q3_d3s", "dual_q4_d4s")):
+        assert [row["e_p"], row["mean_lambda1"], row["stderr"]] == radius_fields
+        ref = _reference_radii(fx[name], 300, 13, False)
+        assert row["mean_lambda1"] == repr(float(ref.mean()))
+        assert row["mu_plus"] == repr(float(np.mean(-np.log(ref))))
+        assert row["nu_plus"] == repr(float(-np.log(ref.min())))
+
+
+def _expected_row(U, r, n, seed):
+    """The sweep row written out from one radius vector with plain numpy."""
+    zero = (r < ZERO_TOL).any()
+    return (entangling_power(U), float(r.mean()), float(r.std(ddof=1) / math.sqrt(n)),
+            math.inf if zero else float(np.mean(-np.log(r))),
+            math.inf if zero else float(-np.log(r.min())), n, seed)
+
+
+@pytest.mark.parametrize("gate", ["q2", "q3", "q4", "cat_q3", "cartan"])
+def test_sweep_row_is_reductions_of_one_radius_vector(gate):
+    U = {**{f"q{q}": V for q, V in _engine_gates().items()},
+         "cat_q3": cat_map(3), "cartan": cartan_gate(0.3)}[gate]
+    r = hm.spectral_radius_samples(U, N_BLOCKS, 24)
+    row = _sweep_row(U, N_BLOCKS, 24, 1)
+    assert row == _expected_row(U, r, N_BLOCKS, 24)
+    est = hm.radius_estimate(r, 24, entangling_power(U))
+    assert row[1:5] == (est.mean, est.stderr, hm.mixing_rate_estimate(r, 24).mean,
+                        hm.max_rate(r))
+    assert row[4] >= row[3]
+
+
+def test_sweep_rows_have_nu_at_least_mu_and_cartan_below_exact(tmp_path):
+    gate = tmp_path / "g.json"
+    assert cli_main(["gate", "make", "diag", "-q", "3", "--seed", "2", "-o", str(gate)]) == 0
+    runs = {
+        "haar": ["sweep", "haar", str(gate), "-N", "200", "--seed", "3"],
+        "cartan": ["sweep", "family", "cartan", "--points", "6", "-N", "200", "--seed", "4"],
+        "diag": ["sweep", "family", "diag", "-q", "3", "--points", "3", "-N", "200",
+                 "--seed", "5"],
+    }
+    for kind, argv in runs.items():
+        out = tmp_path / f"{kind}.csv"
+        assert cli_main([*argv, "-o", str(out)]) == 0
+        rows = _csv_rows(out.read_text())
+        assert rows
+        for row in rows:
+            assert float(row["nu_plus"]) >= float(row["mu_plus"])
+            if kind == "cartan":
+                assert float(row["nu_plus"]) <= float(row["nu_exact"]) + 1e-12
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(workers=st.sampled_from([1, 2, 3]), block=st.integers(1, 9),
+       n=st.integers(2, 40), q=st.sampled_from([2, 3]))
+def test_samples_and_sweep_row_do_not_depend_on_workers_or_block(workers, block, n, q):
+    U = _engine_gates()[q]
+    r = hm.spectral_radius_samples(U, n, 25)
+    row = _sweep_row(U, n, 25, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "BLOCK", block)
+        assert np.array_equal(hm.spectral_radius_samples(U, n, 25, workers=workers), r)
+        assert np.array_equal(_sweep_row(U, n, 25, workers), row)
