@@ -50,10 +50,6 @@ class ChannelSpectrum:
     eigenvalues: np.ndarray   # the q^2-1 nontrivial eigenvalues, |.| descending
     rates: np.ndarray         # mu_k = -ln|lambda_k|, inf for zero modes
 
-    @property
-    def spectral_radius(self):
-        return float(abs(self.eigenvalues[0])) if self.eigenvalues.size else 0.0
-
 
 @dataclass
 class ErgodicReport:
@@ -133,6 +129,14 @@ def eigvals_companion(A):
     return np.roots(coeffs)
 
 
+def decay_rates(mods):
+    """mu = -ln|lambda| of each modulus; a zero mode (|lambda| < ZERO_TOL)
+    decays at an infinite rate, never at a large finite one."""
+    mods = np.asarray(mods, dtype=float)
+    zero = mods < ZERO_TOL
+    return np.where(zero, np.inf, -np.log(np.where(zero, 1.0, mods)))
+
+
 def channel_spectrum(M, side="plus", deflated=False):
     """Nontrivial spectrum of a unital channel, sorted, with decay rates.
 
@@ -144,9 +148,7 @@ def channel_spectrum(M, side="plus", deflated=False):
     Mt = np.asarray(M, dtype=complex) if deflated else deflate_trivial(M)
     q = local_dim(Mt)
     vals = _sort_desc(eigvals_schur(Mt))[: q * q - 1]
-    mods = np.abs(vals)
-    rates = np.where(mods < ZERO_TOL, np.inf, -np.log(np.where(mods < ZERO_TOL, 1.0, mods)))
-    return ChannelSpectrum(q=q, side=side, eigenvalues=vals, rates=rates)
+    return ChannelSpectrum(q=q, side=side, eigenvalues=vals, rates=decay_rates(np.abs(vals)))
 
 
 def classify_ergodicity(spec_plus, spec_minus):

@@ -16,7 +16,9 @@ The simulator exists to validate channel predictions: for dual gates the
 single-site correlator vanishes strictly inside the light cone and equals
 tr[M_pm^(2t)(a_i) a_j]/q on the cone, and for 2-unitary gates the two-site
 correlator vanishes at every spacetime-separated point.  The predictions
-hold up to half the particle number, so t <= L/2 is enforced.
+hold up to half the particle number, t <= L/2; that window is a condition
+of the prediction, checked by `dualu circuit verify`, while the ring
+evolution here is exact at any t >= 0.
 """
 
 from dataclasses import dataclass
@@ -89,7 +91,6 @@ class CircuitSimulator:
         self.q = cfg.q
         self.L = cfg.L
         self.n_legs = 2 * cfg.L
-        self.dim = cfg.q**self.n_legs
         self.basis = weyl_basis(cfg.q)
         even = cfg.even_gates if cfg.even_gates is not None else [cfg.gate] * cfg.L
         odd = cfg.odd_gates if cfg.odd_gates is not None else [cfg.gate] * cfg.L
@@ -114,18 +115,11 @@ class CircuitSimulator:
             raise ValueError(f"site {x} is not a half-integer position")
         return leg % self.n_legs
 
-    def _check_window(self, t, override=False):
+    def _check_budget(self, legs, t):
+        """Refuse, before building anything, a negative t or an evolution
+        whose support is too big."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        if not override and 2 * t > self.L:
-            raise ValueError(
-                f"t = {t} is outside the validity window t <= L/2 = {self.L/2}; "
-                "finite-size recurrences invalidate the predictions "
-                "(pass override_window=True to force)"
-            )
-
-    def _check_budget(self, legs, t):
-        """Refuse, before building anything, an evolution whose support is too big."""
         support = set(legs)
         for _ in range(t):
             for a, b, _, _ in self._period:
@@ -185,9 +179,8 @@ class CircuitSimulator:
         traced = s - sum(leg in support for leg in legs)
         return np.einsum(*operands, outs + ins) / self.q**traced
 
-    def single_site_table(self, i, y, t, override_window=False):
+    def single_site_table(self, i, y, t):
         """C[x, j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and basis index j."""
-        self._check_window(t, override_window)
         key = (i, self.site_leg(y), t)
         if key not in self._single:
             op = self._evolve({key[1]: self.basis[i]}, t)
@@ -198,10 +191,9 @@ class CircuitSimulator:
             self._single[key] = table
         return self._single[key]
 
-    def _two_site_table(self, i, j, t, override_window=False):
+    def _two_site_table(self, i, j, t):
         """C[x1, x2, k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L)
         for every pair of legs and basis indices."""
-        self._check_window(t, override_window)
         key = (i, j, t)
         if key not in self._two:
             n, q, B = self.n_legs, self.q, self.basis
@@ -220,40 +212,19 @@ class CircuitSimulator:
             self._two[key] = table
         return self._two[key]
 
-    def correlation_single(self, i, j, x, y, t, override_window=False):
+    def correlation_single(self, i, j, x, y, t):
         """D^{ij}(x, y, t) = tr[a_j^x U^-t a_i^y U^t] / q^(2L), i, j > 0."""
         if i <= 0 or j <= 0:
             raise ValueError("basis indices must be nontrivial (> 0)")
-        return complex(self.single_site_table(i, y, t, override_window)[self.site_leg(x), j])
+        return complex(self.single_site_table(i, y, t)[self.site_leg(x), j])
 
-    def c_plus(self, i, j, x, t, **kw):
-        return self.correlation_single(i, j, x, 0.0, t, **kw)
+    def c_plus(self, i, j, x, t):
+        return self.correlation_single(i, j, x, 0.0, t)
 
-    def c_minus(self, i, j, x, t, **kw):
-        return self.correlation_single(i, j, x + 0.5, 0.5, t, **kw)
+    def c_minus(self, i, j, x, t):
+        return self.correlation_single(i, j, x + 0.5, 0.5, t)
 
-    def correlation_two_site(self, i, j, k, l, x1, x2, t, override_window=False):
+    def correlation_two_site(self, i, j, k, l, x1, x2, t):
         """tr[a_k^{x1} a_l^{x2} U^-t a_i^{0} a_j^{1/2} U^t] / q^(2L)."""
-        table = self._two_site_table(i, j, t, override_window)
+        table = self._two_site_table(i, j, t)
         return complex(table[self.site_leg(x1), self.site_leg(x2), k, l])
-
-    def lightcone_scan(self, t_max, basis_pairs=None, override_window=False):
-        """Max |C_+| / |C_-| over basis pairs on the (x, t) grid.
-
-        Positions run over all half-integer sites relative to the initial
-        operator; returns records {x, t, side, max_abs}.
-        """
-        if basis_pairs is None:
-            nb = self.q**2
-            basis_pairs = [(i, j) for i in range(1, nb) for j in range(1, nb)]
-        records = []
-        for t in range(1, t_max + 1):
-            self._check_window(t, override_window)
-            for n in range(self.n_legs):
-                x = 0.5 * n
-                for side, y in (("plus", 0.0), ("minus", 0.5)):
-                    leg = self.site_leg(x if side == "plus" else x + 0.5)
-                    best = max((abs(self.single_site_table(i, y, t, override_window)[leg, j])
-                                for (i, j) in basis_pairs), default=0.0)
-                    records.append({"x": x, "t": t, "side": side, "max_abs": best})
-        return records

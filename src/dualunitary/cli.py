@@ -94,6 +94,16 @@ def _write_csv(path, header, rows):
     return _write_text(path, payload)
 
 
+def _json(obj, **fmt):
+    """Strict JSON and a newline: a non-finite float is an error, never a
+    bare Infinity or NaN token."""
+    return json.dumps(obj, allow_nan=False, **fmt) + "\n"
+
+
+def _write_json(path, obj):
+    return _write_text(path, _json(obj, indent=2))
+
+
 def _write_text(path, payload):
     if path in (None, "-"):
         sys.stdout.write(payload)
@@ -126,7 +136,7 @@ def _emit_manifest(args, outputs, t0):
         "wall_time_s": round(time.time() - t0, 6),
         "outputs": {p: _digest(p) for p in outputs if p},
     }
-    blob = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    blob = _json(manifest, indent=2, sort_keys=True)
     real = [p for p in outputs if p]
     if real:
         mpath = real[0] + ".manifest.json"
@@ -199,9 +209,7 @@ def _make_gate(args):
 
 def cmd_gate_make(args):
     U = _make_gate(args)
-    payload = json.dumps(gate_to_json(U)) + "\n"
-    out = _write_text(args.output, payload)
-    return [out]
+    return [_write_text(args.output, _json(gate_to_json(U)))]
 
 
 def cmd_gate_classify(args):
@@ -217,8 +225,7 @@ def cmd_gate_classify(args):
         "zero": erg.zero_count,
         "boundary": erg.boundary,
     }
-    out = _write_text(args.output, json.dumps(rep, indent=2) + "\n")
-    return [out]
+    return [_write_json(args.output, rep)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +248,14 @@ def cmd_channel_spectrum(args):
         for lam, rate in zip(spec.eigenvalues, spec.rates)
     ]
     if args.format == "json":
-        payload = json.dumps(
-            {
-                "q": spec.q,
-                "side": spec.side,
-                "eigenvalues": [{"re": r, "im": i, "modulus": m, "rate": rate}
-                                 for r, i, m, rate in rows],
-            },
-            indent=2,
-        ) + "\n"
-        out = _write_text(args.output, payload)
+        # a zero mode's infinite rate is the string "inf", as in the CSV
+        out = _write_json(args.output, {
+            "q": spec.q,
+            "side": spec.side,
+            "eigenvalues": [{"re": r, "im": i, "modulus": m,
+                             "rate": "inf" if math.isinf(rate) else rate}
+                            for r, i, m, rate in rows],
+        })
     else:
         out = _write_csv(args.output, ("re", "im", "modulus", "rate"), rows)
     return [out]
@@ -352,8 +357,7 @@ def cmd_circuit_corr(args):
     for t in range(1, t_max + 1):
         for n in range(sim.n_legs):
             for (i, j) in pairs:
-                # the grid is exact on the ring at any t; only verify needs t <= L/2
-                val = sim.single_site_table(i, 0.0, t, override_window=True)[n, j]
+                val = sim.single_site_table(i, 0.0, t)[n, j]
                 rows.append((0.5 * n, t, i, j, val.real, val.imag))
     out = _write_csv(args.output, ("x", "t", "i", "j", "value_re", "value_im"), rows)
     return [out]
@@ -361,6 +365,11 @@ def cmd_circuit_corr(args):
 
 def cmd_circuit_verify(args):
     cfg, t_max, _ = _load_circuit(args.config)
+    if 2 * t_max > cfg.L:
+        # the grid is exact on the ring at any t; the channel prediction is not
+        raise ValidationError(
+            f"t_max = {t_max} is outside the prediction window t <= L/2 = {cfg.L / 2}: "
+            "finite-size recurrences invalidate the light-cone predictions")
     sim = CircuitSimulator(cfg)
     nb = min(cfg.q * cfg.q, 4)
     worst_cone, worst_interior = 0.0, 0.0
@@ -374,15 +383,14 @@ def cmd_circuit_verify(args):
                 pm = lightcone_correlation_prediction(
                     cfg.gate, sim.basis[i], sim.basis[j], t, side="minus")
                 worst_cone = max(worst_cone, abs(gp - pp), abs(gm - pm))
-        if t > 0:
-            worst_interior = max(worst_interior, abs(sim.c_plus(1, 1, 0.0, t)))
+        worst_interior = max(worst_interior, abs(sim.c_plus(1, 1, 0.0, t)))
     report = {
         "cone_residual": worst_cone,
         "interior_max": worst_interior,
         "t_max": t_max,
         "ok": bool(worst_cone <= args.tol),
     }
-    out = _write_text(args.output, json.dumps(report, indent=2) + "\n")
+    out = _write_json(args.output, report)
     if not report["ok"]:
         raise ValidationError(f"cone residual {worst_cone:.3e} above {args.tol:.1e}")
     return [out]
@@ -397,21 +405,14 @@ def cmd_oracle_haar_identity(args):
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rep = haar_monomial_oracle(X, Y, args.n, args.seed)
-    out = _write_text(
-        args.output,
-        json.dumps(
-            {
-                "mc_mean": [rep["mc_mean"].real, rep["mc_mean"].imag],
-                "mc_stderr": rep["mc_stderr"],
-                "closed_form": [rep["closed_form"].real, rep["closed_form"].imag],
-                "z_score": rep["z_score"],
-                "n": rep["n"],
-                "seed": rep["seed"],
-            },
-            indent=2,
-        )
-        + "\n",
-    )
+    out = _write_json(args.output, {
+        "mc_mean": [rep["mc_mean"].real, rep["mc_mean"].imag],
+        "mc_stderr": rep["mc_stderr"],
+        "closed_form": [rep["closed_form"].real, rep["closed_form"].imag],
+        "z_score": rep["z_score"],
+        "n": rep["n"],
+        "seed": rep["seed"],
+    })
     if not rep["z_score"] <= ORACLE_SIGMAS:
         raise ValidationError(f"MC estimate {rep['z_score']:.2f} sigma from closed form")
     return [out]
@@ -422,7 +423,7 @@ def cmd_oracle_reshuffle(args):
     d = args.q * args.q
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     res = verify_reshuffle_identities(X)
-    out = _write_text(args.output, json.dumps(res, indent=2) + "\n")
+    out = _write_json(args.output, res)
     worst = max(res.values())
     if not worst <= RESHUFFLE_TOL:
         raise ValidationError(f"identity residual {worst:.3e} above {RESHUFFLE_TOL:.0e}")
@@ -554,13 +555,10 @@ def main(argv=None):
         _resolve_defaults(args)
         outputs = args.func(args)
     except (NonConvergence, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(json.dumps({"error": "non-convergence", "message": str(exc)}) + "\n")
+        sys.stderr.write(_json({"error": "non-convergence", "message": str(exc)}))
         return EXIT_NONCONVERGENCE
-    except (ValidationError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": "validation", "message": str(exc)}) + "\n")
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps({"error": "validation", "message": str(exc)}) + "\n")
+    except (ValidationError, ValueError, FileNotFoundError) as exc:
+        sys.stderr.write(_json({"error": "validation", "message": str(exc)}))
         return EXIT_VALIDATION
     _emit_manifest(args, outputs, t0)
     return EXIT_OK

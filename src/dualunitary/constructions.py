@@ -83,8 +83,8 @@ def random_uniform_block_gate(q, rng, side="ds"):
     return block_diagonal_gate(q, [sample_haar(q, rng) for _ in range(q)], side=side)
 
 
-def random_block_gate(q, m_sizes, rng, side="ds"):
-    """Random dual gate with blocks of sizes m_j q, sum m_j = q.
+def random_block_gate(q, m_sizes, rng):
+    """Random dual gate D.S with blocks of sizes m_j q, sum m_j = q.
 
     m_j = 1 blocks are Haar unitaries; m_j > 1 blocks are tensor products
     u_{m_j} (x) v_q, the simplest choice that stays unitary under the
@@ -99,7 +99,7 @@ def random_block_gate(q, m_sizes, rng, side="ds"):
             blocks.append(sample_haar(q, rng))
         else:
             blocks.append(np.kron(sample_haar(m, rng), sample_haar(q, rng)))
-    return block_diagonal_gate(q, blocks, side=side)
+    return block_diagonal_gate(q, blocks)
 
 
 def diagonal_dual_sample(q, epsilon, rng):
@@ -253,14 +253,15 @@ def mrt_iterate(U0, max_iter=10_000, tol=FLOW_TOL):
     return _iterate(U0, max_iter, tol, two_unitary=True)
 
 
-def perturbed_two_unitary(U2, scale, rng, max_iter=6000):
+def perturbed_two_unitary(U2, scale, rng):
     """A dual gate with e_p slightly below 1: kick a 2-unitary with a random
-    Hermitian generator and flow back to the dual manifold."""
+    Hermitian generator and flow back to the dual manifold (at most 6000
+    realign-polar steps)."""
     q = local_dim(U2)
     H = rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
     H = (H + H.conj().T) / 2
     kicked = np.asarray(U2, dtype=complex) @ scipy.linalg.expm(1j * scale * H)
-    U, _ = mr_iterate(kicked, max_iter=max_iter, tol=REFLOW_TOL)
+    U, _ = mr_iterate(kicked, max_iter=6000, tol=REFLOW_TOL)
     return U
 
 
@@ -292,17 +293,27 @@ def permutation_gate(K, L, phases=None):
     return P
 
 
+def _rows_are_permutations(A):
+    """Whether every row of the trailing q x q matrix of A is a permutation of
+    0..q-1, one flag per leading index."""
+    return (np.sort(A, axis=-1) == np.arange(A.shape[-1])).all(axis=(-2, -1))
+
+
+def _duality_flags(K, L):
+    """(dual, T-dual) of the permutation gates of target matrices K, L, stacked
+    or not: dual = every row of K and every column of L is a permutation,
+    T-dual = the transposed conditions."""
+    Kt, Lt = K.swapaxes(-1, -2), L.swapaxes(-1, -2)
+    return (_rows_are_permutations(K) & _rows_are_permutations(Lt),
+            _rows_are_permutations(Kt) & _rows_are_permutations(L))
+
+
 def classify_permutation(K, L):
     """Duality class straight from the combinatorics, no matrix algebra:
     dual = distinct rows of K and distinct columns of L, T-dual = the
     transposed conditions, 2-unitary = both (orthogonal Latin squares)."""
-    K, L, q = _as_perm_matrices(K, L)
-    rows_k = all(len(set(K[i, :])) == q for i in range(q))
-    cols_l = all(len(set(L[:, j])) == q for j in range(q))
-    cols_k = all(len(set(K[:, j])) == q for j in range(q))
-    rows_l = all(len(set(L[i, :])) == q for i in range(q))
-    is_dual = rows_k and cols_l
-    is_t_dual = cols_k and rows_l
+    K, L, _ = _as_perm_matrices(K, L)
+    is_dual, is_t_dual = map(bool, _duality_flags(K, L))
     return DualityClass(
         is_dual=is_dual,
         is_t_dual=is_t_dual,
@@ -385,48 +396,34 @@ def two_unitary_permutation(q):
     return permutation_gate(K, L)
 
 
-def enumerate_dual_permutations(q, compute_channel=True):
+def enumerate_dual_permutations(q):
     """Stream every dual-unitary permutation of [q] x [q].
 
-    Yields dicts with the one-line permutation id, (K, L), e_p, and the two
-    leading nontrivial channel moduli.  q = 2 scans 24 cases, q = 3 all 9!.
+    Yields dicts with the one-line permutation id, (K, L), e_p, the
+    2-unitary flag and the two leading nontrivial channel moduli, in
+    lexicographic order of the id.  q = 2 scans 24 cases, q = 3 all 9!, as
+    one int8 stack filtered by the duality rule of `classify_permutation`.
     """
     if q > 3:
         raise ValueError("exhaustive enumeration is limited to q <= 3")
-    cells = [(i, j) for i in range(q) for j in range(q)]
-    for perm in itertools.permutations(range(q * q)):
-        K = np.empty((q, q), dtype=int)
-        L = np.empty((q, q), dtype=int)
-        ok = True
-        for (i, j), tgt in zip(cells, perm):
-            K[i, j] = tgt // q
-            L[i, j] = tgt % q
-        for i in range(q):
-            if len(set(K[i, :])) != q:
-                ok = False
-                break
-        if not ok:
-            continue
-        for j in range(q):
-            if len(set(L[:, j])) != q:
-                ok = False
-                break
-        if not ok:
-            continue
-        P = permutation_gate(K, L)
-        rec = {
-            "perm_id": "".join(str(t) for t in perm),
-            "K": K,
-            "L": L,
+    n = q * q
+    perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int8, n),
+                        count=math.factorial(n))
+    K, L = (perms // q).reshape(-1, q, q), (perms % q).reshape(-1, q, q)
+    dual, t_dual = _duality_flags(K, L)
+    for k in np.flatnonzero(dual):
+        Kk, Lk = K[k].astype(int), L[k].astype(int)
+        P = permutation_gate(Kk, Lk)
+        mods = np.abs(channel_spectrum(build_m_plus(P)).eigenvalues)
+        yield {
+            "perm_id": "".join(map(str, perms[k].tolist())),
+            "K": Kk,
+            "L": Lk,
             "e_p": entangling_power(P),
-            "two_unitary": classify_permutation(K, L).is_two_unitary,
+            "two_unitary": bool(t_dual[k]),
+            "lambda1_mod": float(mods[0]),
+            "lambda2_mod": float(mods[1]),
         }
-        if compute_channel:
-            spec = channel_spectrum(build_m_plus(P))
-            mods = np.abs(spec.eigenvalues)
-            rec["lambda1_mod"] = float(mods[0])
-            rec["lambda2_mod"] = float(mods[1])
-        yield rec
 
 
 # ---------------------------------------------------------------------------

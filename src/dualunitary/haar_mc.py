@@ -42,10 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .channels import build_m_plus, deflate_trivial
+from .channels import build_m_plus, decay_rates, deflate_trivial
 from .invariants import entangling_power
 from .tensor_ops import haar_from_ginibre, local_dim, realign_r2, sample_haar
-from .tolerances import ZERO_TOL
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 64
@@ -190,18 +189,18 @@ def radius_estimate(r, seed, ep):
 
 
 def mixing_rate_estimate(r, seed, extras=None):
-    """mu_plus = E[-ln r].  A zero mode (r < ZERO_TOL) has an infinite rate,
+    """mu_plus = E[-ln r].  A zero mode has an infinite rate (`decay_rates`),
     so any zero mode makes the mean and its stderr infinite; extras count them."""
-    extras = {"infinite_count": int(r.size - (r >= ZERO_TOL).sum()), **(extras or {})}
+    rates = decay_rates(r)
+    extras = {"infinite_count": int(np.isinf(rates).sum()), **(extras or {})}
     if extras["infinite_count"]:
         return MCEstimate(mean=math.inf, stderr=math.inf, n=int(r.size), seed=seed, extras=extras)
-    return _estimate(-np.log(r), seed, extras)
+    return _estimate(rates, seed, extras)
 
 
 def max_rate(r):
-    """nu_plus = -ln min r; infinite for a zero mode."""
-    r_min = np.min(r)
-    return math.inf if r_min < ZERO_TOL else float(-np.log(r_min))
+    """nu_plus = -ln min r; infinite for a zero mode (`decay_rates`)."""
+    return float(decay_rates(np.min(r)))
 
 
 def avg_spectral_radius(U, n, seed, four_locals=False, workers=None):
@@ -210,9 +209,9 @@ def avg_spectral_radius(U, n, seed, four_locals=False, workers=None):
     return radius_estimate(r, seed, entangling_power(U))
 
 
-def avg_mixing_rate(U, n, seed, workers=None):
+def avg_mixing_rate(U, n, seed):
     """mu_plus = E[-ln|lambda_1|] on its own stream (see mixing_rate_estimate)."""
-    r = spectral_radius_samples(U, n, seed, workers=workers, label="mixing-rate")
+    r = spectral_radius_samples(U, n, seed, label="mixing-rate")
     return mixing_rate_estimate(r, seed, {"e_p": entangling_power(U)})
 
 
@@ -252,7 +251,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     }
 
 
-def avg_norm_power(U, k, n, seed, workers=None):
+def avg_norm_power(U, k, n, seed):
     """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -286,7 +285,12 @@ def haar_monomial_closed_form(X, Y):
 
 
 def haar_monomial_oracle(X, Y, n, seed):
-    """Monte-Carlo check of the Haar monomial identity; returns both sides."""
+    """Monte-Carlo check of the Haar monomial identity; returns both sides.
+
+    The z-score needs a finite standard error, so n >= 2 samples."""
+    if n < 2:
+        raise ValueError(f"the Haar-identity oracle needs N >= 2 samples for a "
+                         f"standard error, got N = {n}")
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     q = local_dim(X)
@@ -295,7 +299,7 @@ def haar_monomial_oracle(X, Y, n, seed):
         W = _kron_conj(_haar_block(q, seed, "monomial", b, e)[:, 0])
         vals[b:e] = np.trace(X @ W @ Y @ W.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
     mean = vals.mean()
-    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    stderr = float(vals.std(ddof=1) / math.sqrt(n))
     closed = haar_monomial_closed_form(X, Y)
     z = abs(mean - closed) / stderr if stderr > 0 else 0.0
     return {

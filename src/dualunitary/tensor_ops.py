@@ -193,12 +193,10 @@ def verify_reshuffle_identities(X, locals_=None):
     return res
 
 
-def gate_to_json(U, q=None):
+def gate_to_json(U):
     """Serialize a gate to the interchange dict {"q", "re", "im"}."""
     U = np.asarray(U, dtype=complex)
-    if q is None:
-        q = local_dim(U)
-    return {"q": int(q), "re": U.real.tolist(), "im": U.imag.tolist()}
+    return {"q": local_dim(U), "re": U.real.tolist(), "im": U.imag.tolist()}
 
 
 def gate_from_json(obj):

@@ -64,7 +64,8 @@ def build_floquet(cfg):
 
 
 class DenseCircuitSimulator:
-    """Holds the dense evolution operator and evaluates correlators."""
+    """Holds the dense evolution operator; embeds observables and evolves them
+    in the Heisenberg picture."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -94,69 +95,7 @@ class DenseCircuitSimulator:
         right = self.q ** (self.n_legs - leg - 1)
         return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
-    def _check_window(self, t, override=False):
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        if not override and 2 * t > self.L:
-            raise ValueError(
-                f"t = {t} is outside the validity window t <= L/2 = {self.L/2}; "
-                "finite-size recurrences invalidate the predictions "
-                "(pass override_window=True to force)"
-            )
-
     def heisenberg(self, op_embedded, t):
         """U_F^(-t) A U_F^t."""
         Ut = self.power(t)
         return Ut.conj().T @ op_embedded @ Ut
-
-    def correlation_single(self, i, j, x, y, t, override_window=False):
-        """D^{ij}(x, y, t) = tr[a_j^x U^-t a_i^y U^t] / q^(2L), i, j > 0."""
-        if i <= 0 or j <= 0:
-            raise ValueError("basis indices must be nontrivial (> 0)")
-        self._check_window(t, override_window)
-        A = self.heisenberg(self.embed(self.basis[i], y), t)
-        B = self.embed(self.basis[j], x)
-        return complex(np.einsum("ij,ji->", B, A)) / self.dim
-
-    def c_plus(self, i, j, x, t, **kw):
-        return self.correlation_single(i, j, x, 0.0, t, **kw)
-
-    def c_minus(self, i, j, x, t, **kw):
-        return self.correlation_single(i, j, x + 0.5, 0.5, t, **kw)
-
-    def correlation_two_site(self, i, j, k, l, x1, x2, t, override_window=False):
-        """tr[a_k^{x1} a_l^{x2} U^-t a_i^{0} a_j^{1/2} U^t] / q^(2L)."""
-        self._check_window(t, override_window)
-        init = self.embed(self.basis[i], 0.0) @ self.embed(self.basis[j], 0.5)
-        A = self.heisenberg(init, t)
-        B = self.embed(self.basis[k], x1) @ self.embed(self.basis[l], x2)
-        return complex(np.einsum("ij,ji->", B, A)) / self.dim
-
-    def lightcone_scan(self, t_max, basis_pairs=None, override_window=False):
-        """Max |C_+| / |C_-| over basis pairs on the (x, t) grid.
-
-        Positions run over all half-integer sites relative to the initial
-        operator; returns records {x, t, side, max_abs}.
-        """
-        if basis_pairs is None:
-            nb = self.q**2
-            basis_pairs = [(i, j) for i in range(1, nb) for j in range(1, nb)]
-        i_set = sorted({p[0] for p in basis_pairs})
-        records = []
-        for t in range(1, t_max + 1):
-            self._check_window(t, override_window)
-            heis = {(i, 0.0): self.heisenberg(self.embed(self.basis[i], 0.0), t) for i in i_set}
-            heis.update(
-                {(i, 0.5): self.heisenberg(self.embed(self.basis[i], 0.5), t) for i in i_set}
-            )
-            for n in range(self.n_legs):
-                x = 0.5 * n
-                for side, y in (("plus", 0.0), ("minus", 0.5)):
-                    xx = x if side == "plus" else x + 0.5
-                    best = 0.0
-                    for (i, j) in basis_pairs:
-                        B = self.embed(self.basis[j], xx)
-                        val = abs(complex(np.einsum("ij,ji->", B, heis[(i, y)]))) / self.dim
-                        best = max(best, val)
-                    records.append({"x": x, "t": t, "side": side, "max_abs": best})
-        return records

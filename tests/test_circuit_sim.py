@@ -63,13 +63,17 @@ def test_swap_circuit_is_free():
 
 
 def test_window_guard():
-    U = cartan_gate(0.2)
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=2, gate=U))
-    with pytest.raises(ValueError):
-        sim.c_plus(1, 1, 2.0, 2)
-    sim.c_plus(1, 1, 2.0, 2, override_window=True)
-    with pytest.raises(ValueError):
-        sim.correlation_single(0, 1, 0.0, 0.0, 1)
+    # the ring evolution is exact at any t >= 0 (t <= L/2 is a condition of the
+    # channel prediction, checked by `circuit verify`): only a negative t and a
+    # trivial basis index are refused
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=2, gate=cartan_gate(0.2)))
+    for call in (lambda: sim.c_plus(1, 1, 1.0, -1),
+                 lambda: sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+    for i, j in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="nontrivial"):
+            sim.correlation_single(i, j, 0.0, 0.0, 1)
 
 
 def test_interior_vanishes_and_cone_matches_channel_for_dual_gates():
@@ -88,8 +92,12 @@ def test_interior_vanishes_and_cone_matches_channel_for_dual_gates():
                     gm = sim.c_minus(i, j, float(-t), t)
                     pm = lightcone_correlation_prediction(U, sim.basis[i], sim.basis[j], t, side="minus")
                     assert abs(gm - pm) < 1e-10
-            # a strictly interior point
-            assert abs(sim.c_plus(1, 1, 0.0, t)) < 1e-10
+                    # every position strictly inside the cone, on both rays' sides
+                    for n in range(sim.n_legs):
+                        x = 0.5 * n if n <= L else 0.5 * n - L  # signed offset on the ring
+                        if abs(x) < t:
+                            assert abs(sim.c_plus(i, j, x, t)) < 1e-10
+                            assert abs(sim.c_minus(i, j, x, t)) < 1e-10
 
 
 def test_t0_orthonormality():
@@ -160,9 +168,15 @@ def test_non_dual_gate_has_interior_correlations():
 
 
 def test_lightcone_scan_structure():
+    # max |C_+| / |C_-| over basis pairs at every half-integer position, t = 1:
+    # for a dual gate only the ray x = t of the plus side carries weight
     U = fixtures()["dual_q3_ep8over9"]
     sim = cs.CircuitSimulator(cs.CircuitConfig(q=3, L=2, gate=U))
-    recs = sim.lightcone_scan(1, basis_pairs=[(1, 1), (1, 2), (2, 1)])
+    pairs = [(1, 1), (1, 2), (2, 1)]
+    recs = [{"x": 0.5 * n, "side": side,
+             "max_abs": max(abs(c(i, j, 0.5 * n, 1)) for i, j in pairs)}
+            for n in range(sim.n_legs)
+            for side, c in (("plus", sim.c_plus), ("minus", sim.c_minus))]
     assert len(recs) == 2 * 2 * sim.n_legs // 2  # both sides, all positions, t=1
     interior = [r for r in recs if r["side"] == "plus" and r["x"] not in (1.0,)]
     cone = [r for r in recs if r["side"] == "plus" and r["x"] == 1.0]
@@ -195,7 +209,7 @@ def _oracle_worst(cfg, t_max, i_set, y_set, two_site):
         for i in i_set:
             for y in y_set:
                 A = ref.heisenberg(ref.embed(ref.basis[i], y), t)
-                table = sim.single_site_table(i, y, t, override_window=True)
+                table = sim.single_site_table(i, y, t)
                 for (x, j), B in E.items():
                     val = complex(np.einsum("ij,ji->", B, A)) / ref.dim
                     worst = max(worst, abs(table[x, j] - val))
@@ -204,8 +218,7 @@ def _oracle_worst(cfg, t_max, i_set, y_set, two_site):
             for x1 in range(n):
                 for x2 in range(n):
                     val = complex((Es[(x1, k)] @ Es[(x2, l)]).multiply(A.T).sum()) / ref.dim
-                    got = sim.correlation_two_site(i, j, k, l, 0.5 * x1, 0.5 * x2, t,
-                                                   override_window=True)
+                    got = sim.correlation_two_site(i, j, k, l, 0.5 * x1, 0.5 * x2, t)
                     worst = max(worst, abs(got - val))
     return worst
 

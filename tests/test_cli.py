@@ -19,11 +19,20 @@ def run_cli(args, tmp_path=None):
     return main(args)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _strict_json(text):
+    """json.loads that refuses the Infinity / NaN tokens strict JSON does not have."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_gate_make_and_classify_cat(tmp_path, capsys):
     gate = tmp_path / "cat.json"
     assert main(["gate", "make", "cat", "-q", "3", "-o", str(gate)]) == 0
     assert main(["gate", "classify", str(gate)]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _strict_json(capsys.readouterr().out)
     assert rep["duality"]["two_unitary"] is True
     assert abs(rep["e_p"] - 1.0) < 1e-12
     assert rep["ergodic_class"] == "Bernoulli"
@@ -33,7 +42,7 @@ def test_gate_make_cartan_ep(tmp_path, capsys):
     gate = tmp_path / "u.json"
     assert main(["gate", "make", "cartan", "--J", "0.3926990817", "-o", str(gate)]) == 0
     assert main(["gate", "classify", str(gate)]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _strict_json(capsys.readouterr().out)
     assert abs(rep["e_p"] - 1 / 3) < 1e-9
 
 
@@ -55,7 +64,7 @@ def test_gate_make_perm_spec(tmp_path):
     spec.write_text(json.dumps(perm_spec_to_json(*PERM_OLS_EXAMPLE_Q3)))
     gate = tmp_path / "perm_gate.json"
     assert main(["gate", "make", "perm", "--spec", str(spec), "-o", str(gate)]) == 0
-    payload = json.loads(gate.read_text())
+    payload = _strict_json(gate.read_text())
     assert payload["q"] == 3
 
 
@@ -72,6 +81,19 @@ def test_channel_spectrum_csv(tmp_path):
     assert abs(mods[0] - s) < 1e-9 and abs(mods[2] - 1.0) < 1e-9
 
 
+def test_channel_spectrum_json_writes_zero_mode_rates_as_inf(tmp_path, capsys):
+    # the q = 3 cat map is Bernoulli: all eight nontrivial modes are zero modes
+    gate = tmp_path / "cat.json"
+    assert main(["gate", "make", "cat", "-q", "3", "-o", str(gate)]) == 0
+    capsys.readouterr()
+    assert main(["channel", "spectrum", str(gate), "--format", "json"]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert [e["rate"] for e in rep["eigenvalues"]] == ["inf"] * 8
+    assert main(["channel", "spectrum", str(gate)]) == 0
+    csv_rates = [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert csv_rates == ["inf"] * 8
+
+
 def test_sweep_haar_deterministic(tmp_path):
     gate = tmp_path / "g.json"
     main(["gate", "make", "diag", "-q", "2", "-o", str(gate), "--seed", "5"])
@@ -80,7 +102,7 @@ def test_sweep_haar_deterministic(tmp_path):
     for out in (out1, out2):
         assert main(["sweep", "haar", str(gate), "-N", "200", "--seed", "7", "-o", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    man = json.loads((tmp_path / "s1.csv.manifest.json").read_text())
+    man = _strict_json((tmp_path / "s1.csv.manifest.json").read_text())
     assert man["seed"] == 7 and str(out1) in man["outputs"]
 
 
@@ -123,29 +145,29 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
                                    "basis_pairs": pairs}))
         capsys.readouterr()
         assert main(["circuit", "corr", str(cfg)]) == 3
-        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        err = _strict_json(capsys.readouterr().err.splitlines()[0])
         assert err["error"] == "validation" and "basis_pairs" in err["message"]
 
 
 def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
     gate = tmp_path / "g.json"
     main(["gate", "make", "fixture", "--name", "dual_q3_d3s", "-o", str(gate)])
-    payload = json.loads(gate.read_text())
+    payload = _strict_json(gate.read_text())
     payload["re"][4][2] = float("nan")
     gate.write_text(json.dumps(payload))
     for argv in (["gate", "classify", str(gate)], ["sweep", "haar", str(gate), "-N", "10"]):
         capsys.readouterr()
         assert main(argv) == 3
-        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        err = _strict_json(capsys.readouterr().err.splitlines()[0])
         assert err["error"] == "validation" and "non-finite" in err["message"]
 
 
 def test_oracles(tmp_path, capsys):
     assert main(["oracle", "reshuffle-identities", "-q", "4", "--seed", "7"]) == 0
-    rep = json.loads(capsys.readouterr().out)
+    rep = _strict_json(capsys.readouterr().out)
     assert max(rep.values()) < 1e-12
     assert main(["oracle", "haar-identity", "-q", "2", "-N", "4000", "--seed", "2"]) == 0
-    rep2 = json.loads(capsys.readouterr().out)
+    rep2 = _strict_json(capsys.readouterr().out)
     assert rep2["z_score"] < 3.0
 
 
@@ -163,7 +185,7 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     # validation error: unknown fixture name
     assert main(["gate", "make", "fixture", "--name", "nope"]) == 3
-    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    err = _strict_json(capsys.readouterr().err.splitlines()[0])
     assert err["error"] == "validation"
     # malformed gate file
     bad = tmp_path / "bad.json"
@@ -173,7 +195,7 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     # non-convergence
     assert main(["gate", "make", "mr", "-q", "3", "--max-iter", "1", "--tol", "1e-15"]) == 4
-    err2 = json.loads(capsys.readouterr().err.splitlines()[0])
+    err2 = _strict_json(capsys.readouterr().err.splitlines()[0])
     assert err2["error"] == "non-convergence"
     # guard violation through circuit config
     cfg = tmp_path / "cfg.json"
@@ -203,6 +225,11 @@ FLOW_GOLDEN = {
 }
 
 
+# sha256 of `perm enumerate -q 3`: pins the enumeration's rows, their order and
+# their channel moduli byte for byte
+PERM_Q3_GOLDEN = "a4dd5e35f9eabec0534f9fc6188abcb8e75eebe71a02005e27530d0afb092262"
+
+
 def test_flow_gate_files_match_golden_digests(tmp_path):
     for fam, digest in FLOW_GOLDEN.items():
         out = tmp_path / f"{fam}.json"
@@ -210,8 +237,14 @@ def test_flow_gate_files_match_golden_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fam
 
 
+def test_perm_enumerate_q3_matches_golden_digest(tmp_path):
+    out = tmp_path / "perms.csv"
+    assert main(["perm", "enumerate", "-q", "3", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PERM_Q3_GOLDEN
+
+
 def _validation_error(capsys):
-    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    err = _strict_json(capsys.readouterr().err.splitlines()[0])
     assert err["error"] == "validation"
     return err["message"]
 
@@ -251,12 +284,16 @@ def test_gate_make_perm_rejects_theta_of_the_wrong_shape(tmp_path, capsys):
 def test_fewer_than_one_sample_is_a_validation_error(tmp_path, capsys):
     gate = tmp_path / "g.json"
     assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
-    for argv in (["sweep", "haar", str(gate)], ["sweep", "family", "cartan", "--points", "2"],
-                 ["oracle", "haar-identity", "-q", "2"]):
-        for n in ("0", "-3"):
-            capsys.readouterr()
-            assert main([*argv, "-N", n]) == 3
-            assert "-N" in _validation_error(capsys)
+    oracle = ["oracle", "haar-identity", "-q", "2"]
+    cases = [(argv, n, "-N") for argv in (["sweep", "haar", str(gate)],
+                                          ["sweep", "family", "cartan", "--points", "2"], oracle)
+             for n in ("0", "-3")]
+    # the oracle's z-score needs a finite standard error, so it also refuses N = 1
+    cases.append((oracle, "1", "N >= 2"))
+    for argv, n, word in cases:
+        capsys.readouterr()
+        assert main([*argv, "-N", n]) == 3
+        assert word in _validation_error(capsys)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -277,12 +314,15 @@ def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     cfg = tmp_path / "cfg.json"
     base = {"q": 2, "L": 2, "gate": str(gate)}
-    for extra, word in (({"t_max": 0}, "t_max"), ({"t_max": 1.7}, "t_max"),
-                        ({"t_max": True}, "t_max"), ({"t_max": "1"}, "t_max"),
-                        ({"basis_pair": [[1, 1]]}, "basis_pair"), ({"L": 2.9}, "L"),
-                        ({"q": 2.0}, "q"), ({}, None)):
+    cases = [(extra, word, word) for extra, word in (
+        ({"t_max": 0}, "t_max"), ({"t_max": 1.7}, "t_max"), ({"t_max": True}, "t_max"),
+        ({"t_max": "1"}, "t_max"), ({"basis_pair": [[1, 1]]}, "basis_pair"), ({"L": 2.9}, "L"),
+        ({"q": 2.0}, "q"), ({}, None))]
+    # t_max > L/2: the ring grid is exact, only the channel prediction is out of its window
+    cases.append(({"t_max": 2}, None, "t_max"))
+    for extra, corr_word, verify_word in cases:
         cfg.write_text(json.dumps({**base, **extra}))
-        for cmd in ("corr", "verify"):
+        for cmd, word in (("corr", corr_word), ("verify", verify_word)):
             capsys.readouterr()
             code = main(["circuit", cmd, str(cfg)])
             if word is None:
