@@ -63,13 +63,13 @@ print(f"  general SU(2) cubic vs eigensolve, 50 random tuples: max diff {worst:.
 print("\n=== Rate laws ===")
 print(f"  {'J':>8} {'nu_prime':>10} {'mu_prime':>10} {'nu_plus':>10} {'sampled nu':>11}")
 for Jv in (0.15, math.pi / 8, 0.55):
-    rep = min_lambda1_general(Jv, grid=80, refine=40)
+    rep = min_lambda1_general(Jv)
     print(f"  {Jv:8.4f} {nu_prime(Jv):10.5f} {mu_prime(Jv):10.5f} "
           f"{nu_plus_exact(Jv):10.5f} {-math.log(rep['min_radius']):11.5f}")
 print("  the unrestricted SU(2) optimum lands exactly on the v-family value")
 print("  nu_+ = -1/3 ln(1 - e_p/e_max); the gap to the closed form is reported:")
 for Jv in (0.15, 0.55):
-    rep = min_lambda1_general(Jv, grid=80, refine=40)
+    rep = min_lambda1_general(Jv)
     print(f"    J = {Jv}: |min - closed| = {abs(rep['min_radius'] - rep['closed_form']):.2e}")
 
 print("\n=== The cos(theta)-averaged rate over the w family ===")

@@ -34,15 +34,6 @@ from .tensor_ops import (
 from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, GATE_UNITARY_TOL, UNIT_BOUNDARY_TOL,
                          UNIT_TOL, UNITALITY_TOL, ZERO_TOL)
 
-ERGODIC_CLASSES = (
-    "NonInteracting",
-    "NonErgodic",
-    "ErgodicNonMixing",
-    "ErgodicMixing",
-    "Bernoulli",
-)
-
-
 @dataclass
 class ChannelSpectrum:
     q: int

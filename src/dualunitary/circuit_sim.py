@@ -27,6 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .tensor_ops import local_dim
+from .tolerances import SITE_TOL
 
 DENSE_GUARD = 2**16
 # bytes of the largest support tensor an evolution may build (16 q^(2 |supp|));
@@ -111,20 +112,25 @@ class CircuitSimulator:
 
     def site_leg(self, x):
         leg = int(round(2 * x))
-        if abs(2 * x - leg) > 1e-12:
+        if abs(2 * x - leg) > SITE_TOL:
             raise ValueError(f"site {x} is not a half-integer position")
         return leg % self.n_legs
 
-    def _check_budget(self, legs, t):
-        """Refuse, before building anything, a negative t or an evolution
-        whose support is too big."""
+    def _evolve(self, factors, t):
+        """U_F^-t (x_leg factors[leg]) U_F^t as (support legs, tensor).
+
+        The gates that touch the growing support are listed first, so a
+        negative t or a final support over the budget is refused before
+        anything is built."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        support = set(legs)
+        support = set(factors)
+        steps = []
         for _ in range(t):
-            for a, b, _, _ in self._period:
+            for a, b, g, gd in self._period:
                 if a in support or b in support:
                     support |= {a, b}
+                    steps.append((a, b, g, gd))
         nbytes = 16 * self.q ** (2 * len(support))
         if nbytes > SUPPORT_BUDGET:
             raise ValueError(
@@ -132,28 +138,21 @@ class CircuitSimulator:
                 f"{nbytes / 2**20:.0f} MiB as a q={self.q} tensor, above the "
                 f"{SUPPORT_BUDGET / 2**20:.0f} MiB budget"
             )
-
-    def _evolve(self, factors, t):
-        """U_F^-t (x_leg factors[leg]) U_F^t as (support legs, tensor)."""
-        self._check_budget(factors, t)
         q = self.q
         legs = list(factors)
         s = len(legs)
         T = reduce(np.multiply.outer, [np.asarray(factors[leg], dtype=complex) for leg in legs])
         T = T.transpose(list(range(0, 2 * s, 2)) + list(range(1, 2 * s, 2)))
-        for _ in range(t):
-            for a, b, g, gd in self._period:
-                if a not in legs and b not in legs:
-                    continue
-                for leg in (a, b):
-                    if leg not in legs:  # O x 1 on the new leg
-                        T = np.moveaxis(np.multiply.outer(T, np.eye(q)), 2 * s, s)
-                        legs.append(leg)
-                        s += 1
-                pa, pb = legs.index(a), legs.index(b)
-                T = np.moveaxis(np.tensordot(gd, T, axes=([2, 3], [pa, pb])), [0, 1], [pa, pb])
-                T = np.moveaxis(np.tensordot(T, g, axes=([s + pa, s + pb], [0, 1])),
-                                [-2, -1], [s + pa, s + pb])
+        for a, b, g, gd in steps:
+            for leg in (a, b):
+                if leg not in legs:  # O x 1 on the new leg
+                    T = np.moveaxis(np.multiply.outer(T, np.eye(q)), 2 * s, s)
+                    legs.append(leg)
+                    s += 1
+            pa, pb = legs.index(a), legs.index(b)
+            T = np.moveaxis(np.tensordot(gd, T, axes=([2, 3], [pa, pb])), [0, 1], [pa, pb])
+            T = np.moveaxis(np.tensordot(T, g, axes=([s + pa, s + pb], [0, 1])),
+                            [-2, -1], [s + pa, s + pb])
         return legs, T
 
     def _marginal(self, op, legs):

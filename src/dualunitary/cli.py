@@ -42,7 +42,6 @@ from .circuit_sim import CircuitConfig, CircuitSimulator
 from .constructions import (
     cat_family,
     cat_map,
-    block_diagonal_gate,
     diagonal_dual_sample,
     enumerate_dual_permutations,
     fixtures,
@@ -50,7 +49,7 @@ from .constructions import (
     mrt_iterate,
     perm_spec_from_json,
     permutation_gate,
-    random_uniform_block_gate,
+    random_block_gate,
 )
 from .haar_mc import (
     haar_monomial_oracle,
@@ -63,11 +62,10 @@ from .haar_mc import (
 )
 from .invariants import entangling_power, invariants_report
 from .qubit_exact import cartan_gate
-from .tensor_ops import gate_from_json, gate_to_json, verify_reshuffle_identities
+from .tensor_ops import gate_from_json, gate_to_json, local_dim, verify_reshuffle_identities
 from .tolerances import CONE_TOL, FLOW_TOL, INPUT_UNITARY_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NONCONVERGENCE = 4
 
@@ -172,11 +170,10 @@ def _make_gate(args):
     rng = substream(args.seed, f"gate-make-{args.family}")
     fam = args.family
     if fam == "block":
-        if args.sizes:
-            sizes = [int(s) for s in args.sizes.split(",")]
-            blocks = [sample_haar(s, rng) for s in sizes]
-            return block_diagonal_gate(args.q, blocks, side=args.side)
-        return random_uniform_block_gate(args.q, rng, side=args.side)
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [args.q] * args.q
+        if any(s % args.q for s in sizes):
+            raise ValidationError(f"block sizes {sizes} must be positive multiples of q={args.q}")
+        return random_block_gate(args.q, [s // args.q for s in sizes], rng, side=args.side)
     if fam == "diag":
         return diagonal_dual_sample(args.q, args.epsilon, rng)
     if fam == "perm":
@@ -235,8 +232,7 @@ def cmd_channel_spectrum(args):
     U = _read_gate(args.gate)
     if args.locals is not None:
         if args.locals.startswith("seed:"):
-            u = sample_haar(int(math.isqrt(U.shape[0])),
-                            substream(int(args.locals[5:]), "channel-locals"))
+            u = sample_haar(local_dim(U), substream(int(args.locals[5:]), "channel-locals"))
         else:
             with open(args.locals) as fh:
                 u = gate_from_json(fh.read())
@@ -388,11 +384,11 @@ def cmd_circuit_verify(args):
         "cone_residual": worst_cone,
         "interior_max": worst_interior,
         "t_max": t_max,
-        "ok": bool(worst_cone <= args.tol),
+        "ok": bool(worst_cone <= CONE_TOL),
     }
     out = _write_json(args.output, report)
     if not report["ok"]:
-        raise ValidationError(f"cone residual {worst_cone:.3e} above {args.tol:.1e}")
+        raise ValidationError(f"cone residual {worst_cone:.3e} above {CONE_TOL:.1e}")
     return [out]
 
 
@@ -513,7 +509,6 @@ def build_parser():
     cc.set_defaults(func=cmd_circuit_corr)
     cv = circ.add_parser("verify")
     cv.add_argument("config")
-    cv.add_argument("--tol", type=float, default=CONE_TOL)
     cv.add_argument("-o", "--output", default="-")
     cv.set_defaults(func=cmd_circuit_verify)
 

@@ -34,6 +34,7 @@ from .invariants import (
     swap_entanglement,
 )
 from .tensor_ops import (
+    _json_ints,
     local_dim,
     max_entangled_vector,
     partial_transpose_t2,
@@ -42,7 +43,8 @@ from .tensor_ops import (
     sample_haar,
     swap_operator,
 )
-from .tolerances import CAT_CHECK_TOL, FLOW_TOL, POLAR_RANK_TOL, REFLOW_TOL, UNISTOCHASTIC_TOL
+from .tolerances import (CAT_CHECK_TOL, DELTOID_SHRINK, FLOW_TOL, POLAR_RANK_TOL, REFLOW_TOL,
+                         UNISTOCHASTIC_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -80,26 +82,26 @@ def block_diagonal_gate(q, blocks, side="ds"):
 
 def random_uniform_block_gate(q, rng, side="ds"):
     """Uniform case: q Haar blocks of size q on the diagonal."""
-    return block_diagonal_gate(q, [sample_haar(q, rng) for _ in range(q)], side=side)
+    return random_block_gate(q, [1] * q, rng, side=side)
 
 
-def random_block_gate(q, m_sizes, rng):
-    """Random dual gate D.S with blocks of sizes m_j q, sum m_j = q.
+def random_block_gate(q, m_sizes, rng, side="ds"):
+    """Random dual gate D.S (or S.D) with blocks of sizes m_j q, sum m_j = q.
 
     m_j = 1 blocks are Haar unitaries; m_j > 1 blocks are tensor products
     u_{m_j} (x) v_q, the simplest choice that stays unitary under the
     partial transpose of the q-dimensional factor, so the assembled gate is
     dual for any K.
     """
-    if sum(m_sizes) != q:
-        raise ValueError(f"multipliers {m_sizes} must sum to q={q}")
+    if min(m_sizes) < 1 or sum(m_sizes) != q:
+        raise ValueError(f"multipliers {m_sizes} must be positive and sum to q={q}")
     blocks = []
     for m in m_sizes:
         if m == 1:
             blocks.append(sample_haar(q, rng))
         else:
             blocks.append(np.kron(sample_haar(m, rng), sample_haar(q, rng)))
-    return block_diagonal_gate(q, blocks)
+    return block_diagonal_gate(q, blocks, side=side)
 
 
 def diagonal_dual_sample(q, epsilon, rng):
@@ -119,6 +121,14 @@ def _embed_block(q, block, offset):
     E = np.zeros((q * q, q * q), dtype=complex)
     E[offset : offset + block.shape[0], offset : offset + block.shape[0]] = block
     return E
+
+
+def _matched_residual(a, b):
+    """Largest |a_i - b_pi(i)| under the matching pi of least total distance
+    (Hungarian): the distance between two spectra as multisets."""
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def block_channel_forms(q, blocks, side="ds"):
@@ -162,11 +172,8 @@ def block_channel_forms(q, blocks, side="ds"):
             lam = np.array(
                 [np.trace(bk @ bl.conj().T) / q for bk in blocks for bl in blocks]
             )
-            got = np.linalg.eigvals(direct)
-            cost = np.abs(lam[:, None] - got[None, :])
-            rows, cols = scipy.optimize.linear_sum_assignment(cost)
             report["spectrum_closed"] = lam
-            report["spectrum_residual"] = float(cost[rows, cols].max())
+            report["spectrum_residual"] = _matched_residual(lam, np.linalg.eigvals(direct))
         else:
             closed = sum(np.kron(b.conj().T, b.T) for b in blocks) / q
             report["closed_form_residual"] = float(np.abs(direct - closed).max())
@@ -322,29 +329,15 @@ def classify_permutation(K, L):
     )
 
 
-def _json_ints(value, key):
-    """A JSON integer, or nested lists of them, as an int array; floats and
-    bools are refused, never truncated."""
-    a = np.asarray(value, dtype=object)
-    if not all(type(x) is int for x in a.flat):
-        raise ValueError(f"{key} must hold only integers, got {value!r}")
-    try:
-        return a.astype(int)
-    except OverflowError:
-        raise ValueError(f"{key} holds an integer out of range, got {value!r}") from None
-
-
 def perm_spec_from_json(obj):
     """Parse the 1-indexed JSON permutation spec into 0-indexed arrays.
 
     Expected keys: "q" (an integer), "K", "L" (1-indexed q x q integer
     arrays) and an optional finite q x q "theta" phase matrix.
     """
-    q = int(_json_ints(obj["q"], "q"))
-    K = _json_ints(obj["K"], "K") - 1
-    L = _json_ints(obj["L"], "L") - 1
-    if K.shape != (q, q) or L.shape != (q, q):
-        raise ValueError("K and L must be q x q")
+    q = int(_json_ints(obj["q"], "q", ()))
+    K = _json_ints(obj["K"], "K", (q, q)) - 1
+    L = _json_ints(obj["L"], "L", (q, q)) - 1
     theta = np.asarray(obj["theta"], dtype=float) if "theta" in obj else None
     if theta is not None and (theta.shape != (q, q) or not np.isfinite(theta).all()):
         raise ValueError(f"theta must be a finite q x q matrix, got shape {theta.shape}")
@@ -676,16 +669,11 @@ def unistochastic_reduction(u):
     restricted = M[np.ix_(diag_idx, diag_idx)]
     B = np.abs(u) ** 2
 
-    eig_full = np.linalg.eigvals(M)
-    eig_b = np.concatenate([np.linalg.eigvals(B), np.zeros(q * q - q)])
-    cost = np.abs(eig_full[:, None] - eig_b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    spectrum_residual = float(cost[rows, cols].max())
-
     eigs = np.linalg.eigvals(B)
-    # shrink towards the origin by a plotting tolerance: the trivial
-    # eigenvalue 1 sits exactly on a cusp of the curve
-    inside = [bool(_deltoid_contains(z * (1.0 - 1e-6))) for z in eigs]
+    spectrum_residual = _matched_residual(np.linalg.eigvals(M),
+                                          np.concatenate([eigs, np.zeros(q * q - q)]))
+    # the trivial eigenvalue 1 sits exactly on a cusp of the curve
+    inside = [bool(_deltoid_contains(z * (1.0 - DELTOID_SHRINK))) for z in eigs]
     return {
         "restriction_residual": float(np.abs(restricted - B).max()),
         "spectrum_residual": spectrum_residual,

@@ -25,7 +25,9 @@ import numpy as np
 
 from .tensor_ops import swap_operator
 
-E_P_MAX_QUBIT = 2.0 / 3.0
+# the general-cubic minimum: a GRID x GRID scan of (theta, phi) over [0, pi]^2,
+# then REFINE coordinate-shrink steps from the best grid point
+GRID, REFINE = 96, 50
 
 
 def cartan_diagonal(J):
@@ -107,75 +109,58 @@ def nu_plus_exact(J):
     return math.inf if s == 0 else -(2.0 / 3.0) * math.log(s)
 
 
-def _cardano(a2, a1, a0, disc_tol=1e-12):
-    """Roots of x^3 + a2 x^2 + a1 x + a0; companion fallback near the
-    discriminant's zero where the trigonometric branch loses digits."""
-    a2, a1, a0 = complex(a2), complex(a1), complex(a0)
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if abs(disc) < disc_tol:
-        return np.roots([1.0, a2, a1, a0])
-    sq = cmath.sqrt(disc)
-    u3 = -q / 2.0 + sq
-    if abs(u3) < disc_tol:
-        u3 = -q / 2.0 - sq
-    u = u3 ** (1.0 / 3.0)
-    w = cmath.exp(2j * math.pi / 3.0)
-    roots = []
-    for k in range(3):
-        uk = u * w**k
-        roots.append(uk - p / (3.0 * uk) - a2 / 3.0)
-    return np.array(roots)
+def cubic_roots(a2, a1, a0):
+    """Roots of x^3 + a2 x^2 + a1 x + a0, the eigenvalues of its companion
+    matrix, broadcast over the coefficients: shape (..., 3)."""
+    a2, a1, a0 = np.broadcast_arrays(a2, a1, a0)
+    C = np.zeros(a2.shape + (3, 3), dtype=np.result_type(a2, a1, a0))
+    C[..., 0, :] = -np.stack([a2, a1, a0], axis=-1)
+    C[..., 1, 0] = C[..., 2, 1] = 1.0
+    return np.linalg.eigvals(C).astype(complex)
 
 
 def restricted_v_cubic(J, phi):
     """Nontrivial channel eigenvalues for a v-family local:
-    roots of x^3 - cos(phi) sin(2J) x^2 + cos(phi) sin(2J) x - sin^2(2J)."""
+    roots of x^3 - cos(phi) sin(2J) x^2 + cos(phi) sin(2J) x - sin^2(2J),
+    broadcast over phi."""
     s = math.sin(2 * J)
-    c = math.cos(phi)
-    return _cardano(-c * s, c * s, -s * s)
+    c = np.cos(phi)
+    return cubic_roots(-c * s, c * s, -s * s)
 
 
 def general_su2_cubic(J, theta, phi):
-    """Nontrivial channel eigenvalues for a general single-qubit local."""
+    """Nontrivial channel eigenvalues for a general single-qubit local,
+    broadcast over theta and phi."""
     s = math.sin(2 * J)
-    c2 = math.cos(theta / 2) ** 2
-    a2 = 1.0 - 2.0 * c2 * (s * math.cos(phi) + 1.0)
-    a1 = s * (2.0 * c2 * (s + math.cos(phi)) - s)
+    c2 = np.cos(theta / 2) ** 2
+    a2 = 1.0 - 2.0 * c2 * (s * np.cos(phi) + 1.0)
+    a1 = s * (2.0 * c2 * (s + np.cos(phi)) - s)
     a0 = -s * s
-    return _cardano(a2, a1, a0)
+    return cubic_roots(a2, a1, a0)
 
 
-def min_lambda1_general(J, grid=96, refine=40):
+def min_lambda1_general(J):
     """Smallest spectral radius over (theta, phi) from the general cubic.
 
     Coarse grid then coordinate shrink; the closed-form reference is
     sin^{2/3}(2J).
     """
     def radius(theta, phi):
-        return float(np.abs(general_su2_cubic(J, theta, phi)).max())
+        return np.abs(general_su2_cubic(J, theta, phi)).max(axis=-1)
 
-    thetas = np.linspace(0.0, math.pi, grid)
-    phis = np.linspace(0.0, math.pi, grid)
-    best = (math.inf, 0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            r = radius(th, ph)
-            if r < best[0]:
-                best = (r, th, ph)
-    r, th, ph = best
-    dth = thetas[1] - thetas[0]
-    dph = phis[1] - phis[0]
-    for _ in range(refine):
-        improved = False
-        for nth, nph in ((th + dth, ph), (th - dth, ph), (th, ph + dph), (th, ph - dph)):
-            rn = radius(min(max(nth, 0.0), math.pi), nph)
-            if rn < r:
-                r, th, ph = rn, min(max(nth, 0.0), math.pi), nph
-                improved = True
-        if not improved:
-            dth *= 0.5
-            dph *= 0.5
+    angles = np.linspace(0.0, math.pi, GRID)
+    scan = radius(angles[:, None], angles[None, :])
+    i, k = np.unravel_index(np.argmin(scan), scan.shape)
+    r, th, ph = float(scan[i, k]), float(angles[i]), float(angles[k])
+    d = angles[1] - angles[0]
+    for _ in range(REFINE):
+        nth = np.clip([th + d, th - d, th, th], 0.0, math.pi)
+        nph = np.array([ph, ph, ph + d, ph - d])
+        rn = radius(nth, nph)
+        k = np.argmin(rn)
+        if rn[k] < r:
+            r, th, ph = float(rn[k]), float(nth[k]), float(nph[k])
+        else:
+            d *= 0.5
     return {"min_radius": r, "theta": th, "phi": ph,
             "closed_form": math.sin(2 * J) ** (2.0 / 3.0) if J > 0 else 0.0}

@@ -199,11 +199,25 @@ def gate_to_json(U):
     return {"q": local_dim(U), "re": U.real.tolist(), "im": U.imag.tolist()}
 
 
+def _json_ints(value, key, shape):
+    """A JSON integer (shape ()) or nested lists of them of the given shape, as
+    an int array; floats, bools and strings are refused, never truncated or
+    parsed."""
+    a = np.asarray(value, dtype=object)
+    if a.shape != shape or not all(type(x) is int for x in a.flat):
+        what = "an integer" if shape == () else "a {} x {} integer matrix".format(*shape)
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    try:
+        return a.astype(int)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer out of range, got {value!r}") from None
+
+
 def gate_from_json(obj):
     """Inverse of gate_to_json; accepts a dict or a JSON string."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    q = int(obj["q"])
+    q = int(_json_ints(obj["q"], "q", ()))
     re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("gate payload has non-finite entries")

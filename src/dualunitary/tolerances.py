@@ -21,4 +21,6 @@ CAT_CHECK_TOL = 1e-7            # cat-map |lambda_1| closed form vs eigensolve (
 UNISTOCHASTIC_TOL = 1e-10       # spectrum residual of the unistochastic reduction that is ok
 RESHUFFLE_TOL = 1e-12           # reshuffle-identity residual accepted by the oracle
 CONE_TOL = 1e-10                # light-cone residual accepted by `circuit verify`
+SITE_TOL = 1e-12                # a site position further than this from a half-integer: refused
+DELTOID_SHRINK = 1e-6           # eigenvalues shrink by this factor before the deltoid test (cusp)
 ORACLE_SIGMAS = 3.0             # Haar-identity MC mean this many stderr off the closed form: fails

@@ -278,7 +278,7 @@ def test_criterion_07_qubit_closed_forms():
     #     and (d) the general-cubic minimum vs sin^(2/3)(2J), 1e-4
     err_nu, err_min = 0.0, 0.0
     for J in np.linspace(0.02, math.pi / 4, 20):
-        rep = qe.min_lambda1_general(J, grid=96, refine=50)
+        rep = qe.min_lambda1_general(J)
         err_nu = max(err_nu, abs(-math.log(rep["min_radius"]) - qe.nu_plus_exact(J)))
         err_min = max(err_min, abs(rep["min_radius"] - rep["closed_form"]))
 

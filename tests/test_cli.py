@@ -46,17 +46,27 @@ def test_gate_make_cartan_ep(tmp_path, capsys):
     assert abs(rep["e_p"] - 1 / 3) < 1e-9
 
 
-def test_gate_make_families(tmp_path):
-    for fam, extra in [
-        ("block", ["-q", "3"]),
-        ("diag", ["-q", "2", "--epsilon", "0.5"]),
-        ("mr", ["-q", "3", "--tol", "1e-8"]),
-        ("fixture", ["--name", "dual_q3_ep8over9"]),
-    ]:
-        out = tmp_path / f"{fam}.json"
-        assert main(["gate", "make", fam, "-o", str(out), "--seed", "3"] + extra) == 0
+def test_gate_make_families(tmp_path, capsys):
+    # (family, options, exit code, whether `gate classify` must call it dual)
+    for k, (fam, extra, code, dual) in enumerate([
+        ("block", ["-q", "3"], 0, True),
+        ("block", ["-q", "3", "--sizes", "6,3"], 0, True),
+        ("block", ["-q", "4", "--sizes", "8,4,4"], 0, True),
+        ("block", ["-q", "3", "--sizes", "4,5"], 3, None),
+        ("diag", ["-q", "2", "--epsilon", "0.5"], 0, True),
+        ("mr", ["-q", "3", "--tol", "1e-8"], 0, None),
+        ("fixture", ["--name", "dual_q3_ep8over9"], 0, True),
+    ]):
+        out = tmp_path / f"{fam}{k}.json"
+        assert main(["gate", "make", fam, "-o", str(out), "--seed", "3"] + extra) == code
+        if code:
+            continue
         assert out.exists()
-        assert (tmp_path / f"{fam}.json.manifest.json").exists()
+        assert (tmp_path / f"{fam}{k}.json.manifest.json").exists()
+        if dual:
+            capsys.readouterr()
+            assert main(["gate", "classify", str(out)]) == 0
+            assert _strict_json(capsys.readouterr().out)["duality"]["dual"] is True
 
 
 def test_gate_make_perm_spec(tmp_path):
@@ -152,14 +162,18 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
 def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
     gate = tmp_path / "g.json"
     main(["gate", "make", "fixture", "--name", "dual_q3_d3s", "-o", str(gate)])
-    payload = _strict_json(gate.read_text())
-    payload["re"][4][2] = float("nan")
-    gate.write_text(json.dumps(payload))
-    for argv in (["gate", "classify", str(gate)], ["sweep", "haar", str(gate), "-N", "10"]):
-        capsys.readouterr()
-        assert main(argv) == 3
-        err = _strict_json(capsys.readouterr().err.splitlines()[0])
-        assert err["error"] == "validation" and "non-finite" in err["message"]
+    good = _strict_json(gate.read_text())
+    bad_nan = dict(good, re=[row[:] for row in good["re"]])
+    bad_nan["re"][4][2] = float("nan")
+    # q must be a JSON integer: a float, string or bool is refused, never coerced
+    for payload, message in [(bad_nan, "non-finite")] + [
+            (dict(good, q=q), "q must be an integer") for q in (3.7, 3.0, "3", True)]:
+        gate.write_text(json.dumps(payload))
+        for argv in (["gate", "classify", str(gate)], ["sweep", "haar", str(gate), "-N", "10"]):
+            capsys.readouterr()
+            assert main(argv) == 3
+            err = _strict_json(capsys.readouterr().err.splitlines()[0])
+            assert err["error"] == "validation" and message in err["message"]
 
 
 def test_oracles(tmp_path, capsys):

@@ -147,9 +147,29 @@ def test_general_cubic_vs_eigensolve(J, theta, phi):
     assert np.abs(got - want).max() < 1e-11
 
 
+def test_stacked_cubic_roots_match_np_roots_per_point():
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((3, 5, 7))
+    cplx = real + 1j * rng.standard_normal((3, 5, 7))
+    real[2, 0, 0] = 0.0  # a zero root
+    for a2, a1, a0 in (real, cplx):
+        stacked = qe.cubic_roots(a2, a1, a0)
+        assert stacked.shape == (5, 7, 3)
+        for idx in np.ndindex(5, 7):
+            want = np.roots([1.0, a2[idx], a1[idx], a0[idx]])
+            dist = np.abs(stacked[idx][:, None] - want[None, :])
+            assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-12
+    # the v and general families broadcast over their angles
+    thetas, phis = np.meshgrid(np.linspace(0, math.pi, 4), np.linspace(0, math.pi, 3), indexing="ij")
+    grid = qe.general_su2_cubic(0.3, thetas, phis)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(grid[idx], qe.general_su2_cubic(0.3, thetas[idx], phis[idx]))
+    assert np.array_equal(qe.restricted_v_cubic(0.3, phis[0])[1], qe.restricted_v_cubic(0.3, phis[0, 1]))
+
+
 def test_general_minimum_matches_v_family_value():
     for J in (0.2, math.pi / 8):
-        rep = qe.min_lambda1_general(J, grid=72, refine=40)
+        rep = qe.min_lambda1_general(J)
         assert abs(rep["min_radius"] - rep["closed_form"]) < 1e-4
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dualunitary import tensor_ops as to
 from dualunitary.haar_mc import sample_haar, substream
@@ -154,6 +156,20 @@ def test_gate_json_round_trip():
     assert np.abs(back - U).max() < 1e-15
     with pytest.raises(ValueError):
         to.gate_from_json({"q": 2, "re": [[1.0]], "im": [[0.0]]})
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(q=st.integers(2, 4), data=st.data())
+def test_gate_json_round_trip_is_exact(q, data):
+    # every finite float survives gate_to_json -> JSON text -> gate_from_json
+    finite = arrays(np.float64, (q * q, q * q),
+                    elements=st.floats(allow_nan=False, allow_infinity=False))
+    U = np.empty((q * q, q * q), dtype=complex)
+    U.real, U.imag = data.draw(finite), data.draw(finite)
+    payload = to.gate_to_json(U)
+    assert payload["q"] == q
+    for obj in (payload, json.dumps(payload)):
+        assert np.array_equal(to.gate_from_json(obj), U)
 
 
 def test_unitarity_defect_and_require():
