@@ -69,6 +69,7 @@ from .qubit_exact import (
     restricted_w_spectrum,
 )
 from .tensor_ops import (
+    ValidationError,
     gate_from_json,
     gate_to_json,
     max_entangled_vector,

@@ -28,6 +28,7 @@ from .tensor_ops import (
     partial_transpose_t2,
     realign_r1,
     realign_r2,
+    ValidationError,
     require_unitary,
     vectorize,
 )
@@ -88,7 +89,7 @@ def deflate_trivial(M):
     M = np.asarray(M, dtype=complex)
     r = unitality_residual(M)
     if not r <= UNITALITY_TOL:
-        raise ValueError(f"channel is not unital: trivial-mode residual {r:.3e}")
+        raise ValidationError(f"channel is not unital: trivial-mode residual {r:.3e}")
     q = local_dim(M)
     phi = max_entangled_vector(q)
     return M - np.outer(phi, phi.conj())
@@ -169,10 +170,10 @@ def classify_ergodicity(spec_plus, spec_minus):
                          zero_count=zero_count, total=total, boundary=boundary)
 
 
-def classify_gate(U):
-    """Convenience: ergodic class of the circuit built from U."""
-    sp = channel_spectrum(build_m_plus(U), side="plus")
-    sm = channel_spectrum(build_m_minus(U), side="minus")
+def classify_gate(U, tol=GATE_UNITARY_TOL):
+    """Ergodic class of the circuit built from U, a unitary within tol."""
+    sp = channel_spectrum(build_m_plus(U, tol=tol), side="plus")
+    sm = channel_spectrum(build_m_minus(U, tol=tol), side="minus")
     return classify_ergodicity(sp, sm)
 
 
@@ -187,7 +188,7 @@ def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
     q = local_dim(U)
     dc = classify_duality(U, tol=dual_tol)
     if not dc.is_dual:
-        raise ValueError(f"gate is not dual-unitary (defect {dc.residuals['dual']:.3e})")
+        raise ValidationError(f"gate is not dual-unitary (defect {dc.residuals['dual']:.3e})")
 
     ep = entangling_power(U)
     Mt = deflate_trivial(build_m_plus(U))
@@ -230,12 +231,12 @@ def inhomogeneous_bound(gates):
     """
     gates = [np.asarray(U, dtype=complex) for U in gates]
     if not gates:
-        raise ValueError("need at least one gate")
+        raise ValidationError("need at least one gate")
     q = local_dim(gates[0])
     eps = []
     for U in gates:
         if not classify_duality(U).is_dual:
-            raise ValueError("all gates must be dual-unitary")
+            raise ValidationError("all gates must be dual-unitary")
         eps.append(entangling_power(U))
     bound = (q * q - 1) * float(np.prod([1.0 - e for e in eps]))
     gamma = None

@@ -26,13 +26,19 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import local_dim
+from .tensor_ops import ValidationError, local_dim
 from .tolerances import SITE_TOL
 
-DENSE_GUARD = 2**16
-# bytes of the largest support tensor an evolution may build (16 q^(2 |supp|));
-# the gate steps hold about three such arrays at once
+# bytes a simulator may spend on each of: the support tensor an evolution
+# builds (16 q^(2 |supp|); a gate step holds about three at once), and all the
+# correlator tables it keeps, together
 SUPPORT_BUDGET = 2**28
+
+
+def _require_budget(nbytes, what):
+    if nbytes > SUPPORT_BUDGET:
+        raise ValidationError(f"{what}: {nbytes / 2**20:.0f} MiB, above the "
+                              f"{SUPPORT_BUDGET / 2**20:.0f} MiB budget")
 
 
 @dataclass
@@ -46,15 +52,11 @@ class CircuitConfig:
     def __post_init__(self):
         self.gate = np.asarray(self.gate, dtype=complex)
         if local_dim(self.gate) != self.q:
-            raise ValueError("gate local dimension does not match q")
-        if self.q ** (2 * self.L) > DENSE_GUARD:
-            raise ValueError(
-                f"q^(2L) = {self.q**(2*self.L)} exceeds the dense guard {DENSE_GUARD}"
-            )
+            raise ValidationError("gate local dimension does not match q")
         for name in ("even_gates", "odd_gates"):
             gates = getattr(self, name)
             if gates is not None and len(gates) != self.L:
-                raise ValueError(f"{name} must list one gate per cell (L entries)")
+                raise ValidationError(f"{name} must list one gate per cell (L entries)")
 
 
 def weyl_basis(q):
@@ -93,27 +95,23 @@ class CircuitSimulator:
         self.L = cfg.L
         self.n_legs = 2 * cfg.L
         self.basis = weyl_basis(cfg.q)
-        even = cfg.even_gates if cfg.even_gates is not None else [cfg.gate] * cfg.L
-        odd = cfg.odd_gates if cfg.odd_gates is not None else [cfg.gate] * cfg.L
-        # One period of U_F^dag O U_F, gate by gate: the unshifted layer on legs
-        # (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate factor
-        # on the first leg.  This is the convention for which the correlator
-        # ray leaving y = 0 towards x = +t carries the powers of M_plus (and
-        # the y = 1/2 ray towards -t those of M_minus); for L = 1 it reads
-        # U_F = U . SUS.
-        pairs = ([(2 * k, 2 * k + 1) for k in range(cfg.L)]
-                 + [(2 * k + 1, (2 * k + 2) % self.n_legs) for k in range(cfg.L)])
-        gates = [np.asarray(g, dtype=complex) for g in list(even) + list(odd)]
         shape = (cfg.q,) * 4
-        self._period = [(a, b, g.reshape(shape), g.conj().T.reshape(shape))
-                        for (a, b), g in zip(pairs, gates)]
+
+        def folded(g):  # (g, g^dag) as q x q x q x q tensors
+            g = np.asarray(g, dtype=complex)
+            return g.reshape(shape), g.conj().T.reshape(shape)
+
+        self._uniform = folded(cfg.gate)
+        self._layers = [None if gates is None else [folded(g) for g in gates]
+                        for gates in (cfg.even_gates, cfg.odd_gates)]
         self._single = {}
         self._two = {}
+        self._kept = 0  # bytes of the kept correlator tables
 
     def site_leg(self, x):
         leg = int(round(2 * x))
         if abs(2 * x - leg) > SITE_TOL:
-            raise ValueError(f"site {x} is not a half-integer position")
+            raise ValidationError(f"site {x} is not a half-integer position")
         return leg % self.n_legs
 
     def _evolve(self, factors, t):
@@ -123,21 +121,26 @@ class CircuitSimulator:
         negative t or a final support over the budget is refused before
         anything is built."""
         if t < 0:
-            raise ValueError("t must be nonnegative")
+            raise ValidationError("t must be nonnegative")
+        # One period of U_F^dag O U_F, gate by gate: the unshifted layer on legs
+        # (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate factor
+        # on the first leg, bonds in ascending k.  This is the convention for
+        # which the correlator ray leaving y = 0 towards x = +t carries the
+        # powers of M_plus (and the y = 1/2 ray towards -t those of M_minus);
+        # for L = 1 it reads U_F = U . SUS.  The gates of a layer are disjoint,
+        # so the bonds it adds to the support are those of its legs at its start.
+        n = self.n_legs
         support = set(factors)
         steps = []
         for _ in range(t):
-            for a, b, g, gd in self._period:
-                if a in support or b in support:
+            for layer, gates in enumerate(self._layers):
+                for k in sorted({(leg - layer) % n // 2 for leg in support}):
+                    a, b = 2 * k + layer, (2 * k + 1 + layer) % n
                     support |= {a, b}
-                    steps.append((a, b, g, gd))
-        nbytes = 16 * self.q ** (2 * len(support))
-        if nbytes > SUPPORT_BUDGET:
-            raise ValueError(
-                f"at t = {t} the evolved operator covers {len(support)} legs: "
-                f"{nbytes / 2**20:.0f} MiB as a q={self.q} tensor, above the "
-                f"{SUPPORT_BUDGET / 2**20:.0f} MiB budget"
-            )
+                    steps.append((a, b) + (self._uniform if gates is None else gates[k]))
+        _require_budget(16 * self.q ** (2 * len(support)),
+                        f"at t = {t} the evolved operator covers {len(support)} legs "
+                        f"as a q={self.q} tensor")
         q = self.q
         legs = list(factors)
         s = len(legs)
@@ -178,24 +181,35 @@ class CircuitSimulator:
         traced = s - sum(leg in support for leg in legs)
         return np.einsum(*operands, outs + ins) / self.q**traced
 
+    def _table(self, store, key, entries, build):
+        """store[key], built by build() on first use.  The tables a simulator
+        keeps count against the budget together, checked before one is built."""
+        if key not in store:
+            _require_budget(self._kept + 16 * entries, "the kept correlator tables")
+            table = build()
+            table.setflags(write=False)
+            store[key] = table
+            self._kept += table.nbytes
+        return store[key]
+
     def single_site_table(self, i, y, t):
         """C[x, j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and basis index j."""
-        key = (i, self.site_leg(y), t)
-        if key not in self._single:
-            op = self._evolve({key[1]: self.basis[i]}, t)
+        leg = self.site_leg(y)
+
+        def build():
+            op = self._evolve({leg: self.basis[i]}, t)
             rows = [np.einsum("jab,ba->j", self.basis, self._marginal(op, [x]))
                     for x in range(self.n_legs)]
-            table = np.array(rows) / self.q
-            table.setflags(write=False)
-            self._single[key] = table
-        return self._single[key]
+            return np.array(rows) / self.q
+
+        return self._table(self._single, (i, leg, t), self.n_legs * self.q**2, build)
 
     def _two_site_table(self, i, j, t):
         """C[x1, x2, k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L)
         for every pair of legs and basis indices."""
-        key = (i, j, t)
-        if key not in self._two:
-            n, q, B = self.n_legs, self.q, self.basis
+        n, q, B = self.n_legs, self.q, self.basis
+
+        def build():
             op = self._evolve({0: B[i], 1: B[j]}, t)
             products = np.einsum("kab,lbc->klac", B, B)  # a_k a_l on one leg
             table = np.empty((n, n, q * q, q * q), dtype=complex)
@@ -207,14 +221,14 @@ class CircuitSimulator:
                     else:
                         table[x1, x2] = np.einsum(
                             "kab,lcd,bdac->kl", B, B, self._marginal(op, [x1, x2])) / q**2
-            table.setflags(write=False)
-            self._two[key] = table
-        return self._two[key]
+            return table
+
+        return self._table(self._two, (i, j, t), (n * q * q) ** 2, build)
 
     def correlation_single(self, i, j, x, y, t):
         """D^{ij}(x, y, t) = tr[a_j^x U^-t a_i^y U^t] / q^(2L), i, j > 0."""
         if i <= 0 or j <= 0:
-            raise ValueError("basis indices must be nontrivial (> 0)")
+            raise ValidationError("basis indices must be nontrivial (> 0)")
         return complex(self.single_site_table(i, y, t)[self.site_leg(x), j])
 
     def c_plus(self, i, j, x, t):

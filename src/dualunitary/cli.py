@@ -15,18 +15,24 @@ Subcommand map (program name `dualu`):
 Determinism: all randomness flows from one --seed (env DUALUNITARY_SEED as
 default); subsystems derive substreams by labeled hashing, so reruns are
 byte-identical.  CSV floats are written with shortest round-trip formatting,
-'.' decimal, ',' separator and LF line ends.  Exit codes: 0 ok, 2 usage,
-3 validation, 4 non-convergence.  Every command emits a run manifest next to
-its output (or on stderr when writing to stdout).
+'.' decimal, ',' separator and LF line ends.  Exit codes: 0 ok, 1 internal
+error, 2 usage, 3 validation (a refused input, or a file that cannot be read
+or written), 4 non-convergence; every failure writes a one-line JSON error
+record as the first line on stderr.  A circuit config's "gate" is a gate file
+path or an inline gate object; `channel spectrum --locals` takes seed:<int>.
+Every command emits a run manifest next to its output file (or on stderr when
+the output is stdout or not a regular file).
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .channels import (
     build_m_minus,
     build_m_plus,
     channel_spectrum,
-    classify_ergodicity,
+    classify_gate,
     lightcone_correlation_prediction,
 )
 from .circuit_sim import CircuitConfig, CircuitSimulator
@@ -62,16 +68,20 @@ from .haar_mc import (
 )
 from .invariants import entangling_power, invariants_report
 from .qubit_exact import cartan_gate
-from .tensor_ops import gate_from_json, gate_to_json, local_dim, verify_reshuffle_identities
+from .tensor_ops import (
+    ValidationError,
+    _parse_json,
+    gate_from_json,
+    gate_to_json,
+    local_dim,
+    verify_reshuffle_identities,
+)
 from .tolerances import CONE_TOL, FLOW_TOL, INPUT_UNITARY_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VALIDATION = 3
 EXIT_NONCONVERGENCE = 4
-
-
-class ValidationError(Exception):
-    pass
 
 
 class NonConvergence(Exception):
@@ -86,10 +96,9 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    payload = "\n".join(lines) + "\n"
-    return _write_text(path, payload)
+    """Header and rows as CSV lines; rows may be a generator, written as it yields."""
+    return _write_text(path, (",".join(map(_fmt, row)) + "\n"
+                              for row in itertools.chain([header], rows)))
 
 
 def _json(obj, **fmt):
@@ -99,68 +108,86 @@ def _json(obj, **fmt):
 
 
 def _write_json(path, obj):
-    return _write_text(path, _json(obj, indent=2))
+    return _write_text(path, [_json(obj, indent=2)])
 
 
-def _write_text(path, payload):
+def _write_text(path, chunks):
+    """Write the text chunks in order to path, or to stdout for '-'."""
     if path in (None, "-"):
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return None
     with open(path, "w", newline="\n") as fh:
-        fh.write(payload)
+        fh.writelines(chunks)
     return path
 
 
-def _read_gate(path):
+def _read_json(path):
+    """The JSON value in the file at path, or on stdin for '-': the one reader
+    of every gate file, circuit config and permutation spec."""
     if path == "-":
-        return gate_from_json(sys.stdin.read())
-    with open(path) as fh:
-        return gate_from_json(fh.read())
+        return _parse_json(sys.stdin.buffer.read(), "stdin")
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), path)
+
+
+def _read_gate(path):
+    return gate_from_json(_read_json(path))
 
 
 def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
 
 
 def _emit_manifest(args, outputs, t0):
+    files = [p for p in outputs if p and os.path.isfile(p)]
     manifest = {
         "command": " ".join(args._command_path),
         "argv": args._raw_argv,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 6),
-        "outputs": {p: _digest(p) for p in outputs if p},
+        "outputs": {p: _digest(p) for p in files},
     }
     blob = _json(manifest, indent=2, sort_keys=True)
-    real = [p for p in outputs if p]
-    if real:
-        mpath = real[0] + ".manifest.json"
-        with open(mpath, "w", newline="\n") as fh:
+    if files:
+        with open(files[0] + ".manifest.json", "w", newline="\n") as fh:
             fh.write(blob)
-    else:
+    else:  # stdout, /dev/null, a pipe: nothing to write beside
         sys.stderr.write(blob)
 
 
-def _env_int(name, default):
+def _int(text, what):
     try:
-        return int(os.environ.get(name, default))
+        return int(text)
     except ValueError:
-        raise ValidationError(f"{name} must be an integer, got {os.environ[name]!r}") from None
+        raise ValidationError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _finite(x, what):
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} must be finite, got {x}")
+    return x
+
+
+# (option attribute, flag, least value) of every integer option with a floor
+OPTION_FLOORS = (("workers", "--workers", 1), ("n", "-N", 1), ("points", "--points", 1),
+                 ("q", "-q", 2), ("max_iter", "--max-iter", 1))
 
 
 def _resolve_defaults(args):
-    """Fill --seed/--workers from the environment and check --workers and -N."""
+    """Fill --seed/--workers from the environment and check the integer options."""
     if getattr(args, "seed", 0) is None:
-        args.seed = _env_int("DUALUNITARY_SEED", 0)
+        args.seed = _int(os.environ.get("DUALUNITARY_SEED", 0), "DUALUNITARY_SEED")
     if getattr(args, "workers", 1) is None:
-        args.workers = _env_int("DUALUNITARY_WORKERS", 1)
-    if getattr(args, "workers", 1) < 1:
-        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
-    if getattr(args, "n", 1) < 1:
-        raise ValidationError(f"-N must be at least 1, got {args.n}")
+        args.workers = _int(os.environ.get("DUALUNITARY_WORKERS", 1), "DUALUNITARY_WORKERS")
+    for attr, flag, least in OPTION_FLOORS:
+        value = getattr(args, attr, least)
+        if value < least:
+            raise ValidationError(f"{flag} must be at least {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +197,26 @@ def _make_gate(args):
     rng = substream(args.seed, f"gate-make-{args.family}")
     fam = args.family
     if fam == "block":
-        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [args.q] * args.q
+        sizes = ([_int(s, "--sizes entry") for s in args.sizes.split(",")] if args.sizes
+                 else [args.q] * args.q)
         if any(s % args.q for s in sizes):
             raise ValidationError(f"block sizes {sizes} must be positive multiples of q={args.q}")
         return random_block_gate(args.q, [s // args.q for s in sizes], rng, side=args.side)
     if fam == "diag":
         return diagonal_dual_sample(args.q, args.epsilon, rng)
     if fam == "perm":
-        with open(args.spec) as fh:
-            K, L, theta = perm_spec_from_json(json.load(fh))
+        if args.spec is None:
+            raise ValidationError("gate make perm needs --spec")
+        K, L, theta = perm_spec_from_json(_read_json(args.spec))
         return permutation_gate(K, L, phases=theta)
     if fam == "cat":
-        return cat_map(args.q) if args.b is None else cat_family(args.q, args.b)
+        return cat_map(args.q) if args.b is None else cat_family(args.q, _finite(args.b, "--b"))
     if fam == "cartan":
-        return cartan_gate(args.J)
+        return cartan_gate(_finite(args.J, "--J"))
     if fam == "mr" or fam == "mrt":
         U0 = sample_haar(args.q * args.q, rng)
         it = mr_iterate if fam == "mr" else mrt_iterate
-        U, trace = it(U0, max_iter=args.max_iter, tol=args.tol)
+        U, trace = it(U0, max_iter=args.max_iter, tol=_finite(args.tol, "--tol"))
         if not trace.converged:
             raise NonConvergence(
                 f"{fam} did not converge in {args.max_iter} iterations "
@@ -206,15 +235,13 @@ def _make_gate(args):
 
 def cmd_gate_make(args):
     U = _make_gate(args)
-    return [_write_text(args.output, _json(gate_to_json(U)))]
+    return [_write_text(args.output, [_json(gate_to_json(U))])]
 
 
 def cmd_gate_classify(args):
     U = _read_gate(args.gate)
     rep = invariants_report(U)
-    sp = channel_spectrum(build_m_plus(U, tol=INPUT_UNITARY_TOL), side="plus")
-    sm = channel_spectrum(build_m_minus(U, tol=INPUT_UNITARY_TOL), side="minus")
-    erg = classify_ergodicity(sp, sm)
+    erg = classify_gate(U, tol=INPUT_UNITARY_TOL)
     rep["ergodic_class"] = erg.label
     rep["ergodic_counts"] = {
         "unit": erg.unit_count,
@@ -231,12 +258,12 @@ def cmd_gate_classify(args):
 def cmd_channel_spectrum(args):
     U = _read_gate(args.gate)
     if args.locals is not None:
-        if args.locals.startswith("seed:"):
-            u = sample_haar(local_dim(U), substream(int(args.locals[5:]), "channel-locals"))
-        else:
-            with open(args.locals) as fh:
-                u = gate_from_json(fh.read())
-        U = U @ np.kron(np.eye(u.shape[0]), u)
+        form, _, seed = args.locals.partition(":")
+        if form != "seed":
+            raise ValidationError(f"--locals takes seed:<int>, got {args.locals!r}")
+        q = local_dim(U)
+        u = sample_haar(q, substream(_int(seed, "--locals seed"), "channel-locals"))
+        U = U @ np.kron(np.eye(q), u)
     M = (build_m_plus if args.side == "plus" else build_m_minus)(U, tol=INPUT_UNITARY_TOL)
     spec = channel_spectrum(M, side=args.side)
     rows = [
@@ -318,8 +345,7 @@ def _positive_int(raw, key, default=None):
 
 def _load_circuit(path):
     """The circuit config, its t_max (default L // 2) and its basis pairs."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, dict) or "gate" not in raw:
         raise ValidationError("a circuit config is a JSON object with a gate")
     unknown = sorted(raw.keys() - set(CIRCUIT_KEYS))
@@ -327,7 +353,13 @@ def _load_circuit(path):
         raise ValidationError(f"unknown circuit config keys {unknown}; allowed {list(CIRCUIT_KEYS)}")
     q, L = _positive_int(raw, "q"), _positive_int(raw, "L")
     t_max = _positive_int(raw, "t_max", L // 2)
-    gate = gate_from_json(raw["gate"]) if isinstance(raw["gate"], dict) else _read_gate(raw["gate"])
+    gate = raw["gate"]
+    if isinstance(gate, str):
+        gate = _read_gate(gate)
+    elif isinstance(gate, dict):
+        gate = gate_from_json(gate)
+    else:
+        raise ValidationError(f"gate must be a gate file path or a gate object, got {gate!r}")
     return CircuitConfig(q=q, L=L, gate=gate), t_max, raw.get("basis_pairs")
 
 
@@ -349,12 +381,12 @@ def cmd_circuit_corr(args):
     pairs = _basis_pairs(pairs, cfg.q * cfg.q) if pairs else [
         (i, j) for i in range(1, nb) for j in range(1, nb)
     ]
-    rows = []
-    for t in range(1, t_max + 1):
-        for n in range(sim.n_legs):
-            for (i, j) in pairs:
-                val = sim.single_site_table(i, 0.0, t)[n, j]
-                rows.append((0.5 * n, t, i, j, val.real, val.imag))
+    # every table before the first row, t_max's first: a grid over the budget
+    # is refused before any other work, and no output is half written
+    tables = {(i, t): sim.single_site_table(i, 0.0, t)
+              for t in (t_max, *range(1, t_max)) for i, _ in pairs}
+    rows = ((0.5 * n, t, i, j, tables[i, t][n, j].real, tables[i, t][n, j].imag)
+            for t in range(1, t_max + 1) for n in range(sim.n_legs) for i, j in pairs)
     out = _write_csv(args.output, ("x", "t", "i", "j", "value_re", "value_im"), rows)
     return [out]
 
@@ -369,7 +401,7 @@ def cmd_circuit_verify(args):
     sim = CircuitSimulator(cfg)
     nb = min(cfg.q * cfg.q, 4)
     worst_cone, worst_interior = 0.0, 0.0
-    for t in range(1, t_max + 1):
+    for t in (t_max, *range(1, t_max)):  # an over-budget t_max is refused first
         for i in range(1, nb):
             for j in range(1, nb):
                 gp = sim.c_plus(i, j, float(t), t)
@@ -473,7 +505,7 @@ def build_parser():
     cspec = chan.add_parser("spectrum")
     cspec.add_argument("gate")
     cspec.add_argument("--side", choices=["plus", "minus"], default="plus")
-    cspec.add_argument("--locals", help="'seed:<int>' or a gate JSON file with one local")
+    cspec.add_argument("--locals", help="'seed:<int>': U times 1 (x) u for a Haar local u")
     cspec.add_argument("--format", choices=["csv", "json"], default="csv")
     cspec.add_argument("-o", "--output", default="-")
     cspec.set_defaults(func=cmd_channel_spectrum)
@@ -549,13 +581,18 @@ def main(argv=None):
     try:
         _resolve_defaults(args)
         outputs = args.func(args)
+        _emit_manifest(args, outputs, t0)
+    except (ValidationError, OSError) as exc:
+        sys.stderr.write(_json({"error": "validation", "message": str(exc)}))
+        return EXIT_VALIDATION
     except (NonConvergence, np.linalg.LinAlgError) as exc:
         sys.stderr.write(_json({"error": "non-convergence", "message": str(exc)}))
         return EXIT_NONCONVERGENCE
-    except (ValidationError, ValueError, FileNotFoundError) as exc:
-        sys.stderr.write(_json({"error": "validation", "message": str(exc)}))
-        return EXIT_VALIDATION
-    _emit_manifest(args, outputs, t0)
+    except Exception as exc:  # a fault of the program, not of its input
+        sys.stderr.write(_json({"error": "internal", "type": type(exc).__name__,
+                                "message": str(exc)}))
+        traceback.print_exc()
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

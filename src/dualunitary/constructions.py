@@ -34,7 +34,9 @@ from .invariants import (
     swap_entanglement,
 )
 from .tensor_ops import (
-    _json_ints,
+    ValidationError,
+    _json_array,
+    _json_object,
     local_dim,
     max_entangled_vector,
     partial_transpose_t2,
@@ -56,11 +58,11 @@ def block_diagonal_matrix(q, blocks):
     sizes = [b.shape[0] for b in blocks]
     for b in blocks:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("blocks must be square")
+            raise ValidationError("blocks must be square")
     if any(s % q for s in sizes):
-        raise ValueError(f"block sizes {sizes} must be multiples of q={q}")
+        raise ValidationError(f"block sizes {sizes} must be multiples of q={q}")
     if sum(sizes) != q * q:
-        raise ValueError(f"block sizes {sizes} must sum to q^2={q*q}")
+        raise ValidationError(f"block sizes {sizes} must sum to q^2={q*q}")
     D = np.zeros((q * q, q * q), dtype=complex)
     off = 0
     for b, s in zip(blocks, sizes):
@@ -77,7 +79,7 @@ def block_diagonal_gate(q, blocks, side="ds"):
         return D @ S
     if side == "sd":
         return S @ D
-    raise ValueError("side must be 'ds' or 'sd'")
+    raise ValidationError("side must be 'ds' or 'sd'")
 
 
 def random_uniform_block_gate(q, rng, side="ds"):
@@ -94,7 +96,7 @@ def random_block_gate(q, m_sizes, rng, side="ds"):
     dual for any K.
     """
     if min(m_sizes) < 1 or sum(m_sizes) != q:
-        raise ValueError(f"multipliers {m_sizes} must be positive and sum to q={q}")
+        raise ValidationError(f"multipliers {m_sizes} must be positive and sum to q={q}")
     blocks = []
     for m in m_sizes:
         if m == 1:
@@ -111,7 +113,7 @@ def diagonal_dual_sample(q, epsilon, rng):
     swap and sweeps the small-e_p corner.
     """
     if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+        raise ValidationError("epsilon must be in (0, 1]")
     phases = rng.uniform(-math.pi, math.pi, size=q * q)
     D = np.diag(np.exp(1j * epsilon * phases))
     return D @ swap_operator(q)
@@ -279,13 +281,13 @@ def _as_perm_matrices(K, L):
     K = np.asarray(K, dtype=int)
     L = np.asarray(L, dtype=int)
     if K.shape != L.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("K and L must be square integer matrices of equal size")
+        raise ValidationError("K and L must be square integer matrices of equal size")
     q = K.shape[0]
     if K.min() < 0 or K.max() >= q or L.min() < 0 or L.max() >= q:
-        raise ValueError("entries must lie in 0..q-1 (0-indexed)")
+        raise ValidationError("entries must lie in 0..q-1 (0-indexed)")
     pairs = {(int(K[i, j]), int(L[i, j])) for i in range(q) for j in range(q)}
     if len(pairs) != q * q:
-        raise ValueError("(K, L) is not a bijection on the index pairs")
+        raise ValidationError("(K, L) is not a bijection on the index pairs")
     return K, L, q
 
 
@@ -332,15 +334,15 @@ def classify_permutation(K, L):
 def perm_spec_from_json(obj):
     """Parse the 1-indexed JSON permutation spec into 0-indexed arrays.
 
-    Expected keys: "q" (an integer), "K", "L" (1-indexed q x q integer
+    Expected keys: "q" (an integer >= 2), "K", "L" (1-indexed q x q integer
     arrays) and an optional finite q x q "theta" phase matrix.
     """
-    q = int(_json_ints(obj["q"], "q", ()))
-    K = _json_ints(obj["K"], "K", (q, q)) - 1
-    L = _json_ints(obj["L"], "L", (q, q)) - 1
-    theta = np.asarray(obj["theta"], dtype=float) if "theta" in obj else None
-    if theta is not None and (theta.shape != (q, q) or not np.isfinite(theta).all()):
-        raise ValueError(f"theta must be a finite q x q matrix, got shape {theta.shape}")
+    q = _json_object(obj, "a permutation spec", ("q", "K", "L"))
+    K = _json_array(obj["K"], "K", (q, q)) - 1
+    L = _json_array(obj["L"], "L", (q, q)) - 1
+    theta = _json_array(obj["theta"], "theta", (q, q), "number") if "theta" in obj else None
+    if theta is not None and not np.isfinite(theta).all():
+        raise ValidationError("theta must be a finite q x q matrix, got non-finite entries")
     return K, L, theta
 
 
@@ -380,7 +382,7 @@ def ols_pair(q):
         K = idx[:, None] ^ idx[None, :]
         L = _GF4_MUL[2, idx][:, None] ^ idx[None, :]
         return K, L
-    raise ValueError(f"no orthogonal Latin squares of order {q} available here")
+    raise ValidationError(f"no orthogonal Latin squares of order {q} available here")
 
 
 def two_unitary_permutation(q):
@@ -398,7 +400,7 @@ def enumerate_dual_permutations(q):
     one int8 stack filtered by the duality rule of `classify_permutation`.
     """
     if q > 3:
-        raise ValueError("exhaustive enumeration is limited to q <= 3")
+        raise ValidationError("exhaustive enumeration is limited to q <= 3")
     n = q * q
     perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int8, n),
                         count=math.factorial(n))
@@ -449,7 +451,7 @@ def cat_family(q, b):
 def cat_psi_vectors(q):
     """The pair of maximally entangled vectors in the even-q cat channel."""
     if q % 2:
-        raise ValueError("defined for even q")
+        raise ValidationError("defined for even q")
     psi = np.zeros(q * q, dtype=complex)
     psibar = np.zeros(q * q, dtype=complex)
     for k in range(q):
@@ -481,7 +483,7 @@ def cat_fourier_local_lambda1(q, phi1, phi2):
     against the eigensolver to CAT_CHECK_TOL (sqrt(eps): the zero of the
     nilpotent channel sits in a size-2 Jordan block)."""
     if q % 2:
-        raise ValueError("defined for even q")
+        raise ValidationError("defined for even q")
     u = phased_dft_local(q, phi1, phi2)
     psi, psibar = cat_psi_vectors(q)
     lam = complex(psibar.conj() @ np.kron(u, u.conj()) @ psi)
@@ -662,7 +664,7 @@ def unistochastic_reduction(u):
     u = np.asarray(u, dtype=complex)
     q = u.shape[0]
     if q != 3:
-        raise ValueError("the reduction fixture is the q = 3 gate D3.S")
+        raise ValidationError("the reduction fixture is the q = 3 gate D3.S")
     gate = fixtures()["dual_q3_d3s"]
     M = np.kron(u, u.conj()) @ build_m_plus(gate)
     diag_idx = [i * q + i for i in range(q)]

@@ -44,7 +44,7 @@ import scipy.linalg
 
 from .channels import build_m_plus, decay_rates, deflate_trivial
 from .invariants import entangling_power
-from .tensor_ops import haar_from_ginibre, local_dim, realign_r2, sample_haar
+from .tensor_ops import ValidationError, haar_from_ginibre, local_dim, realign_r2, sample_haar
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 64
@@ -254,7 +254,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
 def avg_norm_power(U, k, n, seed):
     """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise ValidationError("k must be >= 2")
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     Mt = deflate_trivial(build_m_plus(U))
@@ -289,7 +289,7 @@ def haar_monomial_oracle(X, Y, n, seed):
 
     The z-score needs a finite standard error, so n >= 2 samples."""
     if n < 2:
-        raise ValueError(f"the Haar-identity oracle needs N >= 2 samples for a "
+        raise ValidationError(f"the Haar-identity oracle needs N >= 2 samples for a "
                          f"standard error, got N = {n}")
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)

@@ -16,20 +16,25 @@ transpose, a reshape back), so they are bit-exact and involutive.
 
 import json
 import math
+import reprlib
 
 import numpy as np
 
 from .tolerances import GATE_UNITARY_TOL
 
 
+class ValidationError(ValueError):
+    """Input the library refuses: a malformed gate, spec, config or argument."""
+
+
 def local_dim(X):
     """Local dimension q of a q^2 x q^2 matrix; validates squareness."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {X.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {X.shape}")
     q = math.isqrt(X.shape[0])
     if q * q != X.shape[0] or q < 2:
-        raise ValueError(f"matrix side {X.shape[0]} is not q^2 with q >= 2")
+        raise ValidationError(f"matrix side {X.shape[0]} is not q^2 with q >= 2")
     return q
 
 
@@ -80,7 +85,7 @@ def vectorize(rho):
     """Row-vectorize: component (j,l) of the vector is <j|rho|l>."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("vectorize expects a square matrix")
+        raise ValidationError("vectorize expects a square matrix")
     return rho.reshape(-1).copy()
 
 
@@ -89,7 +94,7 @@ def devectorize(v):
     v = np.asarray(v)
     d = math.isqrt(v.size)
     if d * d != v.size:
-        raise ValueError("vector length is not a perfect square")
+        raise ValidationError("vector length is not a perfect square")
     return v.reshape(d, d).copy()
 
 
@@ -99,7 +104,7 @@ def sandwich_locals(U, u1, u2, v1, v2):
     for w in (u1, u2, v1, v2):
         w = np.asarray(w)
         if w.shape != (q, q):
-            raise ValueError(f"local has shape {w.shape}, expected {(q, q)}")
+            raise ValidationError(f"local has shape {w.shape}, expected {(q, q)}")
     return np.kron(u1, u2) @ np.asarray(U) @ np.kron(v1, v2)
 
 
@@ -128,7 +133,7 @@ def unitarity_defect(U):
 def require_unitary(U, tol=GATE_UNITARY_TOL, what="matrix"):
     d = unitarity_defect(U)
     if not d <= tol:
-        raise ValueError(f"{what} is not unitary: max-entry defect {d:.3e} > {tol:.1e}")
+        raise ValidationError(f"{what} is not unitary: max-entry defect {d:.3e} > {tol:.1e}")
     return U
 
 
@@ -199,29 +204,54 @@ def gate_to_json(U):
     return {"q": local_dim(U), "re": U.real.tolist(), "im": U.imag.tolist()}
 
 
-def _json_ints(value, key, shape):
-    """A JSON integer (shape ()) or nested lists of them of the given shape, as
-    an int array; floats, bools and strings are refused, never truncated or
-    parsed."""
-    a = np.asarray(value, dtype=object)
-    if a.shape != shape or not all(type(x) is int for x in a.flat):
-        what = "an integer" if shape == () else "a {} x {} integer matrix".format(*shape)
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+def _parse_json(text, what):
+    """The JSON value of `text` (str or UTF-8 bytes); text that is not JSON is refused."""
     try:
-        return a.astype(int)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
+        raise ValidationError(f"{what} is not UTF-8 JSON: {exc}") from None
+
+
+def _json_array(value, key, shape, kind="integer"):
+    """A JSON integer (shape ()), or nested lists of JSON integers or numbers
+    (kind) of the given shape, as a numpy array; bools, strings and ragged
+    lists are refused, never coerced."""
+    types = (int,) if kind == "integer" else (int, float)
+
+    def fits(v, dims):
+        if not dims:
+            return type(v) in types
+        return type(v) is list and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
+
+    if not fits(value, shape):
+        what = "an integer" if shape == () else "a {} x {} matrix of {}s".format(*shape, kind)
+        raise ValidationError(f"{key} must be {what}, got {reprlib.repr(value)}")
+    try:
+        return np.array(value, dtype=int if kind == "integer" else float)
     except OverflowError:
-        raise ValueError(f"{key} holds an integer out of range, got {value!r}") from None
+        raise ValidationError(f"{key} holds a number out of range") from None
+
+
+def _json_object(obj, what, keys):
+    """The local dimension q of a JSON object that must hold `keys`, q among
+    them; q is a JSON integer >= 2."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValidationError(f"{what} lacks the keys {missing}")
+    q = int(_json_array(obj["q"], "q", ()))
+    if q < 2:
+        raise ValidationError(f"q must be an integer >= 2, got {q}")
+    return q
 
 
 def gate_from_json(obj):
     """Inverse of gate_to_json; accepts a dict or a JSON string."""
     if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
-    q = int(_json_ints(obj["q"], "q", ()))
-    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+        obj = _parse_json(obj, "gate payload")
+    q = _json_object(obj, "a gate", ("q", "re", "im"))
+    re, im = (_json_array(obj[k], k, (q * q, q * q), "number") for k in ("re", "im"))
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("gate payload has non-finite entries")
-    U = re + 1j * im
-    if U.shape != (q * q, q * q):
-        raise ValueError(f"gate payload has shape {U.shape}, expected {(q*q, q*q)}")
-    return U
+        raise ValidationError("gate payload has non-finite entries")
+    return re + 1j * im

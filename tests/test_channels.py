@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualunitary import channels as ch
 from dualunitary import invariants as iv
@@ -193,15 +194,29 @@ def test_lightcone_prediction_values():
         assert abs(vz - 1.0) < 1e-12
 
 
-def test_spectrum_covariance_under_locals():
-    # the channel of a sandwiched gate is (v2^dag x v2^T) M (u1^dag x u1^T)
-    U = fixtures()["dual_q3_ep8over9"]
-    locs = [haar(3, "cov25", i) for i in range(4)]
-    u1, u2, v1, v2 = locs
+def _moduli(M):
+    return np.sort(np.abs(np.linalg.eigvals(M)))
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_spectrum_covariance_under_locals(q, seed):
+    # the channels of U' = (u1 x u2) U (v1 x v2):
+    #   M+[U'] = (v2^dag x v2^T) M+[U] (u1^dag x u1^T)
+    #   M-[U'] = (v1^dag x v1^T) M-[U] (u2^dag x u2^T)
+    U = haar(q * q, "cov-gate", seed=seed)
+    u1, u2, v1, v2 = (haar(q, "cov", i, seed=seed) for i in range(4))
     Up = to.sandwich_locals(U, u1, u2, v1, v2)
-    lhs = ch.build_m_plus(Up)
     rhs = np.kron(v2.conj().T, v2.T) @ ch.build_m_plus(U) @ np.kron(u1.conj().T, u1.T)
-    assert np.abs(lhs - rhs).max() < 1e-12
+    assert np.abs(ch.build_m_plus(Up) - rhs).max() < 1e-12
+    rhs = np.kron(v1.conj().T, v1.T) @ ch.build_m_minus(U) @ np.kron(u2.conj().T, u2.T)
+    assert np.abs(ch.build_m_minus(Up) - rhs).max() < 1e-12
+    # so v2 = u1^dag makes M+ a similarity transform, v1 = u2^dag does so for
+    # M-, and the spectral moduli stay put
+    plus = to.sandwich_locals(U, u1, u2, v1, u1.conj().T)
+    assert np.abs(_moduli(ch.build_m_plus(plus)) - _moduli(ch.build_m_plus(U))).max() < 1e-12
+    minus = to.sandwich_locals(U, u1, u2, u2.conj().T, v2)
+    assert np.abs(_moduli(ch.build_m_minus(minus)) - _moduli(ch.build_m_minus(U))).max() < 1e-12
 
 
 def test_inhomogeneous_bound():

@@ -29,8 +29,6 @@ def test_weyl_basis_orthonormal_traceless_complete():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        cs.CircuitConfig(q=2, L=9, gate=np.eye(4))  # guard 2^18 > 2^16
-    with pytest.raises(ValueError):
         cs.CircuitConfig(q=3, L=2, gate=np.eye(4))  # wrong local dimension
     with pytest.raises(ValueError):
         cs.CircuitConfig(q=2, L=2, gate=np.eye(4), even_gates=[np.eye(4)])
@@ -242,9 +240,8 @@ def test_engine_matches_dense_oracle():
         assert _oracle_worst(cfg, t_max, i_set, y_set, two_site) < 1e-12
 
 
-def test_support_budget_refuses_before_allocating():
-    # q = 2, L = 8 passes the ring guard, but at t = 4 the operator covers all
-    # 16 legs: a 64 GiB tensor
+def test_support_budget_refuses_before_allocating(monkeypatch):
+    # q = 2, L = 8: at t = 4 the operator covers all 16 legs, a 64 GiB tensor
     sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=8, gate=cartan_gate(0.3)))
     tracemalloc.start()
     try:
@@ -252,8 +249,22 @@ def test_support_budget_refuses_before_allocating():
             sim.c_plus(1, 1, 4.0, 4)
         with pytest.raises(ValueError, match="budget"):
             sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 4)
+        # a ring of 6e6 legs costs nothing to set up, and its first correlator
+        # table alone (384 MiB) is refused
+        ring = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=3 * 10**6, gate=cartan_gate(0.3)))
+        with pytest.raises(ValueError, match="budget"):
+            ring.c_plus(1, 1, 1.0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     sim.c_plus(1, 1, 2.0, 2)  # at t = 2 the support is 8 legs, well inside the budget
+    # the kept tables count together: 512 B each on 8 legs at q = 2, and a
+    # t = 1 operator on 4 legs takes the whole 4 KiB
+    monkeypatch.setattr(cs, "SUPPORT_BUDGET", 8 * 512)
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=cartan_gate(0.3)))
+    for k in range(8):
+        sim.single_site_table(1 + k % 3, 0.5 * (k // 3), 1)
+    with pytest.raises(ValueError, match="kept correlator tables"):
+        sim.single_site_table(3, 1.0, 1)
+    sim.single_site_table(1, 0.0, 1)  # a kept table is read without a new charge

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dualunitary
+from dualunitary import cli
 from dualunitary.cli import main
 from dualunitary.constructions import perm_spec_to_json, PERM_OLS_EXAMPLE_Q3
 
@@ -165,15 +166,32 @@ def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
     good = _strict_json(gate.read_text())
     bad_nan = dict(good, re=[row[:] for row in good["re"]])
     bad_nan["re"][4][2] = float("nan")
-    # q must be a JSON integer: a float, string or bool is refused, never coerced
-    for payload, message in [(bad_nan, "non-finite")] + [
-            (dict(good, q=q), "q must be an integer") for q in (3.7, 3.0, "3", True)]:
-        gate.write_text(json.dumps(payload))
+    # q must be a JSON integer >= 2: a float, string or bool is refused, never coerced
+    cases = [(bad_nan, "non-finite")] + [
+        (dict(good, q=q), "q must be an integer") for q in (3.7, 3.0, "3", True, -3, 1)]
+    # the object, its keys and the type and shape of re and im are checked too
+    cases += [({"q": 3}, "re"), ([1, 2], "JSON object"), ("3", "JSON object"),
+              (dict(good, im=0), "im"), (dict(good, re=[["a"] * 9] * 9), "re"),
+              (dict(good, im=good["im"][:8]), "im"), (dict(good, re=[[10**400] * 9] * 9), "re")]
+    cases = [(json.dumps(payload).encode(), message) for payload, message in cases]
+    cases += [(b'{"q": 3, "re": "\xff"}', "UTF-8 JSON"), (b"{not json", "UTF-8 JSON")]
+    for text, message in cases:
+        gate.write_bytes(text)
         for argv in (["gate", "classify", str(gate)], ["sweep", "haar", str(gate), "-N", "10"]):
             capsys.readouterr()
             assert main(argv) == 3
             err = _strict_json(capsys.readouterr().err.splitlines()[0])
             assert err["error"] == "validation" and message in err["message"]
+    # a file that cannot be read, a directory say, is exit 3 too
+    assert main(["gate", "classify", str(tmp_path)]) == 3
+    assert _strict_json(capsys.readouterr().err.splitlines()[0])["error"] == "validation"
+    # non-finite gate parameters are refused before any gate is built
+    for argv, flag in ((["cat", "--b", "nan"], "--b"), (["cat", "-q", "2", "--b", "inf"], "--b"),
+                       (["cartan", "--J", "nan"], "--J"), (["cartan", "--J=-inf"], "--J"),
+                       (["mrt", "--tol", "nan", "--max-iter", "5"], "--tol")):
+        assert main(["gate", "make", *argv]) == 3
+        err = _strict_json(capsys.readouterr().err.splitlines()[0])
+        assert err["error"] == "validation" and flag in err["message"]
 
 
 def test_oracles(tmp_path, capsys):
@@ -216,8 +234,33 @@ def test_exit_codes(tmp_path, capsys):
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     capsys.readouterr()
+    # t_max = 4 is evaluated first: its 16-leg operator is refused before any other work
     cfg.write_text(json.dumps({"q": 2, "L": 9, "gate": str(gate)}))
     assert main(["circuit", "verify", str(cfg)]) == 3
+    assert "budget" in _strict_json(capsys.readouterr().err.splitlines()[0])["message"]
+
+
+def test_a_fault_of_the_program_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("re")
+
+    monkeypatch.setattr(cli, "cmd_perm_enumerate", broken)
+    assert main(["perm", "enumerate", "-q", "2"]) == 1
+    err = _strict_json(capsys.readouterr().err.splitlines()[0])
+    assert err == {"error": "internal", "type": "KeyError", "message": "'re'"}
+
+
+def test_manifest_of_a_non_regular_output_goes_to_stderr(capsys):
+    stray = pathlib.Path(os.devnull + ".manifest.json")
+    existed = stray.exists()
+    try:
+        assert main(["gate", "make", "cat", "-q", "3", "-o", os.devnull]) == 0
+        assert existed or not stray.exists()
+        manifest = _strict_json(capsys.readouterr().err)
+        assert manifest["command"] == "gate make" and manifest["outputs"] == {}
+    finally:
+        if not existed:
+            stray.unlink(missing_ok=True)
 
 
 def test_console_script_installed():
@@ -273,6 +316,15 @@ def test_malformed_environment_defaults_are_validation_errors(tmp_path, monkeypa
         assert main(argv) == 3
         assert name in _validation_error(capsys)
         monkeypatch.delenv(name)
+    # the integers inside option values are parsed the same way; --locals takes
+    # seed:<int> and nothing else, a gate file among them
+    for argv, word in ((["gate", "make", "block", "--sizes", "3,x"], "--sizes"),
+                       (["channel", "spectrum", str(gate), "--locals", "seed:abc"], "--locals"),
+                       (["channel", "spectrum", str(gate), "--locals", "7"], "--locals"),
+                       (["channel", "spectrum", str(gate), "--locals", str(gate)], "--locals")):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert word in _validation_error(capsys)
 
 
 def test_fewer_than_one_worker_is_a_validation_error(tmp_path, capsys):
@@ -308,6 +360,15 @@ def test_fewer_than_one_sample_is_a_validation_error(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "-N", n]) == 3
         assert word in _validation_error(capsys)
+    # so are fewer than one sweep point or flow step, and fewer than two local levels
+    for argv, word in ((["sweep", "family", "cartan", "-N", "10", "--points", "-1"], "--points"),
+                       (["sweep", "family", "cartan", "-N", "10", "--points", "0"], "--points"),
+                       (["gate", "make", "mr", "--max-iter", "0"], "--max-iter"),
+                       (["gate", "make", "diag", "-q", "-2"], "-q"),
+                       (["perm", "enumerate", "-q", "1"], "-q")):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert word in _validation_error(capsys)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -315,6 +376,8 @@ def test_fewer_than_one_sample_is_a_validation_error(tmp_path, capsys):
     ("K", [[1, 2, 3], [2, 3, 1], [3, 1, 2.5]]), ("K", [[1, 2, 3], [2, 3, True], [3, 1, 2]]),
     ("L", [[1.9, 3, 2], [2, 1, 3], [3, 2, 1]]), ("L", [[1, 3, 2], [2, 1, 3], [3, 2, 1.0]]),
     ("q", 10**23), ("K", [[1, 2, 3], [2, 3, 1], [3, 1, 10**23]]),
+    ("q", -3), ("K", [[1, 2, 3], [1]]), ("L", None),
+    ("theta", [["a"] * 3] * 3), ("theta", [[0.0] * 3, [0.0]]), ("theta", 0.0),
 ])
 def test_gate_make_perm_rejects_non_integer_spec_entries(tmp_path, capsys, key, value):
     spec = tmp_path / "perm.json"
@@ -331,7 +394,11 @@ def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):
     cases = [(extra, word, word) for extra, word in (
         ({"t_max": 0}, "t_max"), ({"t_max": 1.7}, "t_max"), ({"t_max": True}, "t_max"),
         ({"t_max": "1"}, "t_max"), ({"basis_pair": [[1, 1]]}, "basis_pair"), ({"L": 2.9}, "L"),
-        ({"q": 2.0}, "q"), ({}, None))]
+        ({"q": 2.0}, "q"), ({}, None),
+        # a gate is a path string or an inline gate object, nothing else
+        *(({"gate": g}, "gate") for g in (0, 1, True, 3.5, [1], None, {"q": 2})),
+        # the ring size is bounded by real bytes only: 24 legs at t <= 2
+        ({"L": 12, "t_max": 2}, None))]
     # t_max > L/2: the ring grid is exact, only the channel prediction is out of its window
     cases.append(({"t_max": 2}, None, "t_max"))
     for extra, corr_word, verify_word in cases:
@@ -348,3 +415,7 @@ def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(["circuit", "corr", str(cfg)]) == 3
+    cfg.write_bytes(b"\xff")
+    capsys.readouterr()
+    assert main(["circuit", "corr", str(cfg)]) == 3
+    assert "UTF-8 JSON" in _validation_error(capsys)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualunitary import invariants as iv
 from dualunitary import tensor_ops as to
@@ -121,10 +122,12 @@ def test_threshold_report_boundary_flag():
     assert iv.threshold_report(3, 0.5)["guaranteed_mixing_modes"] == 4
 
 
-def test_local_unitary_invariance():
-    U = fixtures()["dual_q3_ep8over9"]
-    locs = [sample_haar(3, substream(5, "lui", i)) for i in range(4)]
-    Up = to.sandwich_locals(U, *locs)
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_local_unitary_invariance(q, seed):
+    # e_p, E(U) and E(US) depend on U only up to single-site unitaries
+    U = sample_haar(q * q, substream(seed, "lui-gate"))
+    Up = to.sandwich_locals(U, *(sample_haar(q, substream(seed, "lui", i)) for i in range(4)))
     assert abs(iv.entangling_power(Up) - iv.entangling_power(U)) < 1e-11
     assert abs(iv.operator_entanglement(Up) - iv.operator_entanglement(U)) < 1e-11
     assert abs(
