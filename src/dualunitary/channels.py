@@ -18,7 +18,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .invariants import classify_duality, entangling_power
 from .tensor_ops import (
@@ -103,6 +102,8 @@ def _sort_desc(vals):
 
 def eigvals_schur(A):
     """Eigenvalues from the (balanced) complex Schur form."""
+    import scipy.linalg
+
     T, _ = scipy.linalg.schur(np.asarray(A, dtype=complex), output="complex")
     return np.diag(T).copy()
 

@@ -25,6 +25,7 @@ the output is stdout or not a regular file).
 """
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -70,8 +71,8 @@ from .invariants import entangling_power, invariants_report
 from .qubit_exact import cartan_gate
 from .tensor_ops import (
     ValidationError,
+    _gate_from_object,
     _parse_json,
-    gate_from_json,
     gate_to_json,
     local_dim,
     verify_reshuffle_identities,
@@ -131,7 +132,7 @@ def _read_json(path):
 
 
 def _read_gate(path):
-    return gate_from_json(_read_json(path))
+    return _gate_from_object(_read_json(path))
 
 
 def _digest(path):
@@ -357,7 +358,7 @@ def _load_circuit(path):
     if isinstance(gate, str):
         gate = _read_gate(gate)
     elif isinstance(gate, dict):
-        gate = gate_from_json(gate)
+        gate = _gate_from_object(gate)
     else:
         raise ValidationError(f"gate must be a gate file path or a gate object, got {gate!r}")
     return CircuitConfig(q=q, L=L, gate=gate), t_max, raw.get("basis_pairs")
@@ -446,7 +447,7 @@ def cmd_oracle_haar_identity(args):
     return [out]
 
 
-def cmd_oracle_reshuffle(args):
+def cmd_oracle_reshuffle_identities(args):
     rng = substream(args.seed, "oracle-reshuffle")
     d = args.q * args.q
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -469,7 +470,10 @@ def cmd_perm_enumerate(args):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  A parsed command names
+    its function only by its path: `gate make` runs cmd_gate_make."""
     p = argparse.ArgumentParser(prog="dualu", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="group", required=True)
@@ -493,12 +497,10 @@ def build_parser():
     gm.add_argument("--name", help="fixture name")
     gm.add_argument("-o", "--output", default="-")
     add_seed(gm)
-    gm.set_defaults(func=cmd_gate_make)
 
     gc = gate.add_parser("classify")
     gc.add_argument("gate")
     gc.add_argument("-o", "--output", default="-")
-    gc.set_defaults(func=cmd_gate_classify)
 
     # channel
     chan = sub.add_parser("channel").add_subparsers(dest="sub", required=True)
@@ -508,7 +510,6 @@ def build_parser():
     cspec.add_argument("--locals", help="'seed:<int>': U times 1 (x) u for a Haar local u")
     cspec.add_argument("--format", choices=["csv", "json"], default="csv")
     cspec.add_argument("-o", "--output", default="-")
-    cspec.set_defaults(func=cmd_channel_spectrum)
 
     # sweep
     sweep = sub.add_parser("sweep").add_subparsers(dest="sub", required=True)
@@ -520,7 +521,6 @@ def build_parser():
     sh.add_argument("--workers", type=int, default=None)
     sh.add_argument("-o", "--output", default="-")
     add_seed(sh)
-    sh.set_defaults(func=cmd_sweep_haar)
 
     sf = sweep.add_parser("family")
     sf.add_argument("family", choices=["cartan", "diag"])
@@ -531,18 +531,15 @@ def build_parser():
     sf.add_argument("--workers", type=int, default=None)
     sf.add_argument("-o", "--output", default="-")
     add_seed(sf)
-    sf.set_defaults(func=cmd_sweep_family)
 
     # circuit
     circ = sub.add_parser("circuit").add_subparsers(dest="sub", required=True)
     cc = circ.add_parser("corr")
     cc.add_argument("config")
     cc.add_argument("-o", "--output", default="-")
-    cc.set_defaults(func=cmd_circuit_corr)
     cv = circ.add_parser("verify")
     cv.add_argument("config")
     cv.add_argument("-o", "--output", default="-")
-    cv.set_defaults(func=cmd_circuit_verify)
 
     # oracle
     orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
@@ -551,28 +548,24 @@ def build_parser():
     oh.add_argument("-q", type=int, default=2)
     oh.add_argument("-o", "--output", default="-")
     add_seed(oh)
-    oh.set_defaults(func=cmd_oracle_haar_identity)
     orr = orc.add_parser("reshuffle-identities")
     orr.add_argument("-q", type=int, default=3)
     orr.add_argument("-o", "--output", default="-")
     add_seed(orr)
-    orr.set_defaults(func=cmd_oracle_reshuffle)
 
     # perm
     perm = sub.add_parser("perm").add_subparsers(dest="sub", required=True)
     pe = perm.add_parser("enumerate")
     pe.add_argument("-q", type=int, default=3)
     pe.add_argument("-o", "--output", default="-")
-    pe.set_defaults(func=cmd_perm_enumerate)
 
     return p
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return exc.code
     args._raw_argv = argv
@@ -580,7 +573,9 @@ def main(argv=None):
     t0 = time.time()
     try:
         _resolve_defaults(args)
-        outputs = args.func(args)
+        # looked up at call time, so a rebound cmd_* function takes effect
+        command = "_".join(["cmd", *args._command_path]).replace("-", "_")
+        outputs = globals()[command](args)
         _emit_manifest(args, outputs, t0)
     except (ValidationError, OSError) as exc:
         sys.stderr.write(_json({"error": "validation", "message": str(exc)}))

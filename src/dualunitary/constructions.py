@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .channels import build_m_plus, channel_spectrum
 from .invariants import (
@@ -128,6 +126,8 @@ def _embed_block(q, block, offset):
 def _matched_residual(a, b):
     """Largest |a_i - b_pi(i)| under the matching pi of least total distance
     (Hungarian): the distance between two spectra as multisets."""
+    import scipy.optimize
+
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
@@ -266,6 +266,8 @@ def perturbed_two_unitary(U2, scale, rng):
     """A dual gate with e_p slightly below 1: kick a 2-unitary with a random
     Hermitian generator and flow back to the dual manifold (at most 6000
     realign-polar steps)."""
+    import scipy.linalg
+
     q = local_dim(U2)
     H = rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
     H = (H + H.conj().T) / 2

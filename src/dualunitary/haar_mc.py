@@ -40,7 +40,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .channels import build_m_plus, decay_rates, deflate_trivial
 from .invariants import entangling_power
@@ -222,6 +221,8 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     u <- u exp(i eps H) over random Hermitian directions with a shrinking
     step.  Returns the rate and the method record.
     """
+    import scipy.linalg
+
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     Mt = deflate_trivial(build_m_plus(U))

@@ -250,6 +250,12 @@ def gate_from_json(obj):
     """Inverse of gate_to_json; accepts a dict or a JSON string."""
     if isinstance(obj, (str, bytes)):
         obj = _parse_json(obj, "gate payload")
+    return _gate_from_object(obj)
+
+
+def _gate_from_object(obj):
+    """The gate of an already parsed JSON value; a JSON string is refused as
+    not an object, never parsed a second time."""
     q = _json_object(obj, "a gate", ("q", "re", "im"))
     re, im = (_json_array(obj[k], k, (q * q, q * q), "number") for k in ("re", "im"))
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

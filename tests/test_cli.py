@@ -170,7 +170,9 @@ def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
     cases = [(bad_nan, "non-finite")] + [
         (dict(good, q=q), "q must be an integer") for q in (3.7, 3.0, "3", True, -3, 1)]
     # the object, its keys and the type and shape of re and im are checked too
+    # a file holding a JSON string, a doubly encoded gate among them, is not parsed again
     cases += [({"q": 3}, "re"), ([1, 2], "JSON object"), ("3", "JSON object"),
+              ("hello", "a gate must be a JSON object"), (json.dumps(good), "JSON object"),
               (dict(good, im=0), "im"), (dict(good, re=[["a"] * 9] * 9), "re"),
               (dict(good, im=good["im"][:8]), "im"), (dict(good, re=[[10**400] * 9] * 9), "re")]
     cases = [(json.dumps(payload).encode(), message) for payload, message in cases]
@@ -263,15 +265,52 @@ def test_manifest_of_a_non_regular_output_goes_to_stderr(capsys):
             stray.unlink(missing_ok=True)
 
 
-def test_console_script_installed():
-    # the child finds the package where this process found it, also when that
-    # is pytest's `pythonpath` setting rather than PYTHONPATH
+def _child_python(*args):
+    """A fresh interpreter that finds the package where this process found it,
+    also when that is pytest's `pythonpath` setting rather than PYTHONPATH."""
     src = str(pathlib.Path(dualunitary.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "dualunitary.cli", "--version"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_script_installed():
+    assert _child_python("-m", "dualunitary.cli", "--version").returncode == 0
+    # a usage error is argparse's exit 2 and message, from the parser built once
+    proc = _child_python("-m", "dualunitary.cli", "gate", "make", "nonsense")
+    assert proc.returncode == 2 and "invalid choice: 'nonsense'" in proc.stderr
+
+
+# Run in a fresh interpreter: prints whether scipy is loaded after the imports,
+# then the exit code of each argv of argv[1] and whether scipy (scipy.linalg
+# for the last argv) is loaded after it.
+SCIPY_PROBE = """
+import json, sys
+import dualunitary, dualunitary.cli
+loaded = ["scipy" in sys.modules]
+*quiet, last = json.loads(sys.argv[1])
+for argv in quiet:
+    loaded.append([dualunitary.cli.main(argv), "scipy" in sys.modules])
+loaded.append([dualunitary.cli.main(last), "scipy.linalg" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_where_it_is_called(tmp_path):
+    gate, cfg, fixture = (str(tmp_path / n) for n in ("cat.json", "cfg.json", "d3s.json"))
+    assert main(["gate", "make", "cat", "-q", "2", "-o", gate]) == 0
+    assert main(["gate", "make", "fixture", "--name", "dual_q3_d3s", "-o", fixture]) == 0
+    pathlib.Path(cfg).write_text(json.dumps({"q": 2, "L": 4, "gate": gate}))
+    out = str(tmp_path / "out")
+    argvs = [["gate", "make", "mrt", "-q", "3", "--max-iter", "5", "-o", out],
+             ["sweep", "haar", gate, "-N", "20", "-o", out],
+             ["circuit", "verify", cfg, "-o", out],
+             ["gate", "classify", fixture, "-o", out]]
+    proc = _child_python("-c", SCIPY_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    # imports, mrt (5 steps, unconverged), sweep and verify leave scipy out;
+    # classify's Schur eigensolve loads it
+    assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, True]]
 
 
 # sha256 of the gate files the realign-polar flows write at the CLI defaults;

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from dualunitary import tensor_ops as to
 from dualunitary.haar_mc import sample_haar, substream
+from dualunitary.tolerances import RESHUFFLE_TOL
 
 
 def random_complex(n, seed):
@@ -66,12 +67,27 @@ def test_identity_realigns_to_maximally_entangled_projector():
         )
 
 
-def test_reshuffles_are_involutive_and_bit_exact():
-    X = random_complex(9, 1)
-    assert np.array_equal(to.realign_r1(to.realign_r1(X)), X)
-    assert np.array_equal(to.realign_r2(to.realign_r2(X)), X)
-    assert np.array_equal(to.partial_transpose_t1(to.partial_transpose_t1(X)), X)
-    assert np.array_equal(to.partial_transpose_t2(to.partial_transpose_t2(X)), X)
+def draw_operator(data, q):
+    """A complex q^2 x q^2 operator with real and imaginary entries in [-1, 1]."""
+    part = arrays(np.float64, (q * q, q * q), elements=st.floats(-1.0, 1.0))
+    return data.draw(part) + 1j * data.draw(part)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q=st.integers(2, 4), data=st.data())
+def test_reshuffles_are_involutive_and_bit_exact(q, data):
+    X = draw_operator(data, q)
+    for reshuffle in (to.realign_r1, to.realign_r2, to.partial_transpose_t1, to.partial_transpose_t2):
+        assert np.array_equal(reshuffle(reshuffle(X)), X)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reshuffle_identities_hold_for_random_operators(q, seed, data):
+    X = draw_operator(data, q)
+    locals_ = [sample_haar(q, substream(seed, "identity-locals", k)) for k in range(4)]
+    res = to.verify_reshuffle_identities(X, locals_=locals_)
+    assert max(res.values()) <= RESHUFFLE_TOL
 
 
 def test_t1_then_t2_is_full_transpose():
