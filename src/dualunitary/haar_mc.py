@@ -7,13 +7,23 @@ Results are therefore bit-identical for a given (seed, N) regardless of how
 the index range is split across workers, and adding a new consumer label
 never perturbs existing streams.
 
+The radius engine factors the deflated channel once per gate, Mt = X Yh,
+from one SVD that keeps the m singular values above `channel_rank_tol(q)`
+(q^2 eps: numpy's matrix_rank rule with the unital channel's norm bound 1
+for sigma_max).  The nonzero eigenvalues of (u x u*) X Yh are those of the
+m x m matrix Yh (u x u*) X (Sylvester; with four locals, those of L X Yh R
+are those of Yh R L X), so only that stack is eigensolved.  A 2-unitary
+(Bernoulli) gate has m = 0: every radius is exactly 0.0, with no Haar draw
+and no eigensolve.  The block duals D3S and D4S have m = 2 and 3, the
+even-q cat map m = 1, and a generic dual gate m = q^2 - 1.
+
 The estimators evaluate the indices in blocks of BLOCK: each index's normals
 come from one Philox re-keyed to that index's fresh stream (the same bytes a
 new `substream` draws), then the block runs one stacked QR with the phase
-fold, one broadcast u x u*, one stacked product with Mt and one stacked
-eigensolve.  The stacked numpy calls still hand LAPACK/BLAS one matrix at a
-time, so every value equals the per-index recipe's bit for bit and neither
-BLOCK nor the worker split changes an output.
+fold, one broadcast u x u*, one stacked compression Yh (u x u*) X and one
+stacked m x m eigensolve.  The stacked numpy calls still hand LAPACK/BLAS
+one matrix at a time, so every value equals the per-index recipe's bit for
+bit and neither BLOCK nor the worker split changes an output.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -36,7 +46,6 @@ plus a Monte-Carlo oracle for the degree-2 Haar monomial identity
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +53,7 @@ import numpy as np
 from .channels import build_m_plus, decay_rates, deflate_trivial
 from .invariants import entangling_power
 from .tensor_ops import ValidationError, haar_from_ginibre, local_dim, realign_r2, sample_haar
+from .tolerances import channel_rank_tol
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 64
@@ -102,19 +112,43 @@ def _kron_conj(u):
     return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(n, q * q, q * q)
 
 
-def _rotated_channels(Mt, q, seed, label, lo, hi, four_locals=False):
-    """The locally rotated channels of indices [lo, hi), stacked.
+def _local_factors(q, seed, label, lo, hi, four_locals=False):
+    """(L, R) with L Mt R the locally rotated channels of indices [lo, hi).
 
-    One local: (u x u*) Mt.  Four locals: sandwiching U with (u1 x u2),
-    (v1 x v2) maps the channel to (v2^dag x v2^T) Mt (u1^dag x u1^T); u2, v1
-    never enter, and u1 is drawn before v2.
+    One local: L = u x u*, R = None.  Four locals: sandwiching U with
+    (u1 x u2), (v1 x v2) maps the channel to (v2^dag x v2^T) Mt (u1^dag x u1^T);
+    u2, v1 never enter, and u1 is drawn before v2.
     """
     if not four_locals:
-        return _kron_conj(_haar_block(q, seed, label, lo, hi)[:, 0]) @ Mt
+        return _kron_conj(_haar_block(q, seed, label, lo, hi)[:, 0]), None
     u = _haar_block(q, seed, label, lo, hi, draws=2)
     left = _kron_conj(u[:, 1].conj().swapaxes(-1, -2))
     right = _kron_conj(u[:, 0].conj().swapaxes(-1, -2))
-    return left @ Mt @ right
+    return left, right
+
+
+def _factored_channel(U):
+    """Mt = X Yh for the deflated channel Mt of U, from one SVD.
+
+    X is q^2 x m and Yh m x q^2, where m counts the singular values above
+    `channel_rank_tol(q)`: 0 for a 2-unitary, q^2 - 1 for a generic dual gate.
+    """
+    q = local_dim(U)
+    W, s, Yh = np.linalg.svd(deflate_trivial(build_m_plus(U)))
+    m = int((s > channel_rank_tol(q)).sum())
+    return W[:, :m] * s[:m], Yh[:m]
+
+
+def _radii(X, Yh, left, right=None):
+    """|lambda_1| of every left X Yh right (right=None: the identity).
+
+    Its nonzero eigenvalues are those of the m x m matrix Yh right left X
+    (Sylvester), so only that stack is eigensolved.  np.linalg.eigvals is the
+    same balanced Hessenberg+QR Schur reduction as the channel-spectrum path,
+    minus the accumulated Schur vectors.
+    """
+    A = Yh @ left @ X if right is None else Yh @ right @ left @ X
+    return np.abs(np.linalg.eigvals(A)).max(axis=-1)
 
 
 def _blocks(lo, hi):
@@ -122,14 +156,10 @@ def _blocks(lo, hi):
 
 
 def _radius_chunk(args):
-    # np.linalg.eigvals is the same balanced Hessenberg+QR Schur reduction as
-    # the channel-spectrum path, minus the accumulated Schur vectors
-    Mt_bytes, shape, q, seed, label, lo, hi, four_locals = args
-    Mt = np.frombuffer(Mt_bytes, dtype=complex).reshape(shape)
+    X, Yh, q, seed, label, lo, hi, four_locals = args
     out = np.empty(hi - lo)
     for b, e in _blocks(lo, hi):
-        A = _rotated_channels(Mt, q, seed, label, b, e, four_locals)
-        out[b - lo : e - lo] = np.abs(np.linalg.eigvals(A)).max(axis=-1)
+        out[b - lo : e - lo] = _radii(X, Yh, *_local_factors(q, seed, label, b, e, four_locals))
     return lo, out
 
 
@@ -148,16 +178,23 @@ def spectral_radius_samples(U, n, seed, four_locals=False, workers=None,
     at most one process per usable CPU; workers=None means 1.
     """
     U = np.asarray(U, dtype=complex)
-    q = local_dim(U)
-    Mt = deflate_trivial(build_m_plus(U))
-    Mt_bytes = Mt.tobytes()
+    return _radius_samples(*_factored_channel(U), local_dim(U), n, seed, four_locals,
+                           workers, label)
+
+
+def _radius_samples(X, Yh, q, n, seed, four_locals=False, workers=None,
+                    label="spectral-radius"):
+    if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
+        return np.zeros(n)
     out = np.empty(n)
     if workers is None or workers <= 1:
-        _, out[:] = _radius_chunk((Mt_bytes, Mt.shape, q, seed, label, 0, n, four_locals))
+        _, out[:] = _radius_chunk((X, Yh, q, seed, label, 0, n, four_locals))
         return out
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, (n + workers - 1) // workers)
     jobs = [
-        (Mt_bytes, Mt.shape, q, seed, label, lo, min(lo + chunk, n), four_locals)
+        (X, Yh, q, seed, label, lo, min(lo + chunk, n), four_locals)
         for lo in range(0, n, chunk)
     ]
     with ProcessPoolExecutor(max_workers=max(1, min(len(jobs), _usable_cpus()))) as pool:
@@ -225,18 +262,18 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
 
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
-    Mt = deflate_trivial(build_m_plus(U))
-    r = spectral_radius_samples(U, n, seed, label="max-rate")
+    X, Yh = _factored_channel(U)
+    r = _radius_samples(X, Yh, q, n, seed, label="max-rate")
     i = int(np.argmin(r))  # the first strict minimum
     best_r, best_u = r[i], haar_sample_at(q, seed, "max-rate", i)
 
     rng = substream(seed, "max-rate-refine")
     eps = 0.15
-    for step in range(refine_steps):
+    for step in range(refine_steps if best_r > 0 else 0):  # nothing beats a zero radius
         H = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         H = (H + H.conj().T) / 2
         trial = best_u @ scipy.linalg.expm(1j * eps * H)
-        r_trial = np.abs(np.linalg.eigvals(np.kron(trial, trial.conj()) @ Mt)).max()
+        r_trial = _radii(X, Yh, _kron_conj(trial[None]))[0]
         if r_trial < best_r:
             best_r, best_u = r_trial, trial
         else:
@@ -261,7 +298,8 @@ def avg_norm_power(U, k, n, seed):
     Mt = deflate_trivial(build_m_plus(U))
     vals = np.empty(n)
     for b, e in _blocks(0, n):
-        B = np.linalg.matrix_power(_rotated_channels(Mt, q, seed, f"norm-power-{k}", b, e), k)
+        K, _ = _local_factors(q, seed, f"norm-power-{k}", b, e)
+        B = np.linalg.matrix_power(K @ Mt, k)
         vals[b:e] = [np.vdot(Bi, Bi).real for Bi in B]
     ep = entangling_power(U)
     extras = {

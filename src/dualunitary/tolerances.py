@@ -5,6 +5,8 @@ ZERO_TOL is a zero mode); a defect or residual passes when it is at most its
 tolerance, and a NaN defect never passes.
 """
 
+import sys
+
 ZERO_TOL = 1e-9                 # |lambda| below this: a zero mode, infinite decay rate
 UNIT_TOL = 1e-9                 # |lambda| >= 1 - this: unit modulus; |lambda - 1| <= this: one
 UNIT_BOUNDARY_TOL = 1e-6        # |lambda| within this of 1: the ergodic class is flagged boundary
@@ -24,3 +26,12 @@ CONE_TOL = 1e-10                # light-cone residual accepted by `circuit verif
 SITE_TOL = 1e-12                # a site position further than this from a half-integer: refused
 DELTOID_SHRINK = 1e-6           # eigenvalues shrink by this factor before the deltoid test (cusp)
 ORACLE_SIGMAS = 3.0             # Haar-identity MC mean this many stderr off the closed form: fails
+
+
+def channel_rank_tol(q):
+    """A singular value of a deflated q^2 x q^2 channel at most this is zero.
+
+    numpy's `matrix_rank` rule, size x eps x sigma_max, with the unital
+    channel's norm bound 1 in place of sigma_max: on the fixtures the kept
+    values are >= 0.03 and the dropped ones <= 5.4e-16."""
+    return q * q * sys.float_info.epsilon

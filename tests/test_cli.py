@@ -292,6 +292,7 @@ loaded = ["scipy" in sys.modules]
 for argv in quiet:
     loaded.append([dualunitary.cli.main(argv), "scipy" in sys.modules])
 loaded.append([dualunitary.cli.main(last), "scipy.linalg" in sys.modules])
+loaded.append("concurrent.futures.process" in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -309,8 +310,9 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     proc = _child_python("-c", SCIPY_PROBE, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     # imports, mrt (5 steps, unconverged), sweep and verify leave scipy out;
-    # classify's Schur eigensolve loads it
-    assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, True]]
+    # classify's Schur eigensolve loads it; a serial sweep starts no process pool
+    assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, True],
+                                       False]
 
 
 # sha256 of the gate files the realign-polar flows write at the CLI defaults;

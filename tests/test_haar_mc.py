@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ from dualunitary import haar_mc as hm
 from dualunitary import tensor_ops as to
 from dualunitary.channels import build_m_plus, deflate_trivial
 from dualunitary.cli import _sweep_row, main as cli_main
-from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
+from dualunitary.constructions import (cat_map, cat_psi_vectors, diagonal_dual_sample, fixtures,
+                                       two_unitary_permutation)
 from dualunitary.invariants import entangling_power
 from dualunitary.qubit_exact import cartan_gate
-from dualunitary.tolerances import ZERO_TOL
+from dualunitary.tolerances import ZERO_TOL, channel_rank_tol
 
 
 def test_samples_are_unitary():
@@ -83,7 +85,7 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch, cpus, workers, n,
             seen.append(len(args))
             return map(fn, args)
 
-    monkeypatch.setattr(hm, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(hm, "_usable_cpus", lambda: cpus, raising=False)
     a = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7)
     b = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=workers)
@@ -93,13 +95,13 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch, cpus, workers, n,
 
 def test_unset_workers_run_serially_whatever_the_environment(monkeypatch):
     monkeypatch.setenv("DUALUNITARY_WORKERS", "4")
-    monkeypatch.setattr(hm, "ProcessPoolExecutor", None)  # any pool would fail
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # any pool would fail
     assert hm.spectral_radius_samples(cartan_gate(0.2), 8, seed=7).shape == (8,)
 
 
 def test_avg_spectral_radius_two_unitary_is_zero():
     est = hm.avg_spectral_radius(cat_map(3), 40, seed=1)
-    assert est.mean < 1e-7
+    assert est.mean == 0.0
 
 
 def test_cat2_haar_averaged_radius_squared():
@@ -192,21 +194,36 @@ def _engine_gates():
     }
 
 
-def _reference_radii(U, n, seed, four_locals, label="spectral-radius"):
+def _factored(U):
+    """Mt = X Yh, truncated at the rank rule, computed here independently."""
     q = to.local_dim(U)
-    Mt = deflate_trivial(build_m_plus(U))
-    out = np.empty(n)
-    for i in range(n):
-        if four_locals:
-            rng = hm.substream(seed, label, i)
-            u1 = hm.sample_haar(q, rng)
-            v2 = hm.sample_haar(q, rng)
-            A = np.kron(v2.conj().T, v2.T) @ Mt @ np.kron(u1.conj().T, u1.T)
-        else:
-            u = hm.haar_sample_at(q, seed, label, i)
-            A = np.kron(u, u.conj()) @ Mt
-        out[i] = np.abs(np.linalg.eigvals(A)).max()
-    return out
+    W, s, Vh = np.linalg.svd(deflate_trivial(build_m_plus(U)))
+    m = int((s > channel_rank_tol(q)).sum())
+    return W[:, :m] * s[:m], Vh[:m]
+
+
+def _locals_at(q, seed, label, i, four_locals):
+    """(L, R) with L Mt R the rotated channel of index i (R = identity: None)."""
+    if four_locals:
+        rng = hm.substream(seed, label, i)
+        u1 = hm.sample_haar(q, rng)
+        v2 = hm.sample_haar(q, rng)
+        return np.kron(v2.conj().T, v2.T), np.kron(u1.conj().T, u1.T)
+    u = hm.haar_sample_at(q, seed, label, i)
+    return np.kron(u, u.conj()), None
+
+
+def _compressed_radius(X, Yh, L, R):
+    A = Yh @ L @ X if R is None else Yh @ R @ L @ X
+    return np.abs(np.linalg.eigvals(A)).max()
+
+
+def _reference_radii(U, n, seed, four_locals, label="spectral-radius"):
+    """The per-index recipe: eig of the m x m compression Yh R L X."""
+    q = to.local_dim(U)
+    X, Yh = _factored(U)
+    return np.array([_compressed_radius(X, Yh, *_locals_at(q, seed, label, i, four_locals))
+                     for i in range(n)])
 
 
 @pytest.mark.parametrize("four_locals", [False, True])
@@ -223,16 +240,66 @@ def test_block_radii_equal_per_index_reference(q, four_locals):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_block_max_mixing_rate_equals_per_index_reference(q):
     U = _engine_gates()[q]
-    Mt = deflate_trivial(build_m_plus(U))
+    X, Yh = _factored(U)
     best_r, best_u = np.inf, None
     for i in range(N_BLOCKS):
-        u = hm.haar_sample_at(q, 20, "max-rate", i)
-        r = np.abs(np.linalg.eigvals(np.kron(u, u.conj()) @ Mt)).max()
+        L, _ = _locals_at(q, 20, "max-rate", i, False)
+        r = _compressed_radius(X, Yh, L, None)
         if r < best_r:
-            best_r, best_u = r, u
+            best_r, best_u = r, hm.haar_sample_at(q, 20, "max-rate", i)
     rep = hm.max_mixing_rate(U, N_BLOCKS, 20)
     assert rep["min_radius"] == best_r
     assert np.array_equal(rep["local"], best_u)
+
+
+# ---------------------------------------------------------------------------
+# the compressed radius against the full q^2 x q^2 eigensolve it replaces
+
+def _rank_gates():
+    """(gate, rank of its deflated channel): zero (2-unitary), one (even-q
+    cat), partial (block duals) and full, q^2 - 1 (generic dual gates)."""
+    fx = fixtures()
+    return {
+        "cat_q2": (cat_map(2), 1),
+        "diag_q2": (_engine_gates()[2], 3),
+        "cat_q3": (cat_map(3), 0),
+        "d3s": (fx["dual_q3_d3s"], 2),
+        "d2s": (fx["dual_q3_d2s"], 8),
+        "cat_q4": (cat_map(4), 1),
+        "two_unitary_q4": (two_unitary_permutation(4), 0),
+        "d4s": (fx["dual_q4_d4s"], 3),
+        "diag_q4": (diagonal_dual_sample(4, 1.0, hm.substream(26, "gate")), 15),
+    }
+
+
+@pytest.mark.parametrize("four_locals", [False, True])
+@pytest.mark.parametrize("gate", list(_rank_gates()))
+def test_compressed_radii_match_the_full_eigensolve(gate, four_locals):
+    U, rank = _rank_gates()[gate]
+    q = to.local_dim(U)
+    X, Yh = hm._factored_channel(U)
+    assert Yh.shape == (rank, q * q) and X.shape == (q * q, rank)
+    Mt = deflate_trivial(build_m_plus(U))
+    full = np.empty(N_BLOCKS)
+    for i in range(N_BLOCKS):
+        L, R = _locals_at(q, 27, "spectral-radius", i, four_locals)
+        A = L @ Mt if R is None else L @ Mt @ R
+        full[i] = np.abs(np.linalg.eigvals(A)).max()
+    r = hm.spectral_radius_samples(U, N_BLOCKS, 27, four_locals=four_locals)
+    assert np.abs(r - full).max() <= 1e-13
+    if rank == 0:
+        assert not r.any()
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_even_cat_radius_is_the_closed_form(q):
+    # Mt = |Psi><Psibar|, so (u x u*) Mt has one nonzero eigenvalue
+    # <Psibar|(u x u*)|Psi>
+    psi, psibar = cat_psi_vectors(q)
+    closed = [abs(np.vdot(psibar, np.kron(u, u.conj()) @ psi))
+              for u in (hm.haar_sample_at(q, 28, "spectral-radius", i) for i in range(N_BLOCKS))]
+    r = hm.spectral_radius_samples(cat_map(q), N_BLOCKS, 28)
+    assert np.abs(r - closed).max() <= 1e-15
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -263,17 +330,19 @@ def test_block_norm_power_and_monomial_equal_per_index_reference(q):
 
 # `dualu sweep haar d3s.json d4s.json -N 300 --seed 13`, the gate files from
 # `dualu gate make fixture --name dual_q3_d3s` and `--name dual_q4_d4s`.
-# e_p, mean_lambda1 and stderr are the bytes the per-sample engine wrote;
-# mu_plus and nu_plus are read off the same samples as mean_lambda1 (checked
-# against a per-index loop below)
+# The bytes of the factored-channel engine (m x m eigensolves): against the
+# full q^2 x q^2 eigensolve, mean_lambda1, stderr, mu_plus and nu_plus moved
+# in their last digits, e_p, N and seed kept their bytes.  mu_plus and nu_plus
+# are read off the same samples as mean_lambda1 (checked against a per-index
+# loop below)
 SWEEP_GOLDEN = """\
 e_p,mean_lambda1,stderr,mu_plus,nu_plus,N,seed
-0.7500000000000001,0.4710783907922758,0.010615414703545828,0.8393738809645249,2.892810222132936,300,13
-0.8,0.46489247544084633,0.008077055116271114,0.813335297776842,1.703212691416462,300,13
+0.7500000000000001,0.4710783907922758,0.010615414703545826,0.839373880964525,2.892810222132931,300,13
+0.8,0.46489247544084644,0.00807705511627111,0.8133352977768419,1.7032126914164618,300,13
 """
 SWEEP_GOLDEN_RADIUS_FIELDS = [
-    ["0.7500000000000001", "0.4710783907922758", "0.010615414703545828"],
-    ["0.8", "0.46489247544084633", "0.008077055116271114"],
+    ["0.7500000000000001", "0.4710783907922758", "0.010615414703545826"],
+    ["0.8", "0.46489247544084644", "0.00807705511627111"],
 ]
 
 
