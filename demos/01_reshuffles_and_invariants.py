@@ -21,6 +21,7 @@ from dualunitary import (
     entangling_power,
     fixtures,
     mixing_thresholds,
+    sample_haar,
     schmidt_spectrum,
     swap_operator,
     verify_reshuffle_identities,
@@ -32,7 +33,7 @@ np.set_printoptions(precision=4, suppress=True)
 print("=== The reshuffle algebra holds to machine precision ===")
 rng = np.random.default_rng(7)
 X = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-res = verify_reshuffle_identities(X)
+res = verify_reshuffle_identities(X, [sample_haar(3, rng) for _ in range(4)])
 for name, r in res.items():
     print(f"  {name:26s} residual {r:.2e}")
 

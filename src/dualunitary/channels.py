@@ -124,10 +124,13 @@ def eigvals_companion(A):
 
 def decay_rates(mods):
     """mu = -ln|lambda| of each modulus; a zero mode (|lambda| < ZERO_TOL)
-    decays at an infinite rate, never at a large finite one."""
+    decays at an infinite rate, never at a large finite one, and a modulus
+    of at least 1 (a unit mode, or one rounded above it) at 0.0, never a
+    negative rate or -0.0."""
     mods = np.asarray(mods, dtype=float)
     zero = mods < ZERO_TOL
-    return np.where(zero, np.inf, -np.log(np.where(zero, 1.0, mods)))
+    rates = -np.log(np.where(zero, 1.0, mods))
+    return np.where(zero, np.inf, np.where(mods >= 1.0, 0.0, rates))
 
 
 def channel_spectrum(M, side="plus", deflated=False):

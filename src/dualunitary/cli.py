@@ -71,8 +71,8 @@ from .invariants import entangling_power, invariants_report
 from .qubit_exact import cartan_gate
 from .tensor_ops import (
     ValidationError,
-    _gate_from_object,
     _parse_json,
+    gate_from_json,
     gate_to_json,
     local_dim,
     verify_reshuffle_identities,
@@ -132,7 +132,7 @@ def _read_json(path):
 
 
 def _read_gate(path):
-    return _gate_from_object(_read_json(path))
+    return gate_from_json(_read_json(path))
 
 
 def _digest(path):
@@ -358,7 +358,7 @@ def _load_circuit(path):
     if isinstance(gate, str):
         gate = _read_gate(gate)
     elif isinstance(gate, dict):
-        gate = _gate_from_object(gate)
+        gate = gate_from_json(gate)
     else:
         raise ValidationError(f"gate must be a gate file path or a gate object, got {gate!r}")
     return CircuitConfig(q=q, L=L, gate=gate), t_max, raw.get("basis_pairs")
@@ -451,7 +451,7 @@ def cmd_oracle_reshuffle_identities(args):
     rng = substream(args.seed, "oracle-reshuffle")
     d = args.q * args.q
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    res = verify_reshuffle_identities(X)
+    res = verify_reshuffle_identities(X, [sample_haar(args.q, rng) for _ in range(4)])
     out = _write_json(args.output, res)
     worst = max(res.values())
     if not worst <= RESHUFFLE_TOL:

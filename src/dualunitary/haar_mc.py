@@ -11,19 +11,25 @@ The radius engine factors the deflated channel once per gate, Mt = X Yh,
 from one SVD that keeps the m singular values above `channel_rank_tol(q)`
 (q^2 eps: numpy's matrix_rank rule with the unital channel's norm bound 1
 for sigma_max).  The nonzero eigenvalues of (u x u*) X Yh are those of the
-m x m matrix Yh (u x u*) X (Sylvester; with four locals, those of L X Yh R
-are those of Yh R L X), so only that stack is eigensolved.  A 2-unitary
-(Bernoulli) gate has m = 0: every radius is exactly 0.0, with no Haar draw
-and no eigensolve.  The block duals D3S and D4S have m = 2 and 3, the
-even-q cat map m = 1, and a generic dual gate m = q^2 - 1.
+m x m matrix Yh (u x u*) X (Sylvester), so only that stack is eigensolved.
+A 2-unitary (Bernoulli) gate has m = 0: every radius is exactly 0.0, with no
+Haar draw and no eigensolve.  The block duals D3S and D4S have m = 2 and 3,
+the even-q cat map m = 1, and a generic dual gate m = q^2 - 1.
 
-The estimators evaluate the indices in blocks of BLOCK: each index's normals
-come from one Philox re-keyed to that index's fresh stream (the same bytes a
-new `substream` draws), then the block runs one stacked QR with the phase
-fold, one broadcast u x u*, one stacked compression Yh (u x u*) X and one
-stacked m x m eigensolve.  The stacked numpy calls still hand LAPACK/BLAS
-one matrix at a time, so every value equals the per-index recipe's bit for
-bit and neither BLOCK nor the worker split changes an output.
+One local per sample is the paper's full average: sandwiching U with
+(u1 x u2) and (v1 x v2) maps the channel to (v2^dag x v2^T) Mt (u1^dag x u1^T),
+whose nonzero spectrum is that of (u x u*) Mt with u = u1^dag v2^dag; u is
+Haar whenever u1 and v2 are independent Haar unitaries (invariance of the
+Haar measure).
+
+The estimators evaluate the indices in blocks of BLOCK (`_map_blocks`): each
+index's normals come from one Philox re-keyed to that index's fresh stream
+(the same bytes a new `substream` draws), then the block runs one stacked QR
+with the phase fold and one broadcast u x u* before its kernel, e.g. one
+stacked compression Yh (u x u*) X and one stacked m x m eigensolve.  The
+stacked numpy calls still hand LAPACK/BLAS one matrix at a time, so every
+value equals the per-index recipe's bit for bit and neither BLOCK nor the
+worker split changes an output.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -85,10 +91,8 @@ def haar_sample_at(d, seed, label, index):
     return sample_haar(d, substream(seed, label, index))
 
 
-def _haar_block(q, seed, label, lo, hi, draws=1):
-    """(hi - lo, draws, q, q) stack of the Haar unitaries that `draws`
-    successive sample_haar(q, substream(seed, label, i)) calls return, for
-    every i in [lo, hi).
+def _haar_block(q, seed, label, lo, hi):
+    """(hi - lo, q, q) stack of haar_sample_at(q, seed, label, i), i in [lo, hi).
 
     A Philox per index would cost more than the rest of the pipeline, so one
     Philox is re-keyed per index to the state a new Philox(key=...) starts in.
@@ -96,35 +100,24 @@ def _haar_block(q, seed, label, lo, hi, draws=1):
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0, empty buffer
-    g = np.empty((hi - lo, draws, 2, q, q))
+    g = np.empty((hi - lo, 2, q, q))
     for row, i in enumerate(range(lo, hi)):
         key = _philox_key(seed, label, i)
         fresh["state"]["key"] = np.array([key % 2**64, key >> 64], dtype=np.uint64)
         bitgen.state = fresh
         gen.standard_normal(out=g[row])
-    z = (g[:, :, 0] + 1j * g[:, :, 1]) / math.sqrt(2)
-    return haar_from_ginibre(z)
+    return haar_from_ginibre((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
 
 
-def _kron_conj(u):
-    """np.kron(u, u.conj()) of every matrix of a stack, as one broadcast product."""
-    n, q = u.shape[0], u.shape[-1]
-    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(n, q * q, q * q)
-
-
-def _local_factors(q, seed, label, lo, hi, four_locals=False):
-    """(L, R) with L Mt R the locally rotated channels of indices [lo, hi).
-
-    One local: L = u x u*, R = None.  Four locals: sandwiching U with
-    (u1 x u2), (v1 x v2) maps the channel to (v2^dag x v2^T) Mt (u1^dag x u1^T);
-    u2, v1 never enter, and u1 is drawn before v2.
-    """
-    if not four_locals:
-        return _kron_conj(_haar_block(q, seed, label, lo, hi)[:, 0]), None
-    u = _haar_block(q, seed, label, lo, hi, draws=2)
-    left = _kron_conj(u[:, 1].conj().swapaxes(-1, -2))
-    right = _kron_conj(u[:, 0].conj().swapaxes(-1, -2))
-    return left, right
+def _map_blocks(kernel, q, seed, label, lo, hi):
+    """kernel(K) of every BLOCK of indices in [lo, hi), concatenated; K is the
+    (n, q^2, q^2) stack of u x u* for the block's Haar locals u."""
+    out = [np.empty(0)]  # lo == hi: an empty result
+    for b in range(lo, hi, BLOCK):  # BLOCK read per call: tests rebind it
+        u = _haar_block(q, seed, label, b, min(b + BLOCK, hi))
+        K = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, q * q, q * q)
+        out.append(kernel(K))
+    return np.concatenate(out)
 
 
 def _factored_channel(U):
@@ -139,28 +132,15 @@ def _factored_channel(U):
     return W[:, :m] * s[:m], Yh[:m]
 
 
-def _radii(X, Yh, left, right=None):
-    """|lambda_1| of every left X Yh right (right=None: the identity).
-
-    Its nonzero eigenvalues are those of the m x m matrix Yh right left X
-    (Sylvester), so only that stack is eigensolved.  np.linalg.eigvals is the
-    same balanced Hessenberg+QR Schur reduction as the channel-spectrum path,
-    minus the accumulated Schur vectors.
-    """
-    A = Yh @ left @ X if right is None else Yh @ right @ left @ X
-    return np.abs(np.linalg.eigvals(A)).max(axis=-1)
-
-
-def _blocks(lo, hi):
-    return ((b, min(b + BLOCK, hi)) for b in range(lo, hi, BLOCK))
+def _radii(X, Yh, K):
+    """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
+    those of the m x m matrix Yh K X (Sylvester), so only that is eigensolved."""
+    return np.abs(np.linalg.eigvals(Yh @ K @ X)).max(axis=-1)
 
 
 def _radius_chunk(args):
-    X, Yh, q, seed, label, lo, hi, four_locals = args
-    out = np.empty(hi - lo)
-    for b, e in _blocks(lo, hi):
-        out[b - lo : e - lo] = _radii(X, Yh, *_local_factors(q, seed, label, b, e, four_locals))
-    return lo, out
+    X, Yh, q, seed, label, lo, hi = args
+    return lo, _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, lo, hi)
 
 
 def _usable_cpus():
@@ -170,33 +150,24 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def spectral_radius_samples(U, n, seed, four_locals=False, workers=None,
-                            label="spectral-radius"):
+def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
     """|lambda_1| of the locally rotated deflated channel, one value per index.
 
     workers > 1 splits the indices into ceil(n / workers)-sized chunks, run by
     at most one process per usable CPU; workers=None means 1.
     """
     U = np.asarray(U, dtype=complex)
-    return _radius_samples(*_factored_channel(U), local_dim(U), n, seed, four_locals,
-                           workers, label)
-
-
-def _radius_samples(X, Yh, q, n, seed, four_locals=False, workers=None,
-                    label="spectral-radius"):
+    q = local_dim(U)
+    X, Yh = _factored_channel(U)
     if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
         return np.zeros(n)
-    out = np.empty(n)
     if workers is None or workers <= 1:
-        _, out[:] = _radius_chunk((X, Yh, q, seed, label, 0, n, four_locals))
-        return out
+        return _radius_chunk((X, Yh, q, seed, label, 0, n))[1]
     from concurrent.futures import ProcessPoolExecutor
 
+    out = np.empty(n)
     chunk = max(1, (n + workers - 1) // workers)
-    jobs = [
-        (X, Yh, q, seed, label, lo, min(lo + chunk, n), four_locals)
-        for lo in range(0, n, chunk)
-    ]
+    jobs = [(X, Yh, q, seed, label, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     with ProcessPoolExecutor(max_workers=max(1, min(len(jobs), _usable_cpus()))) as pool:
         for lo, vals in pool.map(_radius_chunk, jobs):
             out[lo : lo + len(vals)] = vals
@@ -239,9 +210,9 @@ def max_rate(r):
     return float(decay_rates(np.min(r)))
 
 
-def avg_spectral_radius(U, n, seed, four_locals=False, workers=None):
+def avg_spectral_radius(U, n, seed, workers=None):
     """Haar average of the channel spectral radius under local rotations."""
-    r = spectral_radius_samples(U, n, seed, four_locals=four_locals, workers=workers)
+    r = spectral_radius_samples(U, n, seed, workers=workers)
     return radius_estimate(r, seed, entangling_power(U))
 
 
@@ -262,10 +233,10 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
 
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
-    X, Yh = _factored_channel(U)
-    r = _radius_samples(X, Yh, q, n, seed, label="max-rate")
+    r = spectral_radius_samples(U, n, seed, label="max-rate")
     i = int(np.argmin(r))  # the first strict minimum
     best_r, best_u = r[i], haar_sample_at(q, seed, "max-rate", i)
+    X, Yh = _factored_channel(U)
 
     rng = substream(seed, "max-rate-refine")
     eps = 0.15
@@ -273,7 +244,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
         H = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         H = (H + H.conj().T) / 2
         trial = best_u @ scipy.linalg.expm(1j * eps * H)
-        r_trial = _radii(X, Yh, _kron_conj(trial[None]))[0]
+        r_trial = _radii(X, Yh, np.kron(trial, trial.conj()))
         if r_trial < best_r:
             best_r, best_u = r_trial, trial
         else:
@@ -296,11 +267,11 @@ def avg_norm_power(U, k, n, seed):
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     Mt = deflate_trivial(build_m_plus(U))
-    vals = np.empty(n)
-    for b, e in _blocks(0, n):
-        K, _ = _local_factors(q, seed, f"norm-power-{k}", b, e)
-        B = np.linalg.matrix_power(K @ Mt, k)
-        vals[b:e] = [np.vdot(Bi, Bi).real for Bi in B]
+
+    def norm_powers(K):
+        return [np.vdot(B, B).real for B in np.linalg.matrix_power(K @ Mt, k)]
+
+    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", 0, n)
     ep = entangling_power(U)
     extras = {
         "e_p": ep,
@@ -333,10 +304,11 @@ def haar_monomial_oracle(X, Y, n, seed):
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     q = local_dim(X)
-    vals = np.empty(n, dtype=complex)
-    for b, e in _blocks(0, n):
-        W = _kron_conj(_haar_block(q, seed, "monomial", b, e)[:, 0])
-        vals[b:e] = np.trace(X @ W @ Y @ W.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+
+    def monomials(W):
+        return np.trace(X @ W @ Y @ W.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+
+    vals = _map_blocks(monomials, q, seed, "monomial", 0, n)
     mean = vals.mean()
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     closed = haar_monomial_closed_form(X, Y)

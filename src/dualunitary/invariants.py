@@ -25,14 +25,13 @@ from .tensor_ops import (
     realign_r1,
     unitarity_defect,
 )
-from .tolerances import DUALITY_TOL, GATE_UNITARY_TOL, THRESHOLD_BOUNDARY_TOL
+from .tolerances import DUALITY_TOL, THRESHOLD_BOUNDARY_TOL
 
 
 @dataclass
 class SchmidtSpectrum:
     q: int
     gamma: np.ndarray          # descending, clipped at 0, sums to q^2
-    unitary_input: bool = True
 
 
 @dataclass
@@ -49,9 +48,7 @@ def schmidt_spectrum(U):
     q = local_dim(U)
     R = realign_r1(U)
     gamma = np.linalg.eigvalsh(R @ R.conj().T)[::-1]
-    gamma = np.clip(gamma, 0.0, None)
-    unitary = unitarity_defect(U) <= GATE_UNITARY_TOL
-    return SchmidtSpectrum(q=q, gamma=gamma, unitary_input=unitary)
+    return SchmidtSpectrum(q=q, gamma=np.clip(gamma, 0.0, None))
 
 
 def swap_entanglement(q):

@@ -90,10 +90,14 @@ def critical_theta(J):
     return math.acos(2 * math.sqrt(s) / (1 + s))
 
 
+def _neg_log(s):
+    """-ln s for s = sin 2J in [0, 1]: inf at 0, and 0.0 (never -0.0) at 1."""
+    return math.inf if s == 0 else 0.0 if s == 1 else -math.log(s)
+
+
 def nu_prime(J):
     """Maximal mixing rate over the w family: -1/2 ln sin 2J."""
-    s = math.sin(2 * J)
-    return math.inf if s == 0 else -0.5 * math.log(s)
+    return 0.5 * _neg_log(math.sin(2 * J))
 
 
 def mu_prime(J):
@@ -105,8 +109,7 @@ def mu_prime(J):
 def nu_plus_exact(J):
     """Maximal mixing rate over the v family, -ln sin^{2/3}(2J); numerically
     the optimum over all single-qubit gates."""
-    s = math.sin(2 * J)
-    return math.inf if s == 0 else -(2.0 / 3.0) * math.log(s)
+    return (2.0 / 3.0) * _neg_log(math.sin(2 * J))
 
 
 def cubic_roots(a2, a1, a0):

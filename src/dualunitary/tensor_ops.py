@@ -141,13 +141,13 @@ def _maxabs(A):
     return float(np.abs(A).max())
 
 
-def verify_reshuffle_identities(X, locals_=None):
+def verify_reshuffle_identities(X, locals_):
     """Residuals of the closed-form reshuffle algebra on a given operator X.
 
     Checks the six identity groups that tie R1, R2, T1, T2, the swap S and
     the full transpose together, plus the four covariance rules under
-    sandwiching with single-particle operators.  Returns a dict mapping a
-    short identity label to the max-entry residual.
+    sandwiching with the four single-particle operators locals_.  Returns a
+    dict mapping a short identity label to the max-entry residual.
     """
     X = np.asarray(X, dtype=complex)
     q = local_dim(X)
@@ -178,9 +178,6 @@ def verify_reshuffle_identities(X, locals_=None):
         ),
     }
 
-    if locals_ is None:
-        rng = np.random.default_rng(0)
-        locals_ = [sample_haar(q, rng) for _ in range(4)]
     u1, u2, u3, u4 = locals_
     Y = np.kron(u1, u2) @ X @ np.kron(u3, u4)
     res["local_covariance_r1"] = _maxabs(
@@ -247,15 +244,8 @@ def _json_object(obj, what, keys):
 
 
 def gate_from_json(obj):
-    """Inverse of gate_to_json; accepts a dict or a JSON string."""
-    if isinstance(obj, (str, bytes)):
-        obj = _parse_json(obj, "gate payload")
-    return _gate_from_object(obj)
-
-
-def _gate_from_object(obj):
-    """The gate of an already parsed JSON value; a JSON string is refused as
-    not an object, never parsed a second time."""
+    """Inverse of gate_to_json: the gate of a parsed JSON value.  A JSON
+    string is refused as not an object, never parsed a second time."""
     q = _json_object(obj, "a gate", ("q", "re", "im"))
     re, im = (_json_array(obj[k], k, (q * q, q * q), "number") for k in ("re", "im"))
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -111,10 +111,17 @@ def test_cat2_haar_averaged_radius_squared():
 
 
 def test_single_u_and_four_local_averages_agree():
+    # the paper's average: the radius of U' = (u1 x u2) U (v1 x v2) with all
+    # four locals drawn per index, against the engine's one local per sample
     U = diagonal_dual_sample(3, 1.0, hm.substream(3, "gate"))
     a = hm.avg_spectral_radius(U, 1500, seed=4)
-    b = hm.avg_spectral_radius(U, 1500, seed=5, four_locals=True)
-    assert abs(a.mean - b.mean) < 3 * (a.stderr + b.stderr)
+    b = np.empty(1500)
+    for i in range(1500):
+        rng = hm.substream(5, "four-locals", i)
+        V = to.sandwich_locals(U, *(hm.sample_haar(3, rng) for _ in range(4)))
+        b[i] = np.abs(np.linalg.eigvals(deflate_trivial(build_m_plus(V)))).max()
+    b_stderr = b.std(ddof=1) / math.sqrt(b.size)
+    assert abs(a.mean - b.mean()) < 3 * (a.stderr + b_stderr)
 
 
 def test_avg_mixing_rate_dcnot_limit():
@@ -213,26 +220,24 @@ def _locals_at(q, seed, label, i, four_locals):
     return np.kron(u, u.conj()), None
 
 
-def _compressed_radius(X, Yh, L, R):
-    A = Yh @ L @ X if R is None else Yh @ R @ L @ X
-    return np.abs(np.linalg.eigvals(A)).max()
+def _compressed_radius(X, Yh, L):
+    return np.abs(np.linalg.eigvals(Yh @ L @ X)).max()
 
 
-def _reference_radii(U, n, seed, four_locals, label="spectral-radius"):
-    """The per-index recipe: eig of the m x m compression Yh R L X."""
+def _reference_radii(U, n, seed, label="spectral-radius"):
+    """The per-index recipe: eig of the m x m compression Yh (u x u*) X."""
     q = to.local_dim(U)
     X, Yh = _factored(U)
-    return np.array([_compressed_radius(X, Yh, *_locals_at(q, seed, label, i, four_locals))
+    return np.array([_compressed_radius(X, Yh, _locals_at(q, seed, label, i, False)[0])
                      for i in range(n)])
 
 
-@pytest.mark.parametrize("four_locals", [False, True])
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_block_radii_equal_per_index_reference(q, four_locals):
+def test_block_radii_equal_per_index_reference(q):
     U = _engine_gates()[q]
-    ref = _reference_radii(U, N_BLOCKS, 19, four_locals)
-    serial = hm.spectral_radius_samples(U, N_BLOCKS, 19, four_locals=four_locals)
-    split = hm.spectral_radius_samples(U, N_BLOCKS, 19, four_locals=four_locals, workers=3)
+    ref = _reference_radii(U, N_BLOCKS, 19)
+    serial = hm.spectral_radius_samples(U, N_BLOCKS, 19)
+    split = hm.spectral_radius_samples(U, N_BLOCKS, 19, workers=3)
     assert np.array_equal(serial, ref)
     assert np.array_equal(split, ref)
 
@@ -244,7 +249,7 @@ def test_block_max_mixing_rate_equals_per_index_reference(q):
     best_r, best_u = np.inf, None
     for i in range(N_BLOCKS):
         L, _ = _locals_at(q, 20, "max-rate", i, False)
-        r = _compressed_radius(X, Yh, L, None)
+        r = _compressed_radius(X, Yh, L)
         if r < best_r:
             best_r, best_u = r, hm.haar_sample_at(q, 20, "max-rate", i)
     rep = hm.max_mixing_rate(U, N_BLOCKS, 20)
@@ -285,7 +290,13 @@ def test_compressed_radii_match_the_full_eigensolve(gate, four_locals):
         L, R = _locals_at(q, 27, "spectral-radius", i, four_locals)
         A = L @ Mt if R is None else L @ Mt @ R
         full[i] = np.abs(np.linalg.eigvals(A)).max()
-    r = hm.spectral_radius_samples(U, N_BLOCKS, 27, four_locals=four_locals)
+    r = hm.spectral_radius_samples(U, N_BLOCKS, 27)
+    if four_locals and rank:
+        # R L = w x w* with w = u1^dag v2^dag: one local carries the
+        # four-local spectrum through the engine's compression
+        K = np.stack([R @ L for L, R in (_locals_at(q, 27, "spectral-radius", i, True)
+                                         for i in range(N_BLOCKS))])
+        r = hm._radii(X, Yh, K)
     assert np.abs(r - full).max() <= 1e-13
     if rank == 0:
         assert not r.any()
@@ -370,7 +381,7 @@ def test_golden_sweep_keeps_the_radius_bytes_and_rates_follow_one_sample_set(tmp
     for row, radius_fields, name in zip(rows, SWEEP_GOLDEN_RADIUS_FIELDS,
                                         ("dual_q3_d3s", "dual_q4_d4s")):
         assert [row["e_p"], row["mean_lambda1"], row["stderr"]] == radius_fields
-        ref = _reference_radii(fx[name], 300, 13, False)
+        ref = _reference_radii(fx[name], 300, 13)
         assert row["mean_lambda1"] == repr(float(ref.mean()))
         assert row["mu_plus"] == repr(float(np.mean(-np.log(ref))))
         assert row["nu_plus"] == repr(float(-np.log(ref.min())))
@@ -397,6 +408,9 @@ def test_sweep_row_is_reductions_of_one_radius_vector(gate):
     assert row[4] >= row[3]
 
 
+RATE_COLUMNS = ("mu_plus", "nu_plus", "nu_prime", "mu_prime", "nu_exact")
+
+
 def test_sweep_rows_have_nu_at_least_mu_and_cartan_below_exact(tmp_path):
     gate = tmp_path / "g.json"
     assert cli_main(["gate", "make", "diag", "-q", "3", "--seed", "2", "-o", str(gate)]) == 0
@@ -413,6 +427,9 @@ def test_sweep_rows_have_nu_at_least_mu_and_cartan_below_exact(tmp_path):
         assert rows
         for row in rows:
             assert float(row["nu_plus"]) >= float(row["mu_plus"])
+            # a rate is never negative, nor -0.0 (a radius rounded above 1)
+            rates = [row[c] for c in RATE_COLUMNS if c in row]
+            assert not [r for r in rates if r.startswith("-")], row
             if kind == "cartan":
                 assert float(row["nu_plus"]) <= float(row["nu_exact"]) + 1e-12
 

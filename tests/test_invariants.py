@@ -35,9 +35,9 @@ def test_schmidt_normalization_and_nonunitary_flag():
     U = sample_haar(9, substream(1, "schmidt-n", 0))
     spec = iv.schmidt_spectrum(U)
     assert abs(spec.gamma.sum() - 9.0) < 1e-9
-    assert spec.unitary_input
+    # a non-unitary input still has a spectrum: gamma sums to ||U||_F^2
     bad = iv.schmidt_spectrum(np.ones((4, 4), dtype=complex))
-    assert not bad.unitary_input
+    assert abs(bad.gamma.sum() - 16.0) < 1e-12
 
 
 def test_operator_entanglement_reference_values():

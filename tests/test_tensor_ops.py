@@ -135,7 +135,8 @@ def test_sandwich_t2_covariance():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_reshuffle_identities_random(q):
     X = random_complex(q * q, 10 + q)
-    res = to.verify_reshuffle_identities(X)
+    locals_ = [sample_haar(q, substream(10 + q, "identity-locals", k)) for k in range(4)]
+    res = to.verify_reshuffle_identities(X, locals_)
     assert max(res.values()) < 1e-12
 
 
@@ -172,6 +173,9 @@ def test_gate_json_round_trip():
     assert np.abs(back - U).max() < 1e-15
     with pytest.raises(ValueError):
         to.gate_from_json({"q": 2, "re": [[1.0]], "im": [[0.0]]})
+    # JSON text is parsed once, at the boundary, never by the gate reader
+    with pytest.raises(ValueError, match="JSON object"):
+        to.gate_from_json(json.dumps(to.gate_to_json(U)))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -184,7 +188,7 @@ def test_gate_json_round_trip_is_exact(q, data):
     U.real, U.imag = data.draw(finite), data.draw(finite)
     payload = to.gate_to_json(U)
     assert payload["q"] == q
-    for obj in (payload, json.dumps(payload)):
+    for obj in (payload, json.loads(json.dumps(payload))):
         assert np.array_equal(to.gate_from_json(obj), U)
 
 
@@ -204,6 +208,6 @@ def test_unitarity_defect_and_require():
 def test_gate_json_rejects_non_finite_entries(part, bad):
     payload = to.gate_to_json(np.eye(4))
     payload[part][0][3] = bad
-    for obj in (payload, json.dumps(payload)):
+    for obj in (payload, json.loads(json.dumps(payload))):
         with pytest.raises(ValueError, match="non-finite"):
             to.gate_from_json(obj)
