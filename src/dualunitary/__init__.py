@@ -2,9 +2,9 @@
 hierarchy of the brickwork circuits built from them.
 
 Importing the package loads numpy only.  scipy is imported on first use by
-the four functions that call it: channels.eigvals_schur, the spectrum
-matching of constructions and the expm kicks of
-constructions.perturbed_two_unitary and haar_mc.max_mixing_rate."""
+the three functions that call it: the spectrum matching of constructions and
+the expm kicks of constructions.perturbed_two_unitary and
+haar_mc.max_mixing_rate.  No `dualu` command calls them."""
 
 __version__ = "0.1.0"
 

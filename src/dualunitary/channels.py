@@ -32,7 +32,7 @@ from .tensor_ops import (
     vectorize,
 )
 from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, GATE_UNITARY_TOL, UNIT_BOUNDARY_TOL,
-                         UNIT_TOL, UNITALITY_TOL, ZERO_TOL)
+                         UNIT_TOL, UNITALITY_TOL, ZERO_TOL, channel_rank_tol)
 
 @dataclass
 class ChannelSpectrum:
@@ -100,14 +100,6 @@ def _sort_desc(vals):
     return vals[idx]
 
 
-def eigvals_schur(A):
-    """Eigenvalues from the (balanced) complex Schur form."""
-    import scipy.linalg
-
-    T, _ = scipy.linalg.schur(np.asarray(A, dtype=complex), output="complex")
-    return np.diag(T).copy()
-
-
 def eigvals_companion(A):
     """Cross-check path: characteristic polynomial by Faddeev-LeVerrier,
     roots from the companion matrix.  Only sensible for small matrices."""
@@ -133,17 +125,32 @@ def decay_rates(mods):
     return np.where(zero, np.inf, np.where(mods >= 1.0, 0.0, rates))
 
 
-def channel_spectrum(M, side="plus", deflated=False):
+def factored_channel(M):
+    """Mt = X Yh for the deflated channel Mt of the unital channel M, from one SVD.
+
+    X is q^2 x m and Yh m x q^2, where m counts the singular values above
+    `channel_rank_tol(q)`: 0 for a 2-unitary, q^2 - 1 for a generic dual
+    gate, and never more, since Mt |Phi+> = 0 (a channel unital only to
+    UNITALITY_TOL keeps that direction's singular value out).
+    """
+    q = local_dim(M)
+    W, s, Yh = np.linalg.svd(deflate_trivial(M))
+    m = min(int((s > channel_rank_tol(q)).sum()), q * q - 1)
+    return W[:, :m] * s[:m], Yh[:m]
+
+
+def channel_spectrum(M, side="plus"):
     """Nontrivial spectrum of a unital channel, sorted, with decay rates.
 
-    The trivial mode is always deflated before the eigensolve so the leading
-    eigenvalue is never contaminated by it, even when the spectrum is
-    degenerate at 1.  The smallest-modulus eigenvalue of the deflated matrix
-    (the deflated trivial mode, an exact zero) is dropped.
+    The trivial mode is deflated first, so the leading eigenvalue is never
+    contaminated by it, even when the spectrum is degenerate at 1.  The
+    nonzero eigenvalues of Mt = X Yh (`factored_channel`) are those of the
+    m x m matrix Yh X (Sylvester); the other q^2 - 1 - m modes are exact zeros.
     """
-    Mt = np.asarray(M, dtype=complex) if deflated else deflate_trivial(M)
-    q = local_dim(Mt)
-    vals = _sort_desc(eigvals_schur(Mt))[: q * q - 1]
+    q = local_dim(M)
+    X, Yh = factored_channel(M)
+    zeros = np.zeros(q * q - 1 - Yh.shape[0], dtype=complex)
+    vals = _sort_desc(np.concatenate([np.linalg.eigvals(Yh @ X), zeros]))
     return ChannelSpectrum(q=q, side=side, eigenvalues=vals, rates=decay_rates(np.abs(vals)))
 
 
@@ -195,12 +202,12 @@ def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
         raise ValidationError(f"gate is not dual-unitary (defect {dc.residuals['dual']:.3e})")
 
     ep = entangling_power(U)
-    Mt = deflate_trivial(build_m_plus(U))
+    M = build_m_plus(U)
+    Mt = deflate_trivial(M)
     norm_sq = float(np.vdot(Mt, Mt).real)
     expected = (q * q - 1) * (1.0 - ep)
 
-    spec = channel_spectrum(Mt, deflated=True)
-    mods = np.abs(spec.eigenvalues)
+    mods = np.abs(channel_spectrum(M).eigenvalues)
     k = np.arange(1, q * q)
     bound = np.sqrt(max(1.0 - ep, 0.0)) * np.sqrt((q * q - 1) / k)
     slack = bound - mods

@@ -482,8 +482,7 @@ def phased_dft_local(q, phi1, phi2):
 def cat_fourier_local_lambda1(q, phi1, phi2):
     """Leading nontrivial channel eigenvalue of the even-q cat under a phased
     DFT local: cos(pi phi2).  Computed as <Psibar|(u x u*)|Psi> and verified
-    against the eigensolver to CAT_CHECK_TOL (sqrt(eps): the zero of the
-    nilpotent channel sits in a size-2 Jordan block)."""
+    against the eigensolver to CAT_CHECK_TOL."""
     if q % 2:
         raise ValidationError("defined for even q")
     u = phased_dft_local(q, phi1, phi2)

@@ -7,11 +7,12 @@ Results are therefore bit-identical for a given (seed, N) regardless of how
 the index range is split across workers, and adding a new consumer label
 never perturbs existing streams.
 
-The radius engine factors the deflated channel once per gate, Mt = X Yh,
-from one SVD that keeps the m singular values above `channel_rank_tol(q)`
-(q^2 eps: numpy's matrix_rank rule with the unital channel's norm bound 1
-for sigma_max).  The nonzero eigenvalues of (u x u*) X Yh are those of the
-m x m matrix Yh (u x u*) X (Sylvester), so only that stack is eigensolved.
+The radius engine factors the deflated channel once per gate, Mt = X Yh
+(`channels.factored_channel`, the same factorisation `channel_spectrum`
+eigensolves: one SVD that keeps the m singular values above
+`channel_rank_tol(q)`).  The nonzero eigenvalues of (u x u*) X Yh are those
+of the m x m matrix Yh (u x u*) X (Sylvester), so only that stack is
+eigensolved.
 A 2-unitary (Bernoulli) gate has m = 0: every radius is exactly 0.0, with no
 Haar draw and no eigensolve.  The block duals D3S and D4S have m = 2 and 3,
 the even-q cat map m = 1, and a generic dual gate m = q^2 - 1.
@@ -56,10 +57,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import build_m_plus, decay_rates, deflate_trivial
+from .channels import build_m_plus, decay_rates, deflate_trivial, factored_channel
 from .invariants import entangling_power
 from .tensor_ops import ValidationError, haar_from_ginibre, local_dim, realign_r2, sample_haar
-from .tolerances import channel_rank_tol
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 64
@@ -120,18 +120,6 @@ def _map_blocks(kernel, q, seed, label, lo, hi):
     return np.concatenate(out)
 
 
-def _factored_channel(U):
-    """Mt = X Yh for the deflated channel Mt of U, from one SVD.
-
-    X is q^2 x m and Yh m x q^2, where m counts the singular values above
-    `channel_rank_tol(q)`: 0 for a 2-unitary, q^2 - 1 for a generic dual gate.
-    """
-    q = local_dim(U)
-    W, s, Yh = np.linalg.svd(deflate_trivial(build_m_plus(U)))
-    m = int((s > channel_rank_tol(q)).sum())
-    return W[:, :m] * s[:m], Yh[:m]
-
-
 def _radii(X, Yh, K):
     """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
     those of the m x m matrix Yh K X (Sylvester), so only that is eigensolved."""
@@ -157,8 +145,12 @@ def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
     at most one process per usable CPU; workers=None means 1.
     """
     U = np.asarray(U, dtype=complex)
-    q = local_dim(U)
-    X, Yh = _factored_channel(U)
+    X, Yh = factored_channel(build_m_plus(U))
+    return _factored_radii(X, Yh, local_dim(U), n, seed, workers, label)
+
+
+def _factored_radii(X, Yh, q, n, seed, workers, label):
+    """spectral_radius_samples of the channel factored as Mt = X Yh."""
     if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
         return np.zeros(n)
     if workers is None or workers <= 1:
@@ -233,10 +225,10 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
 
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
-    r = spectral_radius_samples(U, n, seed, label="max-rate")
+    X, Yh = factored_channel(build_m_plus(U))
+    r = _factored_radii(X, Yh, q, n, seed, None, "max-rate")
     i = int(np.argmin(r))  # the first strict minimum
     best_r, best_u = r[i], haar_sample_at(q, seed, "max-rate", i)
-    X, Yh = _factored_channel(U)
 
     rng = substream(seed, "max-rate-refine")
     eps = 0.15

@@ -19,7 +19,7 @@ POLAR_RANK_TOL = 1e-13          # smallest singular value below this: rank-defic
 FLOW_TOL = 1e-10                # realign-polar flow stops once E(S) - E(U) is below this
 REFLOW_TOL = 1e-13              # the same, flowing a kicked 2-unitary back to dual gates
 BOUND_SLACK_TOL = 1e-9          # eigenvalue-bound slack above minus this: the bound holds
-CAT_CHECK_TOL = 1e-7            # cat-map |lambda_1| closed form vs eigensolve (sqrt(eps): Jordan)
+CAT_CHECK_TOL = 1e-12           # cat-map |lambda_1| closed form vs eigensolve
 UNISTOCHASTIC_TOL = 1e-10       # spectrum residual of the unistochastic reduction that is ok
 RESHUFFLE_TOL = 1e-12           # reshuffle-identity residual accepted by the oracle
 CONE_TOL = 1e-10                # light-cone residual accepted by `circuit verify`

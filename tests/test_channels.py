@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dualunitary import channels as ch
 from dualunitary import invariants as iv
 from dualunitary import tensor_ops as to
-from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
+from dualunitary.constructions import cat_family, cat_map, diagonal_dual_sample, fixtures
 from dualunitary.haar_mc import sample_haar, substream
 from dualunitary.qubit_exact import cartan_gate
 from dualunitary.tolerances import ZERO_TOL
@@ -115,20 +115,37 @@ def test_cartan_spectrum_and_swap_limit():
 
 
 def test_even_cat_nilpotent_spectrum():
+    # exactly nilpotent deflated channels: every nontrivial mode is a zero mode
+    for U in [cat_map(q) for q in (2, 4, 6)] + [cat_family(q, 1) for q in (2, 3, 4)]:
+        rep = ch.classify_gate(U)
+        assert rep.label == "Bernoulli" and rep.zero_count == rep.total
+        for M in (ch.build_m_plus(U), ch.build_m_minus(U)):
+            assert np.abs(ch.channel_spectrum(M).eigenvalues).max() < ZERO_TOL
     M = ch.build_m_plus(cat_map(2))
-    spec = ch.channel_spectrum(M)
-    assert np.abs(spec.eigenvalues).max() < 1e-7  # nilpotent: zeros at sqrt(eps)
     phi = to.max_entangled_vector(2)
     P = np.outer(phi, phi.conj())
     assert np.abs(np.linalg.matrix_power(M, 2) - P).max() < 1e-12
 
 
-def test_schur_companion_cross_check():
+def test_spectrum_companion_cross_check():
     for q, label in ((2, "cc2"), (3, "cc3")):
-        Mt = ch.deflate_trivial(ch.build_m_plus(haar(q * q, label)))
-        a = ch.eigvals_schur(Mt)
-        b = ch.eigvals_companion(Mt)
-        assert multiset_residual(a, b) < 1e-7
+        M = ch.build_m_plus(haar(q * q, label))
+        Mt = ch.deflate_trivial(M)
+        # the deflated trivial mode is the q^2-th eigenvalue of Mt, an exact zero
+        vals = np.append(ch.channel_spectrum(M).eigenvalues, 0.0)
+        assert multiset_residual(vals, ch.eigvals_companion(Mt)) < 1e-7
+        assert multiset_residual(vals, np.linalg.eigvals(Mt)) < 1e-12
+        # a channel unital only to UNITALITY_TOL still has q^2 - 1 nontrivial modes
+        E = 1e-13 * (haar(q * q, label, 1) - np.eye(q * q))
+        assert ch.channel_spectrum(M + E).eigenvalues.size == q * q - 1
+    # rank-deficient channels: the modes beyond the factored rank m are exact zeros
+    fx = fixtures()
+    for U, m in ((fx["two_unitary_q3"], 0), (cat_map(4), 1), (fx["dual_q3_d3s"], 2),
+                 (fx["dual_q4_d4s"], 3)):
+        M = ch.build_m_plus(U)
+        q = to.local_dim(U)
+        assert ch.factored_channel(M)[1].shape[0] == m
+        assert np.count_nonzero(ch.channel_spectrum(M).eigenvalues == 0.0) == q * q - 1 - m
 
 
 def test_classify_ergodicity_reference_gates():
@@ -149,9 +166,9 @@ def test_classify_ergodicity_reference_gates():
 @pytest.mark.parametrize("lam", [ZERO_TOL, np.nextafter(ZERO_TOL, 0.0)])
 def test_zero_mode_boundary_agrees_between_rates_and_classes(lam):
     # a mode is zero iff |lambda| < ZERO_TOL, for the rate and the class count alike
-    Mt = np.diag([0.5, 0.25, lam, 0.0]).astype(complex)
-    spec = ch.channel_spectrum(Mt, deflated=True)
-    assert spec.eigenvalues[2] == lam
+    vals = np.array([0.5, 0.25, lam], dtype=complex)
+    spec = ch.ChannelSpectrum(q=2, side="plus", eigenvalues=vals,
+                              rates=ch.decay_rates(np.abs(vals)))
     zero = lam < ZERO_TOL
     assert np.isinf(spec.rates[2]) == zero
     assert ch.classify_ergodicity(spec, spec).zero_count == 2 * zero

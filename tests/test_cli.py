@@ -93,16 +93,18 @@ def test_channel_spectrum_csv(tmp_path):
 
 
 def test_channel_spectrum_json_writes_zero_mode_rates_as_inf(tmp_path, capsys):
-    # the q = 3 cat map is Bernoulli: all eight nontrivial modes are zero modes
-    gate = tmp_path / "cat.json"
-    assert main(["gate", "make", "cat", "-q", "3", "-o", str(gate)]) == 0
-    capsys.readouterr()
-    assert main(["channel", "spectrum", str(gate), "--format", "json"]) == 0
-    rep = _strict_json(capsys.readouterr().out)
-    assert [e["rate"] for e in rep["eigenvalues"]] == ["inf"] * 8
-    assert main(["channel", "spectrum", str(gate)]) == 0
-    csv_rates = [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert csv_rates == ["inf"] * 8
+    # the q = 3 cat map is Bernoulli (a zero channel) and so is the q = 4 one
+    # (a nilpotent channel): every nontrivial mode is a zero mode
+    for q in (3, 4):
+        gate = tmp_path / f"cat{q}.json"
+        assert main(["gate", "make", "cat", "-q", str(q), "-o", str(gate)]) == 0
+        capsys.readouterr()
+        assert main(["channel", "spectrum", str(gate), "--format", "json"]) == 0
+        rep = _strict_json(capsys.readouterr().out)
+        assert [e["rate"] for e in rep["eigenvalues"]] == ["inf"] * (q * q - 1)
+        assert main(["channel", "spectrum", str(gate)]) == 0
+        csv_rates = [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert csv_rates == ["inf"] * (q * q - 1)
 
 
 def test_sweep_haar_deterministic(tmp_path):
@@ -282,16 +284,14 @@ def test_console_script_installed():
 
 
 # Run in a fresh interpreter: prints whether scipy is loaded after the imports,
-# then the exit code of each argv of argv[1] and whether scipy (scipy.linalg
-# for the last argv) is loaded after it.
+# then the exit code of each argv of argv[1] and whether scipy is loaded after
+# it, then whether a process pool was started.
 SCIPY_PROBE = """
 import json, sys
 import dualunitary, dualunitary.cli
 loaded = ["scipy" in sys.modules]
-*quiet, last = json.loads(sys.argv[1])
-for argv in quiet:
+for argv in json.loads(sys.argv[1]):
     loaded.append([dualunitary.cli.main(argv), "scipy" in sys.modules])
-loaded.append([dualunitary.cli.main(last), "scipy.linalg" in sys.modules])
 loaded.append("concurrent.futures.process" in sys.modules)
 print(json.dumps(loaded))
 """
@@ -306,13 +306,15 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     argvs = [["gate", "make", "mrt", "-q", "3", "--max-iter", "5", "-o", out],
              ["sweep", "haar", gate, "-N", "20", "-o", out],
              ["circuit", "verify", cfg, "-o", out],
-             ["gate", "classify", fixture, "-o", out]]
+             ["gate", "classify", fixture, "-o", out],
+             ["channel", "spectrum", fixture, "--side", "minus", "-o", out],
+             ["perm", "enumerate", "-q", "2", "-o", out]]
     proc = _child_python("-c", SCIPY_PROBE, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
-    # imports, mrt (5 steps, unconverged), sweep and verify leave scipy out;
-    # classify's Schur eigensolve loads it; a serial sweep starts no process pool
-    assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, True],
-                                       False]
+    # neither the imports nor any command (mrt: 5 steps, unconverged) load
+    # scipy, and a serial sweep starts no process pool
+    assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, False],
+                                       [0, False], [0, False], False]
 
 
 # sha256 of the gate files the realign-polar flows write at the CLI defaults;
@@ -325,7 +327,7 @@ FLOW_GOLDEN = {
 
 # sha256 of `perm enumerate -q 3`: pins the enumeration's rows, their order and
 # their channel moduli byte for byte
-PERM_Q3_GOLDEN = "a4dd5e35f9eabec0534f9fc6188abcb8e75eebe71a02005e27530d0afb092262"
+PERM_Q3_GOLDEN = "82f3bc84b4de99417b0f4e8478be36b210fca264ebc25ca2e3db36413e5a61db"
 
 
 def test_flow_gate_files_match_golden_digests(tmp_path):

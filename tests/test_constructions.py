@@ -239,10 +239,11 @@ def test_cat_family_duality_and_factorization():
 
 
 def test_cat_fourier_local_lambda1():
-    for phi2, expect in ((0.0, 1.0), (0.5, 0.0), (0.25, math.cos(math.pi / 4))):
-        lam = co.cat_fourier_local_lambda1(2, 0.3, phi2)
-        assert abs(lam - math.cos(math.pi * phi2)) < 1e-10
-        assert abs(abs(lam) - abs(expect)) < 1e-10
+    for q in (2, 4, 6):
+        for phi2, expect in ((0.0, 1.0), (0.5, 0.0), (0.25, math.cos(math.pi / 4))):
+            lam = co.cat_fourier_local_lambda1(q, 0.3, phi2)
+            assert abs(lam - math.cos(math.pi * phi2)) < 1e-10
+            assert abs(abs(lam) - abs(expect)) < 1e-10
     with pytest.raises(ValueError):
         co.cat_fourier_local_lambda1(3, 0.0, 0.0)
 
@@ -266,8 +267,8 @@ def test_d3s_d2s_channels_differ_under_same_local():
     fx = co.fixtures()
     u = sample_haar(3, substream(8, "ineq"))
     W = np.kron(u, u.conj())
-    s1 = np.sort(np.abs(channel_spectrum(W @ build_m_plus(fx["dual_q3_d3s"]), deflated=False).eigenvalues))
-    s2 = np.sort(np.abs(channel_spectrum(W @ build_m_plus(fx["dual_q3_d2s"]), deflated=False).eigenvalues))
+    s1 = np.sort(np.abs(channel_spectrum(W @ build_m_plus(fx["dual_q3_d3s"])).eigenvalues))
+    s2 = np.sort(np.abs(channel_spectrum(W @ build_m_plus(fx["dual_q3_d2s"])).eigenvalues))
     assert np.abs(s1 - s2).max() > 1e-3
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualunitary import haar_mc as hm
 from dualunitary import tensor_ops as to
-from dualunitary.channels import build_m_plus, deflate_trivial
+from dualunitary.channels import build_m_plus, deflate_trivial, factored_channel
 from dualunitary.cli import _sweep_row, main as cli_main
 from dualunitary.constructions import (cat_map, cat_psi_vectors, diagonal_dual_sample, fixtures,
                                        two_unitary_permutation)
@@ -282,7 +282,7 @@ def _rank_gates():
 def test_compressed_radii_match_the_full_eigensolve(gate, four_locals):
     U, rank = _rank_gates()[gate]
     q = to.local_dim(U)
-    X, Yh = hm._factored_channel(U)
+    X, Yh = factored_channel(build_m_plus(U))
     assert Yh.shape == (rank, q * q) and X.shape == (q * q, rank)
     Mt = deflate_trivial(build_m_plus(U))
     full = np.empty(N_BLOCKS)
