@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -315,32 +314,6 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     # scipy, and a serial sweep starts no process pool
     assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, False],
                                        [0, False], [0, False], False]
-
-
-# sha256 of the gate files the realign-polar flows write at the CLI defaults;
-# a change to the flow's stop rule or step shows up here as a re-golden
-FLOW_GOLDEN = {
-    "mr": "757d36e00649043e48b07c9a14f794137b2843005828a9924aa6a2d371df6124",
-    "mrt": "5f65a2f51d15c46a90aeda882942ad1f867607dd91ac7000e84f3cbe48fc9eab",
-}
-
-
-# sha256 of `perm enumerate -q 3`: pins the enumeration's rows, their order and
-# their channel moduli byte for byte
-PERM_Q3_GOLDEN = "82f3bc84b4de99417b0f4e8478be36b210fca264ebc25ca2e3db36413e5a61db"
-
-
-def test_flow_gate_files_match_golden_digests(tmp_path):
-    for fam, digest in FLOW_GOLDEN.items():
-        out = tmp_path / f"{fam}.json"
-        assert main(["gate", "make", fam, "-q", "3", "--seed", "1", "-o", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fam
-
-
-def test_perm_enumerate_q3_matches_golden_digest(tmp_path):
-    out = tmp_path / "perms.csv"
-    assert main(["perm", "enumerate", "-q", "3", "-o", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PERM_Q3_GOLDEN
 
 
 def _validation_error(capsys):
