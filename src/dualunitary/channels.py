@@ -15,6 +15,8 @@ Frobenius norm ties to the entangling power:  for dual U,
 """
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,18 +127,43 @@ def decay_rates(mods):
     return np.where(zero, np.inf, np.where(mods >= 1.0, 0.0, rates))
 
 
-def factored_channel(M):
-    """Mt = X Yh for the deflated channel Mt of the unital channel M, from one SVD.
+@functools.cache
+def hermitian_basis(q):
+    """T: an orthonormal basis of Hermitian q x q matrices, row-major vec, as
+    columns.  Column j q + k is E_jj for j = k, (E_jk + E_kj)/sqrt 2 for j < k
+    and i(E_jk - E_kj)/sqrt 2 for j > k.  A map that preserves Hermiticity is
+    a real matrix T^dag M T in this basis."""
+    d = q * q
+    E = np.eye(d)
+    S = E.reshape(q, q, d).transpose(1, 0, 2).reshape(d, d)  # column j q + k: vec E_kj
+    j, k = np.divmod(np.arange(d), q)
+    T = np.where(j < k, (E + S) / math.sqrt(2), np.where(j > k, 1j * (E - S) / math.sqrt(2), E))
+    T.flags.writeable = False
+    return T
 
-    X is q^2 x m and Yh m x q^2, where m counts the singular values above
+
+def factored_channel(M):
+    """Mt = X Yh for the deflated channel Mt of the unital channel M.
+
+    A unital channel preserves Hermiticity, so Mt is a real matrix R in the
+    Hermitian basis T (`hermitian_basis`); one real SVD R = X_r Y_r gives
+    X = T X_r (q^2 x m) and Yh = Y_r T^dag (m x q^2), and Yh A X is real for
+    every A that preserves Hermiticity.  m counts the singular values above
     `channel_rank_tol(q)`: 0 for a 2-unitary, q^2 - 1 for a generic dual
     gate, and never more, since Mt |Phi+> = 0 (a channel unital only to
-    UNITALITY_TOL keeps that direction's singular value out).
+    UNITALITY_TOL keeps that direction's singular value out).  A channel whose
+    imaginary part in the basis T exceeds UNITALITY_TOL is refused.
     """
     q = local_dim(M)
-    W, s, Yh = np.linalg.svd(deflate_trivial(M))
+    T = hermitian_basis(q)
+    R = T.conj().T @ deflate_trivial(M) @ T
+    im = float(np.abs(R.imag).max())
+    if not im <= UNITALITY_TOL:
+        raise ValidationError(f"channel does not preserve Hermiticity: imaginary part {im:.3e} "
+                              "in the Hermitian basis")
+    W, s, Yh = np.linalg.svd(R.real)
     m = min(int((s > channel_rank_tol(q)).sum()), q * q - 1)
-    return W[:, :m] * s[:m], Yh[:m]
+    return T @ (W[:, :m] * s[:m]), Yh[:m] @ T.conj().T
 
 
 def channel_spectrum(M, side="plus"):
@@ -145,12 +172,13 @@ def channel_spectrum(M, side="plus"):
     The trivial mode is deflated first, so the leading eigenvalue is never
     contaminated by it, even when the spectrum is degenerate at 1.  The
     nonzero eigenvalues of Mt = X Yh (`factored_channel`) are those of the
-    m x m matrix Yh X (Sylvester); the other q^2 - 1 - m modes are exact zeros.
+    m x m matrix Yh X (Sylvester), real up to rounding, so its real part is
+    eigensolved; the other q^2 - 1 - m modes are exact zeros.
     """
     q = local_dim(M)
     X, Yh = factored_channel(M)
     zeros = np.zeros(q * q - 1 - Yh.shape[0], dtype=complex)
-    vals = _sort_desc(np.concatenate([np.linalg.eigvals(Yh @ X), zeros]))
+    vals = _sort_desc(np.concatenate([np.linalg.eigvals((Yh @ X).real), zeros]))
     return ChannelSpectrum(q=q, side=side, eigenvalues=vals, rates=decay_rates(np.abs(vals)))
 
 

@@ -5,7 +5,7 @@ Subcommand map (program name `dualu`):
     gate make <family> ... -o gate.json     every gate factory
     gate classify <gate.json|->             invariants + duality report
     channel spectrum <gate.json> --side ... spectrum CSV
-    sweep haar <gate.json ...> -N --seed    E|lambda1|, mu+, nu+ per gate, one sample set
+    sweep haar <gate.json ...> -N --seed    E|lambda1|, mu+, nu+, zero modes per gate
     sweep family <cartan|diag> --points ... parameter sweeps
     circuit corr <config.json> -o grid.csv  light-cone grids
     circuit verify <config.json>            channel-vs-circuit residuals
@@ -21,7 +21,8 @@ or written), 4 non-convergence; every failure writes a one-line JSON error
 record as the first line on stderr.  A circuit config's "gate" is a gate file
 path or an inline gate object; `channel spectrum --locals` takes seed:<int>.
 Every command emits a run manifest next to its output file (or on stderr when
-the output is stdout or not a regular file).
+the output is stdout or not a regular file); it records the Haar-stream
+layout (`stream_scheme`, see haar_mc).
 """
 
 import argparse
@@ -59,6 +60,7 @@ from .constructions import (
     random_block_gate,
 )
 from .haar_mc import (
+    STREAM_SCHEME,
     haar_monomial_oracle,
     max_rate,
     mixing_rate_estimate,
@@ -149,6 +151,7 @@ def _emit_manifest(args, outputs, t0):
         "command": " ".join(args._command_path),
         "argv": args._raw_argv,
         "seed": getattr(args, "seed", None),
+        "stream_scheme": STREAM_SCHEME,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 6),
         "outputs": {p: _digest(p) for p in files},
@@ -292,11 +295,13 @@ def _sweep_row(U, n, seed, workers):
     # E|lambda1|, mu+ and nu+ are reductions of one sample set
     r = spectral_radius_samples(U, n, seed, workers=workers)
     est = radius_estimate(r, seed, entangling_power(U))
-    return (est.extras["e_p"], est.mean, est.stderr, mixing_rate_estimate(r, seed).mean,
-            max_rate(r), n, seed)
+    mu = mixing_rate_estimate(r, seed)
+    return (est.extras["e_p"], est.mean, est.stderr, mu.mean, max_rate(r),
+            mu.extras["infinite_count"], n, seed)
 
 
-SWEEP_HEADER = ("e_p", "mean_lambda1", "stderr", "mu_plus", "nu_plus", "N", "seed")
+SWEEP_HEADER = ("e_p", "mean_lambda1", "stderr", "mu_plus", "nu_plus", "infinite_count", "N",
+                "seed")
 
 
 def cmd_sweep_haar(args):
@@ -514,8 +519,9 @@ def build_parser():
     # sweep
     sweep = sub.add_parser("sweep").add_subparsers(dest="sub", required=True)
     sh = sweep.add_parser(
-        "haar", description="Per gate: e_p, E|lambda1| and its stderr, mu+ = E[-ln|lambda1|] and "
-        "nu+ = max -ln|lambda1|, all from one set of N Haar locals (stream 'spectral-radius').")
+        "haar", description="Per gate: e_p, E|lambda1| and its stderr, mu+ = E[-ln|lambda1|], "
+        "nu+ = max -ln|lambda1| and the count of zero modes (infinite rates), all from one "
+        "set of N Haar locals (stream 'spectral-radius').")
     sh.add_argument("gates", nargs="+")
     sh.add_argument("-N", "--n", type=int, default=10_000)
     sh.add_argument("--workers", type=int, default=None)

@@ -1,18 +1,24 @@
 """Monte-Carlo mixing estimates over Haar-random single-particle unitaries.
 
-Randomness is counter-based: every sample index owns an independent Philox
-stream keyed by hash(seed, label, index) (`substream`), and the Haar draws of
-index i are sample_haar(q, substream(seed, label, i)) (`haar_sample_at`).
-Results are therefore bit-identical for a given (seed, N) regardless of how
-the index range is split across workers, and adding a new consumer label
-never perturbs existing streams.
+Randomness is counter-based.  The Haar locals of stream (seed, label) come
+from one Philox keyed by hash(seed, label) (stream scheme 2): index i reads
+the W = 4 ceil(2 q^2 / 4) 64-bit words at counter blocks [i W/4, (i+1) W/4),
+turns them into q^2 complex normals by Box-Muller (no rejection) and those
+into a Haar unitary by the QR with the phase fold (`_haar_block`,
+`haar_sample_at`).  Every index is addressable on its own, so results are
+bit-identical for a given (seed, N) however the index range is split across
+blocks or workers, and adding a new consumer label never perturbs existing
+streams.  `substream` gives one independent generator per (seed, label,
+index) for everything else: the gate factories, `channel spectrum --locals`
+and the oracles' inputs.
 
 The radius engine factors the deflated channel once per gate, Mt = X Yh
 (`channels.factored_channel`, the same factorisation `channel_spectrum`
-eigensolves: one SVD that keeps the m singular values above
-`channel_rank_tol(q)`).  The nonzero eigenvalues of (u x u*) X Yh are those
-of the m x m matrix Yh (u x u*) X (Sylvester), so only that stack is
-eigensolved.
+eigensolves: one real SVD in an orthonormal Hermitian operator basis that
+keeps the m singular values above `channel_rank_tol(q)`).  The nonzero
+eigenvalues of (u x u*) X Yh are those of the m x m matrix Yh (u x u*) X
+(Sylvester).  u x u* preserves Hermiticity, so that matrix is real up to
+rounding, and only its real part is eigensolved.
 A 2-unitary (Bernoulli) gate has m = 0: every radius is exactly 0.0, with no
 Haar draw and no eigensolve.  The block duals D3S and D4S have m = 2 and 3,
 the even-q cat map m = 1, and a generic dual gate m = q^2 - 1.
@@ -24,8 +30,8 @@ Haar whenever u1 and v2 are independent Haar unitaries (invariance of the
 Haar measure).
 
 The estimators evaluate the indices in blocks of BLOCK (`_map_blocks`): each
-index's normals come from one Philox re-keyed to that index's fresh stream
-(the same bytes a new `substream` draws), then the block runs one stacked QR
+block reads its Philox words with one `random_raw` call from the counter of
+its first index, then runs one vectorised Box-Muller step, one stacked QR
 with the phase fold and one broadcast u x u* before its kernel, e.g. one
 stacked compression Yh (u x u*) X and one stacked m x m eigensolve.  The
 stacked numpy calls still hand LAPACK/BLAS one matrix at a time, so every
@@ -63,6 +69,8 @@ from .tensor_ops import ValidationError, haar_from_ginibre, local_dim, realign_r
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 64
+# the Haar-stream layout, recorded in every run manifest
+STREAM_SCHEME = 2
 
 
 @dataclass
@@ -86,27 +94,44 @@ def substream(seed, label, index=0):
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, label, index)))
 
 
-def haar_sample_at(d, seed, label, index):
-    """Pure function of the index: the Haar sample any worker would draw."""
-    return sample_haar(d, substream(seed, label, index))
+def _stream_key(seed, label):
+    """Philox key of the Haar stream (seed, label); the person tag keeps it
+    apart from every `substream` key."""
+    digest = hashlib.blake2b(f"{seed}:{label}".encode(), digest_size=16,
+                             person=b"haar-stream").digest()
+    return int.from_bytes(digest, "little")
+
+
+def _words_per_index(q):
+    """W: two words per complex normal, rounded up to whole counter blocks of 4."""
+    return 4 * -(-2 * q * q // 4)
+
+
+def _haar_from_words(q, words):
+    """Haar q x q unitaries from an (n, W) array of Philox words: the first
+    2 q^2 words of a row pair up as (u, v), two 53-bit uniforms with u in
+    (0, 1], and give the Ginibre entries sqrt(-ln u) exp(2 pi i v) (Box-Muller)."""
+    w = words[:, : 2 * q * q] >> np.uint64(11)
+    u = (w[:, 0::2] + np.uint64(1)) * 2.0**-53
+    v = w[:, 1::2] * (2 * math.pi * 2.0**-53)
+    r = np.sqrt(-np.log(u))
+    z = np.empty(u.shape, dtype=complex)
+    z.real = r * np.cos(v)
+    z.imag = r * np.sin(v)
+    return haar_from_ginibre(z.reshape(-1, q, q))
 
 
 def _haar_block(q, seed, label, lo, hi):
-    """(hi - lo, q, q) stack of haar_sample_at(q, seed, label, i), i in [lo, hi).
+    """(hi - lo, q, q) stack of the Haar locals of indices [lo, hi) of stream
+    (seed, label): one `random_raw` read from counter block lo W/4."""
+    W = _words_per_index(q)
+    bitgen = np.random.Philox(key=_stream_key(seed, label), counter=lo * W // 4)
+    return _haar_from_words(q, bitgen.random_raw((hi - lo) * W).reshape(hi - lo, W))
 
-    A Philox per index would cost more than the rest of the pipeline, so one
-    Philox is re-keyed per index to the state a new Philox(key=...) starts in.
-    """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0, empty buffer
-    g = np.empty((hi - lo, 2, q, q))
-    for row, i in enumerate(range(lo, hi)):
-        key = _philox_key(seed, label, i)
-        fresh["state"]["key"] = np.array([key % 2**64, key >> 64], dtype=np.uint64)
-        bitgen.state = fresh
-        gen.standard_normal(out=g[row])
-    return haar_from_ginibre((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
+
+def haar_sample_at(d, seed, label, index):
+    """Pure function of the index: the Haar local any block or worker draws there."""
+    return _haar_block(d, seed, label, index, index + 1)[0]
 
 
 def _map_blocks(kernel, q, seed, label, lo, hi):
@@ -122,8 +147,10 @@ def _map_blocks(kernel, q, seed, label, lo, hi):
 
 def _radii(X, Yh, K):
     """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
-    those of the m x m matrix Yh K X (Sylvester), so only that is eigensolved."""
-    return np.abs(np.linalg.eigvals(Yh @ K @ X)).max(axis=-1)
+    those of the m x m matrix Yh K X (Sylvester), real up to rounding because
+    K preserves Hermiticity (`factored_channel`), so only its real part is
+    eigensolved."""
+    return np.abs(np.linalg.eigvals((Yh @ K @ X).real)).max(axis=-1)
 
 
 def _radius_chunk(args):

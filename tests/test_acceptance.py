@@ -29,7 +29,7 @@ TWO_UNITARY_PERMUTATION_COUNT_Q3 = 72
 
 
 def _report(num, ok, detail):
-    line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {detail}"
+    line = f"[criterion {num:>2}] {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
 
@@ -245,9 +245,9 @@ def test_criterion_06b_near_one_factor():
         ratios.append(est.mean / math.sqrt(1 - ep))
     f_near = float(np.mean(ratios))
     ok = abs(f_near - 1.0) <= 0.05
-    _report(6, ok, f"near e_p->1 (q=4, {len(ratios)} perturbed 2-unitaries): factor "
-                   f"{f_near:.3f}, required |f-1| <= 0.05; honest red: the finite-size "
-                   f"circular-law edge gives ~1.06 at q^2 = 16 (see docstring)")
+    _report("6b", ok, f"near e_p->1 (q=4, {len(ratios)} perturbed 2-unitaries): factor "
+                       f"{f_near:.3f}, required |f-1| <= 0.05; honest red: the finite-size "
+                       f"circular-law edge gives ~1.06 at q^2 = 16 (see docstring)")
 
 
 def test_criterion_07_qubit_closed_forms():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from dualunitary import channels as ch
 from dualunitary import invariants as iv
 from dualunitary import tensor_ops as to
-from dualunitary.constructions import cat_family, cat_map, diagonal_dual_sample, fixtures
+from dualunitary.constructions import (cat_family, cat_map, diagonal_dual_sample, fixtures,
+                                       two_unitary_permutation)
 from dualunitary.haar_mc import sample_haar, substream
 from dualunitary.qubit_exact import cartan_gate
-from dualunitary.tolerances import ZERO_TOL
+from dualunitary.tensor_ops import ValidationError
+from dualunitary.tolerances import UNITALITY_TOL, ZERO_TOL
 
 
 def haar(d, label, i=0, seed=0):
@@ -265,3 +268,82 @@ def test_lightcone_prediction_sides_differ_for_chiral_gate():
         for j in range(1, 4)
     )
     assert gap > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the real Hermitian-basis factorisation
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hermitian_basis_is_orthonormal_and_hermitian(q):
+    T = ch.hermitian_basis(q)
+    assert np.abs(T.conj().T @ T - np.eye(q * q)).max() <= 1e-15
+    for c in range(q * q):
+        h = T[:, c].reshape(q, q)
+        assert np.array_equal(h, h.conj().T)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_channels_are_real_in_the_hermitian_basis(q):
+    T = ch.hermitian_basis(q)
+    for i in range(5):
+        U = haar(q * q, "herm-basis", i)
+        for M in (ch.build_m_plus(U), ch.build_m_minus(U)):
+            assert np.abs((T.conj().T @ ch.deflate_trivial(M) @ T).imag).max() <= UNITALITY_TOL
+
+
+def test_a_channel_that_does_not_preserve_hermiticity_is_refused():
+    # unital (it fixes |Phi+> on both sides) but i times the identity elsewhere
+    phi = to.max_entangled_vector(3)
+    P = np.outer(phi, phi.conj())
+    M = P + 1e-3j * (np.eye(9) - P)
+    assert ch.unitality_residual(M) <= UNITALITY_TOL
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        ch.factored_channel(M)
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        ch.channel_spectrum(M)
+
+
+# (label, unit, one, zero counts) of `classify_gate`, recorded with the
+# complex factorisation the real one replaced
+REFERENCE_CLASSES = {
+    "dual_q3_ep8over9": ("ErgodicMixing", 0, 0, 10),
+    "two_unitary_q3": ("Bernoulli", 0, 0, 16),
+    "dual_q3_ep3over4": ("ErgodicMixing", 0, 0, 3),
+    "d3_q3": ("Bernoulli", 0, 0, 16),
+    "d2_q3": ("Bernoulli", 0, 0, 16),
+    "d4_q4": ("Bernoulli", 0, 0, 30),
+    "dual_q3_d3s": ("NonErgodic", 4, 4, 12),
+    "dual_q3_d2s": ("NonErgodic", 1, 1, 0),
+    "dual_q4_d4s": ("NonErgodic", 6, 6, 24),
+    "dual_q4_ep4over5": ("NonErgodic", 1, 1, 0),
+    "cat_map(2)": ("Bernoulli", 0, 0, 6),
+    "cat_map(3)": ("Bernoulli", 0, 0, 16),
+    "cat_map(4)": ("Bernoulli", 0, 0, 30),
+    "cat_map(5)": ("Bernoulli", 0, 0, 48),
+    "cat_map(6)": ("Bernoulli", 0, 0, 70),
+    "cat_family(2, 0.3)": ("ErgodicMixing", 0, 0, 0),
+    "cat_family(2, 0.7)": ("ErgodicMixing", 0, 0, 0),
+    "cat_family(2, 1)": ("Bernoulli", 0, 0, 6),
+    "cat_family(3, 0.3)": ("ErgodicMixing", 0, 0, 0),
+    "cat_family(3, 0.7)": ("ErgodicMixing", 0, 0, 0),
+    "cat_family(3, 1)": ("Bernoulli", 0, 0, 16),
+    "cat_family(4, 0.3)": ("ErgodicMixing", 0, 0, 0),
+    "cat_family(4, 0.7)": ("ErgodicMixing", 0, 0, 0),
+    "cat_family(4, 1)": ("Bernoulli", 0, 0, 30),
+    "two_unitary_permutation(4)": ("Bernoulli", 0, 0, 30),
+}
+
+
+@functools.cache
+def _reference_gates():
+    return {**fixtures(), **{f"cat_map({q})": cat_map(q) for q in range(2, 7)},
+            **{f"cat_family({q}, {b})": cat_family(q, b) for q in (2, 3, 4) for b in (0.3, 0.7, 1)},
+            "two_unitary_permutation(4)": two_unitary_permutation(4)}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CLASSES))
+def test_real_factorisation_keeps_every_class_and_count(name):
+    rep = ch.classify_gate(_reference_gates()[name])
+    label, unit, one, zero = REFERENCE_CLASSES[name]
+    assert (rep.label, rep.unit_count, rep.one_count, rep.zero_count) == (label, unit, one, zero)
+    assert rep.boundary == (unit > 0)

@@ -116,6 +116,18 @@ def test_sweep_haar_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     man = _strict_json((tmp_path / "s1.csv.manifest.json").read_text())
     assert man["seed"] == 7 and str(out1) in man["outputs"]
+    assert man["stream_scheme"] == 2
+
+
+def test_sweep_counts_the_zero_modes(tmp_path):
+    # the q = 3 cat map is 2-unitary: every sample is a zero mode, an infinite rate
+    gate = tmp_path / "cat.json"
+    assert main(["gate", "make", "cat", "-q", "3", "-o", str(gate)]) == 0
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "haar", str(gate), "-N", "20", "--seed", "1", "-o", str(out)]) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["infinite_count"] == "20" and row["mu_plus"] == "inf"
 
 
 def test_sweep_family(tmp_path):

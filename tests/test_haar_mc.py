@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualunitary import haar_mc as hm
 from dualunitary import tensor_ops as to
-from dualunitary.channels import build_m_plus, deflate_trivial, factored_channel
+from dualunitary.channels import build_m_plus, deflate_trivial, factored_channel, hermitian_basis
 from dualunitary.cli import _sweep_row, main as cli_main
 from dualunitary.constructions import (cat_map, cat_psi_vectors, diagonal_dual_sample, fixtures,
                                        two_unitary_permutation)
@@ -45,6 +45,39 @@ def test_eigenphase_spacing_matches_cue():
     cdf = lambda s: (s - np.sin(s)) / (2 * math.pi)
     stat = scipy.stats.kstest(spacings, cdf)
     assert stat.pvalue > 0.01
+
+
+def test_haar_sample_at_eigenphase_spacing_matches_cue():
+    # the same 2x2 CUE gap law for the counter-indexed stream; the parity of
+    # the index randomises the labeling
+    spacings = []
+    for i in range(1000):
+        ang = np.angle(np.linalg.eigvals(hm.haar_sample_at(2, 2, "spacing", i)))
+        if i % 2:
+            ang = ang[::-1]
+        spacings.append((ang[0] - ang[1]) % (2 * math.pi))
+    stat = scipy.stats.kstest(spacings, lambda s: (s - np.sin(s)) / (2 * math.pi))
+    assert stat.pvalue > 0.01
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_trace_moments_of_the_block_stream(q):
+    # Haar: E|tr u|^2 = 1 and E|tr u|^4 = 2 for q >= 2
+    n = 20_000
+    t = np.abs(np.trace(hm._haar_block(q, 3, "trace-moments", 0, n), axis1=1, axis2=2)) ** 2
+    for k, exact in ((1, 1.0), (2, 2.0)):
+        vals = t**k
+        assert abs(vals.mean() - exact) <= 4 * vals.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("lo, hi", [(0, 1), (5, 70), (63, 65), (130, 131), (100, 3 * 64 + 9)])
+def test_block_stream_reads_the_plain_philox_stream_from_counter_zero(q, lo, hi):
+    # index i owns words [i W, (i + 1) W) of one Philox keyed by (seed, label)
+    W = 4 * math.ceil(2 * q * q / 4)
+    words = np.random.Philox(key=hm._stream_key(26, "plain")).random_raw(hi * W)
+    expect = hm._haar_from_words(q, words.reshape(hi, W)[lo:hi])
+    assert np.array_equal(hm._haar_block(q, 26, "plain", lo, hi), expect)
 
 
 def test_determinism_and_substream_independence():
@@ -202,11 +235,13 @@ def _engine_gates():
 
 
 def _factored(U):
-    """Mt = X Yh, truncated at the rank rule, computed here independently."""
+    """Mt = X Yh from the real SVD of Mt in the Hermitian basis T, truncated
+    at the rank rule, computed here independently."""
     q = to.local_dim(U)
-    W, s, Vh = np.linalg.svd(deflate_trivial(build_m_plus(U)))
+    T = hermitian_basis(q)
+    W, s, Vh = np.linalg.svd((T.conj().T @ deflate_trivial(build_m_plus(U)) @ T).real)
     m = int((s > channel_rank_tol(q)).sum())
-    return W[:, :m] * s[:m], Vh[:m]
+    return T @ (W[:, :m] * s[:m]), Vh[:m] @ T.conj().T
 
 
 def _locals_at(q, seed, label, i, four_locals):
@@ -221,11 +256,11 @@ def _locals_at(q, seed, label, i, four_locals):
 
 
 def _compressed_radius(X, Yh, L):
-    return np.abs(np.linalg.eigvals(Yh @ L @ X)).max()
+    return np.abs(np.linalg.eigvals((Yh @ L @ X).real)).max()
 
 
 def _reference_radii(U, n, seed, label="spectral-radius"):
-    """The per-index recipe: eig of the m x m compression Yh (u x u*) X."""
+    """The per-index recipe: eig of the real m x m compression Yh (u x u*) X."""
     q = to.local_dim(U)
     X, Yh = _factored(U)
     return np.array([_compressed_radius(X, Yh, _locals_at(q, seed, label, i, False)[0])
@@ -342,11 +377,12 @@ def test_block_norm_power_and_monomial_equal_per_index_reference(q):
 # The e_p, mean_lambda1 and stderr fields of `dualu sweep haar d3s.json
 # d4s.json -N 300 --seed 13`, the gate files from `dualu gate make fixture
 # --name dual_q3_d3s` and `--name dual_q4_d4s`; the whole output's bytes are a
-# corpus entry (tests/parity_corpus.json).  mu_plus and nu_plus are read off
-# the same samples as mean_lambda1 (checked against a per-index loop below)
+# corpus entry (tests/parity_corpus.json).  The values are those of stream
+# scheme 2 (the counter-indexed draw).  mu_plus and nu_plus are read off the
+# same samples as mean_lambda1 (checked against a per-index loop below)
 SWEEP_GOLDEN_RADIUS_FIELDS = [
-    ["0.7500000000000001", "0.4710783907922758", "0.010615414703545826"],
-    ["0.8", "0.46489247544084644", "0.00807705511627111"],
+    ["0.7500000000000001", "0.4965751676090546", "0.01163798827317086"],
+    ["0.8", "0.4832524380147142", "0.009282952031071282"],
 ]
 
 
@@ -378,10 +414,10 @@ def test_golden_sweep_keeps_the_radius_bytes_and_rates_follow_one_sample_set(tmp
 
 def _expected_row(U, r, n, seed):
     """The sweep row written out from one radius vector with plain numpy."""
-    zero = (r < ZERO_TOL).any()
+    zeros = int((r < ZERO_TOL).sum())
     return (entangling_power(U), float(r.mean()), float(r.std(ddof=1) / math.sqrt(n)),
-            math.inf if zero else float(np.mean(-np.log(r))),
-            math.inf if zero else float(-np.log(r.min())), n, seed)
+            math.inf if zeros else float(np.mean(-np.log(r))),
+            math.inf if zeros else float(-np.log(r.min())), zeros, n, seed)
 
 
 @pytest.mark.parametrize("gate", ["q2", "q3", "q4", "cat_q3", "cartan"])

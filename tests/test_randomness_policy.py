@@ -1,4 +1,4 @@
-"""All randomness flows from the seeded per-index streams of haar_mc."""
+"""All randomness flows from the seeded streams of haar_mc."""
 
 import ast
 import pathlib
@@ -7,7 +7,8 @@ import dualunitary
 
 # numpy calls that build or reseed a generator
 BUILDERS = {"default_rng", "RandomState", "Philox", "Generator"}
-# the only functions that may make one: the stream and its block re-keying
+# the only functions that may make one: the substream factory and the
+# counter-indexed Philox + Box-Muller stream of the Haar locals
 ALLOWED = {("haar_mc.py", "substream"), ("haar_mc.py", "_haar_block")}
 
 
