@@ -37,13 +37,9 @@ def _gate(name):
     return "{dir}/" + name + ".json"
 
 
-def _inline(U):
-    return {"q": 2, "re": U.real.tolist(), "im": U.imag.tolist()}
-
-
 def _inputs():
     """name -> text of every input file that no argv writes."""
-    good = json.loads(json.dumps({"q": 2, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}))
+    good = {"q": 2, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}
     bad_gates = {
         "bad_nan": {**good, "re": [[float("nan")] * 4] + good["re"][1:]},
         "bad_q_float": {**good, "q": 2.0},
@@ -78,7 +74,7 @@ def _inputs():
                           "gate": _gate("cartan_0.2")},
         "cfg_gate_number": {"q": 2, "L": 2, "gate": 3.5},
         "cfg_budget": {"q": 2, "L": 9, "gate": _gate("cartan_0.2")},
-        "cfg_inline": {"q": 2, "L": 2, "gate": _inline(np.eye(4))},
+        "cfg_inline": {"q": 2, "L": 2, "gate": good},
     }
     texts.update({f"{name}.json": json.dumps(cfg) for name, cfg in configs.items()})
     return texts
