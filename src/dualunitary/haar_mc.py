@@ -102,11 +102,6 @@ def _stream_key(seed, label):
     return int.from_bytes(digest, "little")
 
 
-def _words_per_index(q):
-    """W: two words per complex normal, rounded up to whole counter blocks of 4."""
-    return 4 * -(-2 * q * q // 4)
-
-
 def _haar_from_words(q, words):
     """Haar q x q unitaries from an (n, W) array of Philox words: the first
     2 q^2 words of a row pair up as (u, v), two 53-bit uniforms with u in
@@ -124,7 +119,7 @@ def _haar_from_words(q, words):
 def _haar_block(q, seed, label, lo, hi):
     """(hi - lo, q, q) stack of the Haar locals of indices [lo, hi) of stream
     (seed, label): one `random_raw` read from counter block lo W/4."""
-    W = _words_per_index(q)
+    W = 4 * -(-2 * q * q // 4)  # two words per normal, in whole counter blocks of 4
     bitgen = np.random.Philox(key=_stream_key(seed, label), counter=lo * W // 4)
     return _haar_from_words(q, bitgen.random_raw((hi - lo) * W).reshape(hi - lo, W))
 
