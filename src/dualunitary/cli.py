@@ -22,7 +22,8 @@ record as the first line on stderr.  A circuit config's "gate" is a gate file
 path or an inline gate object; `channel spectrum --locals` takes seed:<int>.
 Every command emits a run manifest next to its output file (or on stderr when
 the output is stdout or not a regular file); it records the Haar-stream
-layout (`stream_scheme`, see haar_mc).
+layout (`stream_scheme`, see haar_mc) and, for the sweeps, the thread cap
+`workers` the run used.
 """
 
 import argparse
@@ -61,6 +62,7 @@ from .constructions import (
 )
 from .haar_mc import (
     STREAM_SCHEME,
+    _usable_cpus,
     haar_monomial_oracle,
     max_rate,
     mixing_rate_estimate,
@@ -156,6 +158,8 @@ def _emit_manifest(args, outputs, t0):
         "wall_time_s": round(time.time() - t0, 6),
         "outputs": {p: _digest(p) for p in files},
     }
+    if hasattr(args, "workers"):
+        manifest["workers"] = args.workers
     blob = _json(manifest, indent=2, sort_keys=True)
     if files:
         with open(files[0] + ".manifest.json", "w", newline="\n") as fh:
@@ -183,11 +187,13 @@ OPTION_FLOORS = (("workers", "--workers", 1), ("n", "-N", 1), ("points", "--poin
 
 
 def _resolve_defaults(args):
-    """Fill --seed/--workers from the environment and check the integer options."""
+    """Fill --seed/--workers from the environment (--workers: else the usable
+    CPUs) and check the integer options."""
     if getattr(args, "seed", 0) is None:
         args.seed = _int(os.environ.get("DUALUNITARY_SEED", 0), "DUALUNITARY_SEED")
     if getattr(args, "workers", 1) is None:
-        args.workers = _int(os.environ.get("DUALUNITARY_WORKERS", 1), "DUALUNITARY_WORKERS")
+        args.workers = _int(os.environ.get("DUALUNITARY_WORKERS", _usable_cpus()),
+                            "DUALUNITARY_WORKERS")
     for attr, flag, least in OPTION_FLOORS:
         value = getattr(args, attr, least)
         if value < least:
@@ -486,6 +492,12 @@ def build_parser():
     def add_seed(sp):
         sp.add_argument("--seed", type=int, default=None)
 
+    def add_workers(sp):
+        sp.add_argument("--workers", type=int, default=None,
+                        help="run the samples on at most this many threads (default: "
+                        "$DUALUNITARY_WORKERS, else the usable CPUs); the output does "
+                        "not depend on it")
+
     # gate
     gate = sub.add_parser("gate").add_subparsers(dest="sub", required=True)
     gm = gate.add_parser("make")
@@ -524,7 +536,7 @@ def build_parser():
         "set of N Haar locals (stream 'spectral-radius').")
     sh.add_argument("gates", nargs="+")
     sh.add_argument("-N", "--n", type=int, default=10_000)
-    sh.add_argument("--workers", type=int, default=None)
+    add_workers(sh)
     sh.add_argument("-o", "--output", default="-")
     add_seed(sh)
 
@@ -534,7 +546,7 @@ def build_parser():
     sf.add_argument("--points", type=int, default=10)
     sf.add_argument("--epsilon", type=float, default=1.0)
     sf.add_argument("-N", "--n", type=int, default=2000)
-    sf.add_argument("--workers", type=int, default=None)
+    add_workers(sf)
     sf.add_argument("-o", "--output", default="-")
     add_seed(sf)
 

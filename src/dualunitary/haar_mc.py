@@ -33,10 +33,20 @@ The estimators evaluate the indices in blocks of BLOCK (`_map_blocks`): each
 block reads its Philox words with one `random_raw` call from the counter of
 its first index, then runs one vectorised Box-Muller step, one stacked QR
 with the phase fold and one broadcast u x u* before its kernel, e.g. one
-stacked compression Yh (u x u*) X and one stacked m x m eigensolve.  The
+stacked compression Yh (u x u*) X and one stacked m x m eigensolve.  BLOCK
+bounds the memory of one thread: a block holds BLOCK q^2 x q^2 complex
+matrices u x u* (1 MiB at q = 4) and its kernel's intermediates.  The
 stacked numpy calls still hand LAPACK/BLAS one matrix at a time, so every
-value equals the per-index recipe's bit for bit and neither BLOCK nor the
-worker split changes an output.
+value equals the per-index recipe's bit for bit.
+
+`_map_blocks` is the engine's one parallel loop.  It splits [lo, hi) into at
+most `workers` contiguous chunks (default: the usable CPUs; never more than
+the usable CPUs or the blocks), each walked block by block on its own thread
+of a pool that lives for the one call.  The stacked LAPACK/BLAS calls
+release the GIL; a block's fixed Python cost (Philox set-up, the QR and
+eigvals wrappers) does not, which is why a block is BLOCK indices and not
+fewer.  Results are per index, so neither BLOCK nor the split changes an
+output.  A range of at most one block runs in the calling thread.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -68,7 +78,7 @@ from .invariants import entangling_power
 from .tensor_ops import ValidationError, haar_from_ginibre, local_dim, realign_r2, sample_haar
 
 # indices evaluated as one stack; results do not depend on it
-BLOCK = 64
+BLOCK = 256
 # the Haar-stream layout, recorded in every run manifest
 STREAM_SCHEME = 2
 
@@ -129,15 +139,40 @@ def haar_sample_at(d, seed, label, index):
     return _haar_block(d, seed, label, index, index + 1)[0]
 
 
-def _map_blocks(kernel, q, seed, label, lo, hi):
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
     """kernel(K) of every BLOCK of indices in [lo, hi), concatenated; K is the
-    (n, q^2, q^2) stack of u x u* for the block's Haar locals u."""
-    out = [np.empty(0)]  # lo == hi: an empty result
-    for b in range(lo, hi, BLOCK):  # BLOCK read per call: tests rebind it
-        u = _haar_block(q, seed, label, b, min(b + BLOCK, hi))
-        K = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, q * q, q * q)
-        out.append(kernel(K))
-    return np.concatenate(out)
+    (n, q^2, q^2) stack of u x u* for the block's Haar locals u.  Runs on at
+    most `workers` threads (default: the usable CPUs), one contiguous chunk
+    of indices each; results do not depend on the split."""
+    block = BLOCK  # read per call: tests rebind it
+
+    def walk(a, b):
+        out = []
+        for s in range(a, b, block):
+            u = _haar_block(q, seed, label, s, min(s + block, b))
+            K = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, q * q, q * q)
+            out.append(kernel(K))
+        return out
+
+    cpus = _usable_cpus()
+    threads = min(workers or cpus, cpus, -(-(hi - lo) // block))
+    if threads <= 1:
+        parts = walk(lo, hi)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        chunk = -(-(hi - lo) // threads)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = pool.map(lambda a: walk(a, min(a + chunk, hi)), range(lo, hi, chunk))
+            parts = [p for run in runs for p in run]
+    return np.concatenate([np.empty(0)] + parts)  # lo == hi: an empty result
 
 
 def _radii(X, Yh, K):
@@ -148,23 +183,11 @@ def _radii(X, Yh, K):
     return np.abs(np.linalg.eigvals((Yh @ K @ X).real)).max(axis=-1)
 
 
-def _radius_chunk(args):
-    X, Yh, q, seed, label, lo, hi = args
-    return lo, _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, lo, hi)
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
     """|lambda_1| of the locally rotated deflated channel, one value per index.
 
-    workers > 1 splits the indices into ceil(n / workers)-sized chunks, run by
-    at most one process per usable CPU; workers=None means 1.
+    The indices run on at most `workers` threads (default: the usable CPUs;
+    see `_map_blocks`); the values do not depend on it.
     """
     U = np.asarray(U, dtype=complex)
     X, Yh = factored_channel(build_m_plus(U))
@@ -175,17 +198,7 @@ def _factored_radii(X, Yh, q, n, seed, workers, label):
     """spectral_radius_samples of the channel factored as Mt = X Yh."""
     if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
         return np.zeros(n)
-    if workers is None or workers <= 1:
-        return _radius_chunk((X, Yh, q, seed, label, 0, n))[1]
-    from concurrent.futures import ProcessPoolExecutor
-
-    out = np.empty(n)
-    chunk = max(1, (n + workers - 1) // workers)
-    jobs = [(X, Yh, q, seed, label, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    with ProcessPoolExecutor(max_workers=max(1, min(len(jobs), _usable_cpus()))) as pool:
-        for lo, vals in pool.map(_radius_chunk, jobs):
-            out[lo : lo + len(vals)] = vals
-    return out
+    return _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, 0, n, workers)
 
 
 def _estimate(values, seed, extras=None):
@@ -274,7 +287,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     }
 
 
-def avg_norm_power(U, k, n, seed):
+def avg_norm_power(U, k, n, seed, workers=None):
     """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
     if k < 2:
         raise ValidationError("k must be >= 2")
@@ -285,7 +298,7 @@ def avg_norm_power(U, k, n, seed):
     def norm_powers(K):
         return [np.vdot(B, B).real for B in np.linalg.matrix_power(K @ Mt, k)]
 
-    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", 0, n)
+    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", 0, n, workers)
     ep = entangling_power(U)
     extras = {
         "e_p": ep,
@@ -308,7 +321,7 @@ def haar_monomial_closed_form(X, Y):
     )
 
 
-def haar_monomial_oracle(X, Y, n, seed):
+def haar_monomial_oracle(X, Y, n, seed, workers=None):
     """Monte-Carlo check of the Haar monomial identity; returns both sides.
 
     The z-score needs a finite standard error, so n >= 2 samples."""
@@ -322,7 +335,7 @@ def haar_monomial_oracle(X, Y, n, seed):
     def monomials(W):
         return np.trace(X @ W @ Y @ W.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
 
-    vals = _map_blocks(monomials, q, seed, "monomial", 0, n)
+    vals = _map_blocks(monomials, q, seed, "monomial", 0, n, workers)
     mean = vals.mean()
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     closed = haar_monomial_closed_form(X, Y)

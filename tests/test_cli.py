@@ -119,6 +119,26 @@ def test_sweep_haar_deterministic(tmp_path):
     assert man["stream_scheme"] == 2
 
 
+def test_sweep_manifest_records_the_thread_cap(tmp_path, monkeypatch):
+    # from the option, else the environment, else the usable CPUs
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    gate = tmp_path / "g.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    out = tmp_path / "s.csv"
+    runs = ((["--workers", "2"], "3", 2), ([], "3", 3), ([], None, 5))
+    for option, env, workers in runs:
+        if env is None:
+            monkeypatch.delenv("DUALUNITARY_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("DUALUNITARY_WORKERS", env)
+        for argv in (["sweep", "haar", str(gate)], ["sweep", "family", "cartan", "--points", "2"]):
+            assert main([*argv, "-N", "10", *option, "-o", str(out)]) == 0
+            man = _strict_json((tmp_path / "s.csv.manifest.json").read_text())
+            assert man["workers"] == workers
+    assert main(["gate", "classify", str(gate), "-o", str(out)]) == 0
+    assert "workers" not in _strict_json((tmp_path / "s.csv.manifest.json").read_text())
+
+
 def test_sweep_counts_the_zero_modes(tmp_path):
     # the q = 3 cat map is 2-unitary: every sample is a zero mode, an infinite rate
     gate = tmp_path / "cat.json"
@@ -296,7 +316,7 @@ def test_console_script_installed():
 
 # Run in a fresh interpreter: prints whether scipy is loaded after the imports,
 # then the exit code of each argv of argv[1] and whether scipy is loaded after
-# it, then whether a process pool was started.
+# it, then whether the process-pool module was ever loaded.
 SCIPY_PROBE = """
 import json, sys
 import dualunitary, dualunitary.cli
@@ -323,7 +343,8 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     proc = _child_python("-c", SCIPY_PROBE, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     # neither the imports nor any command (mrt: 5 steps, unconverged) load
-    # scipy, and a serial sweep starts no process pool
+    # scipy, and no command starts a process pool: the Haar engine's one
+    # parallel loop is a thread pool (tests/test_parallelism_policy.py)
     assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, False],
                                        [0, False], [0, False], False]
 

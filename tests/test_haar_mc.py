@@ -94,42 +94,46 @@ def test_worker_split_reproduces_serial():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("cpus, workers, n, pool, jobs", [
-    (2, 100_000, 48, 2, 48),   # one index per chunk, one process per CPU
-    (64, 100_000, 5, 5, 5),    # never more processes than chunks
-    (2, 3, 48, 2, 3),          # the split stays three ways
+class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    """A real thread pool that records the size of every one made."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.sizes
+
+
+@pytest.mark.parametrize("cpus, workers, blocks, threads", [
+    (2, 100_000, 5, 2),        # never more threads than usable CPUs
+    (64, 100_000, 3, 3),       # never more threads than blocks
+    (64, 3, 5, 3),             # at most `workers`
+    (64, 1, 5, None),          # one worker: the calling thread, no pool
 ])
-def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch, cpus, workers, n, pool, jobs):
-    # a stand-in pool that records its size and maps in this process
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            args = list(args)
-            seen.append(len(args))
-            return map(fn, args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(hm, "_usable_cpus", lambda: cpus, raising=False)
-    a = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7)
+def test_worker_pool_is_capped_by_blocks_and_cpus(monkeypatch, pools, cpus, workers, blocks,
+                                                  threads):
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(hm, "BLOCK", 4)
+    n = 4 * blocks - 1  # the last block is partial
     b = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=workers)
-    assert seen == [pool, jobs]
-    assert np.array_equal(a, b)
+    assert pools == ([] if threads is None else [threads])
+    assert np.array_equal(b, _reference_radii(cartan_gate(0.2), n, 7))
 
 
-def test_unset_workers_run_serially_whatever_the_environment(monkeypatch):
-    monkeypatch.setenv("DUALUNITARY_WORKERS", "4")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # any pool would fail
-    assert hm.spectral_radius_samples(cartan_gate(0.2), 8, seed=7).shape == (8,)
+def test_unset_workers_use_the_usable_cpus_and_one_block_starts_no_thread(monkeypatch, pools):
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("DUALUNITARY_WORKERS", "1")  # the library does not read it
+    U = cartan_gate(0.2)
+    r = hm.spectral_radius_samples(U, 3 * hm.BLOCK, seed=7)
+    assert pools == [3]
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # any pool would fail
+    assert np.array_equal(hm.spectral_radius_samples(U, hm.BLOCK, seed=7), r[: hm.BLOCK])
 
 
 def test_avg_spectral_radius_two_unitary_is_zero():
@@ -464,9 +468,23 @@ def test_sweep_rows_have_nu_at_least_mu_and_cartan_below_exact(tmp_path):
        n=st.integers(2, 40), q=st.sampled_from([2, 3]))
 def test_samples_and_sweep_row_do_not_depend_on_workers_or_block(workers, block, n, q):
     U = _engine_gates()[q]
-    r = hm.spectral_radius_samples(U, n, 25)
+    r = hm.spectral_radius_samples(U, n, 25, workers=1)
     row = _sweep_row(U, n, 25, 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hm, "BLOCK", block)
+        mp.setattr(hm, "_usable_cpus", lambda: 3)  # threads run on a 1-CPU machine too
         assert np.array_equal(hm.spectral_radius_samples(U, n, 25, workers=workers), r)
         assert np.array_equal(_sweep_row(U, n, 25, workers), row)
+
+
+def test_norm_power_and_monomial_oracle_do_not_depend_on_workers(monkeypatch):
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
+    n = 2 * hm.BLOCK + 7
+    U = _engine_gates()[3]
+    one, three = (hm.avg_norm_power(U, 3, n, 26, workers=w) for w in (1, 3))
+    assert np.array_equal([one.mean, one.stderr], [three.mean, three.stderr])
+    rng = np.random.default_rng(27)
+    X, Y = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)) for _ in range(2))
+    one, three = (hm.haar_monomial_oracle(X, Y, n, 28, workers=w) for w in (1, 3))
+    assert np.array_equal([one["mc_mean"], one["mc_stderr"]],
+                          [three["mc_mean"], three["mc_stderr"]])
