@@ -41,12 +41,13 @@ value equals the per-index recipe's bit for bit.
 
 `_map_blocks` is the engine's one parallel loop.  It splits [lo, hi) into at
 most `workers` contiguous chunks (default: the usable CPUs; never more than
-the usable CPUs or the blocks), each walked block by block on its own thread
-of a pool that lives for the one call.  The stacked LAPACK/BLAS calls
-release the GIL; a block's fixed Python cost (Philox set-up, the QR and
-eigvals wrappers) does not, which is why a block is BLOCK indices and not
-fewer.  Results are per index, so neither BLOCK nor the split changes an
-output.  A range of at most one block runs in the calling thread.
+the usable CPUs or the blocks) and walks each block by block: the first in
+the calling thread, every other one on a thread of a pool that lives for the
+one call.  The stacked LAPACK/BLAS calls release the GIL; a block's fixed
+Python cost (Philox set-up, the QR and eigvals wrappers) does not, which is
+why a block is BLOCK indices and not fewer.  Results are per index, so
+neither BLOCK nor the split changes an output.  A range of at most one block
+starts no thread.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -146,20 +147,24 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _kron_block(q, seed, label, lo, hi):
+    """(hi - lo, q^2, q^2) stack of u x u* for the Haar locals of indices [lo, hi)."""
+    u = _haar_block(q, seed, label, lo, hi)
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, q * q, q * q)
+
+
 def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
     """kernel(K) of every BLOCK of indices in [lo, hi), concatenated; K is the
-    (n, q^2, q^2) stack of u x u* for the block's Haar locals u.  Runs on at
-    most `workers` threads (default: the usable CPUs), one contiguous chunk
-    of indices each; results do not depend on the split."""
+    `_kron_block` stack of the block.  The range runs as at most `workers`
+    contiguous chunks (default: the usable CPUs), the first in the calling
+    thread and each other one on a thread of a pool made for this call;
+    results do not depend on the split."""
     block = BLOCK  # read per call: tests rebind it
 
     def walk(a, b):
-        out = []
-        for s in range(a, b, block):
-            u = _haar_block(q, seed, label, s, min(s + block, b))
-            K = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, q * q, q * q)
-            out.append(kernel(K))
-        return out
+        # no block's stack outlives its kernel call, so a thread holds one at a time
+        return [kernel(_kron_block(q, seed, label, s, min(s + block, b)))
+                for s in range(a, b, block)]
 
     cpus = _usable_cpus()
     threads = min(workers or cpus, cpus, -(-(hi - lo) // block))
@@ -169,9 +174,10 @@ def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
         from concurrent.futures import ThreadPoolExecutor
 
         chunk = -(-(hi - lo) // threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = pool.map(lambda a: walk(a, min(a + chunk, hi)), range(lo, hi, chunk))
-            parts = [p for run in runs for p in run]
+        starts = range(lo, hi, chunk)
+        with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
+            rest = pool.map(lambda a: walk(a, min(a + chunk, hi)), starts[1:])
+            parts = walk(lo, lo + chunk) + [p for run in rest for p in run]
     return np.concatenate([np.empty(0)] + parts)  # lo == hi: an empty result
 
 
