@@ -293,7 +293,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     }
 
 
-def avg_norm_power(U, k, n, seed, workers=None):
+def avg_norm_power(U, k, n, seed):
     """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
     if k < 2:
         raise ValidationError("k must be >= 2")
@@ -304,7 +304,7 @@ def avg_norm_power(U, k, n, seed, workers=None):
     def norm_powers(K):
         return [np.vdot(B, B).real for B in np.linalg.matrix_power(K @ Mt, k)]
 
-    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", 0, n, workers)
+    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", 0, n)
     ep = entangling_power(U)
     extras = {
         "e_p": ep,
@@ -327,7 +327,7 @@ def haar_monomial_closed_form(X, Y):
     )
 
 
-def haar_monomial_oracle(X, Y, n, seed, workers=None):
+def haar_monomial_oracle(X, Y, n, seed):
     """Monte-Carlo check of the Haar monomial identity; returns both sides.
 
     The z-score needs a finite standard error, so n >= 2 samples."""
@@ -341,7 +341,7 @@ def haar_monomial_oracle(X, Y, n, seed, workers=None):
     def monomials(W):
         return np.trace(X @ W @ Y @ W.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
 
-    vals = _map_blocks(monomials, q, seed, "monomial", 0, n, workers)
+    vals = _map_blocks(monomials, q, seed, "monomial", 0, n)
     mean = vals.mean()
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     closed = haar_monomial_closed_form(X, Y)

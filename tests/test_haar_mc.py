@@ -89,8 +89,9 @@ def test_determinism_and_substream_independence():
 
 
 def test_worker_split_reproduces_serial():
-    a = hm.spectral_radius_samples(cartan_gate(0.2), 48, seed=7)
-    b = hm.spectral_radius_samples(cartan_gate(0.2), 48, seed=7, workers=3)
+    n = 2 * hm.BLOCK + 7
+    a = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=1)
+    b = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=3)
     assert np.array_equal(a, b)
 
 
@@ -479,13 +480,17 @@ def test_samples_and_sweep_row_do_not_depend_on_workers_or_block(workers, block,
 
 
 def test_norm_power_and_monomial_oracle_do_not_depend_on_workers(monkeypatch):
-    monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
-    n = 2 * hm.BLOCK + 7
+    # they run on one thread per usable CPU: 1, then 3
     U = _engine_gates()[3]
-    one, three = (hm.avg_norm_power(U, 3, n, 26, workers=w) for w in (1, 3))
-    assert np.array_equal([one.mean, one.stderr], [three.mean, three.stderr])
+    n = 2 * hm.BLOCK + 7
     rng = np.random.default_rng(27)
     X, Y = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)) for _ in range(2))
-    one, three = (hm.haar_monomial_oracle(X, Y, n, 28, workers=w) for w in (1, 3))
-    assert np.array_equal([one["mc_mean"], one["mc_stderr"]],
-                          [three["mc_mean"], three["mc_stderr"]])
+
+    def run():
+        est, rep = hm.avg_norm_power(U, 3, n, 26), hm.haar_monomial_oracle(X, Y, n, 28)
+        return [est.mean, est.stderr, rep["mc_mean"], rep["mc_stderr"]]
+
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: 1)
+    serial = run()
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
+    assert np.array_equal(run(), serial)

@@ -5,18 +5,21 @@ import pathlib
 
 import dualunitary
 
-# modules and names that would start or pickle work for other processes
-BANNED_MODULES = {"multiprocessing"}
+# what starts or pickles work for other processes
+BANNED_MODULES = ("multiprocessing", "concurrent.futures.process")
 BANNED_NAMES = {"ProcessPoolExecutor"}
+
+
+def _banned_module(name):
+    return any(name == m or name.startswith(m + ".") for m in BANNED_MODULES)
 
 
 def _offences(node):
     if isinstance(node, ast.Import):
-        return [a.name for a in node.names if a.name.split(".")[0] in BANNED_MODULES]
+        return [a.name for a in node.names if _banned_module(a.name)]
     if isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        if module.split(".")[0] in BANNED_MODULES or module == "concurrent.futures.process":
-            return [module]
+        if _banned_module(node.module or ""):
+            return [node.module]
         return [a.name for a in node.names if a.name in BANNED_NAMES]
     if isinstance(node, ast.Attribute) and node.attr in BANNED_NAMES:
         return [node.attr]
