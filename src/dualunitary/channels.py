@@ -33,8 +33,8 @@ from .tensor_ops import (
     require_unitary,
     vectorize,
 )
-from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, GATE_UNITARY_TOL, UNIT_BOUNDARY_TOL,
-                         UNIT_TOL, UNITALITY_TOL, ZERO_TOL, channel_rank_tol)
+from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, UNIT_BOUNDARY_TOL, UNIT_TOL,
+                         UNITALITY_TOL, ZERO_TOL, channel_rank_tol)
 
 @dataclass
 class ChannelSpectrum:
@@ -54,17 +54,19 @@ class ErgodicReport:
     boundary: bool = False
 
 
-def build_m_plus(U, tol=GATE_UNITARY_TOL):
-    """Superoperator of a -> tr_1[U^dag (a x 1) U]/q."""
-    U = require_unitary(np.asarray(U, dtype=complex), tol=tol, what="gate")
+def build_m_plus(U):
+    """Superoperator of a -> tr_1[U^dag (a x 1) U]/q.
+
+    U must be unitary to GATE_UNITARY_TOL; any other matrix is refused."""
+    U = require_unitary(np.asarray(U, dtype=complex), what="gate")
     q = local_dim(U)
     T = partial_transpose_t2(U)
     return realign_r1(T @ T.conj().T) / q
 
 
-def build_m_minus(U, tol=GATE_UNITARY_TOL):
-    """Superoperator of a -> tr_2[U^dag (1 x a) U]/q."""
-    U = require_unitary(np.asarray(U, dtype=complex), tol=tol, what="gate")
+def build_m_minus(U):
+    """Superoperator of a -> tr_2[U^dag (1 x a) U]/q; U as for build_m_plus."""
+    U = require_unitary(np.asarray(U, dtype=complex), what="gate")
     q = local_dim(U)
     T = partial_transpose_t2(U)
     return realign_r2(T.conj().T @ T) / q
@@ -209,10 +211,10 @@ def classify_ergodicity(spec_plus, spec_minus):
                          zero_count=zero_count, total=total, boundary=boundary)
 
 
-def classify_gate(U, tol=GATE_UNITARY_TOL):
-    """Ergodic class of the circuit built from U, a unitary within tol."""
-    sp = channel_spectrum(build_m_plus(U, tol=tol), side="plus")
-    sm = channel_spectrum(build_m_minus(U, tol=tol), side="minus")
+def classify_gate(U):
+    """Ergodic class of the circuit built from U, a unitary to GATE_UNITARY_TOL."""
+    sp = channel_spectrum(build_m_plus(U), side="plus")
+    sm = channel_spectrum(build_m_minus(U), side="minus")
     return classify_ergodicity(sp, sm)
 
 

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import ValidationError, local_dim
+from .tensor_ops import ValidationError, local_dim, require_unitary
 from .tolerances import SITE_TOL
 
 # bytes a simulator may spend on each of: the support tensor an evolution
@@ -43,6 +43,9 @@ def _require_budget(nbytes, what):
 
 @dataclass
 class CircuitConfig:
+    """A brickwork ring of 2L qudits of dimension q.  The gate and every
+    per-bond gate are q^2 x q^2 and unitary to GATE_UNITARY_TOL; anything
+    else is refused here, before a simulator is built."""
     q: int
     L: int
     gate: np.ndarray
@@ -51,12 +54,16 @@ class CircuitConfig:
 
     def __post_init__(self):
         self.gate = np.asarray(self.gate, dtype=complex)
-        if local_dim(self.gate) != self.q:
-            raise ValidationError("gate local dimension does not match q")
         for name in ("even_gates", "odd_gates"):
             gates = getattr(self, name)
             if gates is not None and len(gates) != self.L:
                 raise ValidationError(f"{name} must list one gate per cell (L entries)")
+        # each gate object once: a layer may repeat one gate L times
+        gates = [self.gate, *(self.even_gates or ()), *(self.odd_gates or ())]
+        for g in {id(g): g for g in gates}.values():
+            if local_dim(g) != self.q:
+                raise ValidationError("gate local dimension does not match q")
+            require_unitary(g, what="gate")
 
 
 def weyl_basis(q):

@@ -81,7 +81,7 @@ from .tensor_ops import (
     local_dim,
     verify_reshuffle_identities,
 )
-from .tolerances import CONE_TOL, FLOW_TOL, INPUT_UNITARY_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
+from .tolerances import CONE_TOL, FLOW_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -251,7 +251,7 @@ def cmd_gate_make(args):
 def cmd_gate_classify(args):
     U = _read_gate(args.gate)
     rep = invariants_report(U)
-    erg = classify_gate(U, tol=INPUT_UNITARY_TOL)
+    erg = classify_gate(U)
     rep["ergodic_class"] = erg.label
     rep["ergodic_counts"] = {
         "unit": erg.unit_count,
@@ -274,7 +274,7 @@ def cmd_channel_spectrum(args):
         q = local_dim(U)
         u = sample_haar(q, substream(_int(seed, "--locals seed"), "channel-locals"))
         U = U @ np.kron(np.eye(q), u)
-    M = (build_m_plus if args.side == "plus" else build_m_minus)(U, tol=INPUT_UNITARY_TOL)
+    M = (build_m_plus if args.side == "plus" else build_m_minus)(U)
     spec = channel_spectrum(M, side=args.side)
     rows = [
         (lam.real, lam.imag, abs(lam), rate)
@@ -321,6 +321,12 @@ def cmd_sweep_family(args):
     if args.family == "cartan":
         from .qubit_exact import mu_prime, nu_plus_exact, nu_prime
 
+        if args.q != 2:
+            raise ValidationError(f"sweep family cartan is a qubit family: -q must be 2, "
+                                  f"got {args.q}")
+        if args.epsilon is not None:
+            raise ValidationError("sweep family cartan takes no --epsilon")
+
         grid = np.linspace(0.0, math.pi / 4, args.points)
         header = ("param",) + SWEEP_HEADER + ("nu_prime", "mu_prime", "nu_exact")
         for J in grid:
@@ -332,7 +338,7 @@ def cmd_sweep_family(args):
     elif args.family == "diag":
         header = ("param",) + SWEEP_HEADER
         for k in range(args.points):
-            eps = (k + 1) / args.points * args.epsilon
+            eps = (k + 1) / args.points * (1.0 if args.epsilon is None else args.epsilon)
             rng = substream(args.seed, "sweep-family-diag", k)
             U = diagonal_dual_sample(args.q, eps, rng)
             rows.append((float(eps),) + _sweep_row(U, args.n, args.seed, args.workers))
@@ -377,6 +383,8 @@ def _load_circuit(path):
 
 def _basis_pairs(pairs, d):
     """The configured (i, j) basis-index pairs, each index an int in [0, d)."""
+    if pairs == []:
+        raise ValidationError("basis_pairs must list at least one [i, j] pair, got []")
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(k) is int and 0 <= k < d for k in p)
         for p in pairs
@@ -390,7 +398,7 @@ def cmd_circuit_corr(args):
     cfg, t_max, pairs = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
     nb = min(cfg.q * cfg.q, 4)
-    pairs = _basis_pairs(pairs, cfg.q * cfg.q) if pairs else [
+    pairs = _basis_pairs(pairs, cfg.q * cfg.q) if pairs is not None else [
         (i, j) for i in range(1, nb) for j in range(1, nb)
     ]
     # every table before the first row, t_max's first: a grid over the budget
@@ -544,7 +552,7 @@ def build_parser():
     sf.add_argument("family", choices=["cartan", "diag"])
     sf.add_argument("-q", type=int, default=2)
     sf.add_argument("--points", type=int, default=10)
-    sf.add_argument("--epsilon", type=float, default=1.0)
+    sf.add_argument("--epsilon", type=float, default=None, help="diag only (default 1.0)")
     sf.add_argument("-N", "--n", type=int, default=2000)
     add_workers(sf)
     sf.add_argument("-o", "--output", default="-")

@@ -130,10 +130,11 @@ def unitarity_defect(U):
     return float(np.abs(G - np.eye(G.shape[0])).max())
 
 
-def require_unitary(U, tol=GATE_UNITARY_TOL, what="matrix"):
+def require_unitary(U, what="matrix"):
     d = unitarity_defect(U)
-    if not d <= tol:
-        raise ValidationError(f"{what} is not unitary: max-entry defect {d:.3e} > {tol:.1e}")
+    if not d <= GATE_UNITARY_TOL:
+        raise ValidationError(f"{what} is not unitary: max-entry defect {d:.3e} > "
+                              f"{GATE_UNITARY_TOL:.1e}")
     return U
 
 

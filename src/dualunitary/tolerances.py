@@ -11,8 +11,9 @@ ZERO_TOL = 1e-9                 # |lambda| below this: a zero mode, infinite dec
 UNIT_TOL = 1e-9                 # |lambda| >= 1 - this: unit modulus; |lambda - 1| <= this: one
 UNIT_BOUNDARY_TOL = 1e-6        # |lambda| within this of 1: the ergodic class is flagged boundary
 UNITALITY_TOL = 1e-12           # trivial-mode residual above this: the channel is not unital
-GATE_UNITARY_TOL = 1e-8         # max-entry defect of U U^dag - 1 accepted for a gate
-INPUT_UNITARY_TOL = 1e-6        # the same, for a gate read from a file by the CLI
+GATE_UNITARY_TOL = 1e-12        # max-entry defect of U U^dag - 1 accepted for any gate: the
+                                # channel's unitality check already refused gates above a few
+                                # 1e-12 (~5e-12 at q = 3), so a looser bound decided nothing
 DUALITY_TOL = 1e-8              # max-entry defect of U^R1 (U^T2) up to this: dual (T-dual)
 THRESHOLD_BOUNDARY_TOL = 1e-12  # e_p this close to a threshold e*_{p,k}: boundary case
 POLAR_RANK_TOL = 1e-13          # smallest singular value below this: rank-deficient polar step

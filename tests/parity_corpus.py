@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import tempfile
 
@@ -26,6 +27,7 @@ import scipy
 
 from dualunitary.cli import main
 from dualunitary.constructions import PERM_OLS_EXAMPLE_Q3, fixtures, perm_spec_to_json
+from dualunitary.tensor_ops import gate_to_json
 
 DATA = pathlib.Path(__file__).with_name("parity_corpus.json")
 
@@ -35,6 +37,19 @@ CATS = [f"cat_q{q}" for q in (2, 3, 4, 5, 6)] + [f"cat_q{q}_b1" for q in (2, 3, 
 
 def _gate(name):
     return "{dir}/" + name + ".json"
+
+
+# defects above GATE_UNITARY_TOL = 1e-12 that a bound of 1e-8 would pass on to
+# the channel's unitality check (4e-11) or to a circuit (6e-9)
+DEFECTS = ("4e-11", "6e-9")
+
+
+def defective_gate(defect):
+    """dual_q3_d3s with entry (0, 0) scaled by sqrt(1 + defect): the fixture is
+    a phase permutation, so max|U U^dag - 1| is `defect` up to rounding."""
+    U = fixtures()["dual_q3_d3s"].copy()
+    U[0, 0] *= math.sqrt(1 + defect)
+    return U
 
 
 def _inputs():
@@ -53,6 +68,8 @@ def _inputs():
         "bad_not_unitary": {**good, "re": [[1.0] * 4] * 4},
     }
     texts = {f"{name}.json": json.dumps(obj, allow_nan=True) for name, obj in bad_gates.items()}
+    texts.update({f"defect_{d}.json": json.dumps(gate_to_json(defective_gate(float(d))))
+                  for d in DEFECTS})
     texts["bad_utf8.json"] = '{"q": 2, "re": "\udcff"}'
     texts["bad_syntax.json"] = "{not json"
     K, L = PERM_OLS_EXAMPLE_Q3
@@ -72,6 +89,9 @@ def _inputs():
         "cfg_unknown_key": {"q": 2, "L": 2, "basis_pair": [[1, 1]], "gate": _gate("cartan_0.2")},
         "cfg_bad_pairs": {"q": 2, "L": 2, "t_max": 1, "basis_pairs": [[1, 7]],
                           "gate": _gate("cartan_0.2")},
+        "cfg_empty_pairs": {"q": 2, "L": 2, "t_max": 1, "basis_pairs": [],
+                            "gate": _gate("cartan_0.2")},
+        "cfg_not_unitary": {"q": 2, "L": 2, "gate": _gate("bad_not_unitary")},
         "cfg_gate_number": {"q": 2, "L": 2, "gate": 3.5},
         "cfg_budget": {"q": 2, "L": 9, "gate": _gate("cartan_0.2")},
         "cfg_inline": {"q": 2, "L": 2, "gate": good},
@@ -141,6 +161,11 @@ def _argvs():
                  "bad_utf8", "bad_syntax"):
         out.append(["gate", "classify", _gate(name)])
     out.append(["sweep", "haar", _gate("bad_nan"), "-N", "10"])
+    for d in DEFECTS:
+        out.append(["channel", "spectrum", _gate(f"defect_{d}")])
+        out.append(["sweep", "haar", _gate(f"defect_{d}"), "-N", "10"])
+    for kind in ("corr", "verify"):
+        out.append(["circuit", kind, "{dir}/cfg_not_unitary.json"])
     out.append(["gate", "classify", "{dir}/missing.json"])
     out.append(["gate", "make", "fixture", "--name", "nope"])
     out.append(["gate", "make", "block", "-q", "3", "--sizes", "4,5"])
@@ -157,10 +182,12 @@ def _argvs():
     out.append(["sweep", "haar", _gate("cartan_0.2"), "-N", "0"])
     out.append(["sweep", "haar", _gate("cartan_0.2"), "-N", "10", "--workers", "0"])
     out.append(["sweep", "family", "cartan", "--points", "0", "-N", "10"])
+    out.append(["sweep", "family", "cartan", "-q", "5", "--points", "2", "-N", "10"])
+    out.append(["sweep", "family", "cartan", "--epsilon", "0.1", "--points", "2", "-N", "10"])
     out.append(["oracle", "haar-identity", "-q", "2", "-N", "1"])
     out.append(["perm", "enumerate", "-q", "1"])
-    for name in ("cfg_t_max_zero", "cfg_unknown_key", "cfg_bad_pairs", "cfg_gate_number",
-                 "cfg_budget"):
+    for name in ("cfg_t_max_zero", "cfg_unknown_key", "cfg_bad_pairs", "cfg_empty_pairs",
+                 "cfg_gate_number", "cfg_budget"):
         out.append(["circuit", "corr", f"{{dir}}/{name}.json"])
     out.append(["circuit", "verify", "{dir}/cfg_t_max_window.json"])
     return out

@@ -27,11 +27,24 @@ def test_weyl_basis_orthonormal_traceless_complete():
         assert np.abs(acc - np.trace(rho) * np.eye(q) / q).max() < 1e-12
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         cs.CircuitConfig(q=3, L=2, gate=np.eye(4))  # wrong local dimension
     with pytest.raises(ValueError):
         cs.CircuitConfig(q=2, L=2, gate=np.eye(4), even_gates=[np.eye(4)])
+    # every gate, uniform or per bond, is q^2 x q^2 and unitary to 1e-12
+    U = cartan_gate(0.3)
+    off = U * (1 + 1e-9)
+    for kwargs, word in (({"gate": off}, "not unitary"),
+                         ({"gate": U, "even_gates": [U, np.eye(9)]}, "local dimension"),
+                         ({"gate": U, "odd_gates": [U, off]}, "not unitary")):
+        with pytest.raises(to.ValidationError, match=word):
+            cs.CircuitConfig(q=2, L=2, **kwargs)
+    # ... and each gate object is checked once, however many bonds it fills
+    calls = []
+    monkeypatch.setattr(cs, "require_unitary", lambda g, what: calls.append(g))
+    cs.CircuitConfig(q=2, L=1000, gate=U, even_gates=[U] * 1000, odd_gates=[U] * 1000)
+    assert len(calls) == 1
 
 
 def test_floquet_l1_hand_composition():

@@ -10,8 +10,11 @@ import pytest
 
 import dualunitary
 from dualunitary import cli
+from dualunitary.circuit_sim import CircuitSimulator
 from dualunitary.cli import main
 from dualunitary.constructions import perm_spec_to_json, PERM_OLS_EXAMPLE_Q3
+from dualunitary.tensor_ops import gate_to_json
+from parity_corpus import defective_gate
 
 
 def run_cli(args, tmp_path=None):
@@ -183,14 +186,72 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     cfg = tmp_path / "cfg.json"
-    # q = 2 has basis indices 0..3: 7 is out of range, -1 would wrap to 3
-    for pairs in ([[1, 7]], [[-1, 1]]):
+    # q = 2 has basis indices 0..3: 7 is out of range, -1 would wrap to 3; an
+    # empty list asks for no pairs, never for the default ones
+    for pairs in ([[1, 7]], [[-1, 1]], []):
         cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
                                    "basis_pairs": pairs}))
         capsys.readouterr()
         assert main(["circuit", "corr", str(cfg)]) == 3
         err = _strict_json(capsys.readouterr().err.splitlines()[0])
         assert err["error"] == "validation" and "basis_pairs" in err["message"]
+
+
+def _write_gate_and_config(tmp_path, U):
+    gate, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    gate.write_text(json.dumps(gate_to_json(U)))
+    cfg.write_text(json.dumps({"q": 3, "L": 2, "gate": str(gate)}))
+    return str(gate), str(cfg)
+
+
+@pytest.mark.parametrize("defect", [2e-13, 4e-11, 6e-9, 6e-7, 0.69])
+def test_every_gate_taking_command_keeps_one_unitarity_rule(tmp_path, capsys, defect):
+    # max|U U^dag - 1| <= 1e-12 is accepted; anything more is refused as not
+    # unitary, never as a non-unital channel or a failed light-cone check
+    gate, cfg = _write_gate_and_config(tmp_path, defective_gate(defect))
+    for argv in (["gate", "classify", gate], ["channel", "spectrum", gate],
+                 ["sweep", "haar", gate, "-N", "20"], ["circuit", "corr", cfg],
+                 ["circuit", "verify", cfg]):
+        capsys.readouterr()
+        code = main(argv)
+        if defect < 1e-12:
+            assert code == 0, argv
+        else:
+            assert code == 3, argv
+            message = _validation_error(capsys)
+            assert message.startswith("gate is not unitary") and "> 1.0e-12" in message
+
+
+def test_circuit_commands_refuse_a_non_unitary_gate_before_evolving(tmp_path, capsys,
+                                                                   monkeypatch):
+    def evolve(*_):
+        raise RuntimeError("evolved")
+
+    monkeypatch.setattr(CircuitSimulator, "_evolve", evolve)
+    for defect, code in ((2e-13, 1), (6e-9, 3)):  # a unitary gate reaches the evolution
+        _, cfg = _write_gate_and_config(tmp_path, defective_gate(defect))
+        for kind in ("corr", "verify"):
+            capsys.readouterr()
+            assert main(["circuit", kind, cfg]) == code
+            err = _strict_json(capsys.readouterr().err.splitlines()[0])
+            assert (err["message"] == "evolved" if code == 1
+                    else err["message"].startswith("gate is not unitary"))
+
+
+def test_sweep_family_cartan_refuses_the_options_it_ignores(tmp_path, capsys):
+    cartan = ["sweep", "family", "cartan", "--points", "2", "-N", "10"]
+    for extra, word in ((["-q", "5"], "-q"), (["-q", "3"], "-q"),
+                        (["--epsilon", "0.1"], "--epsilon"), (["--epsilon", "1.0"], "--epsilon")):
+        capsys.readouterr()
+        assert main([*cartan, *extra]) == 3
+        assert word in _validation_error(capsys)
+    assert main([*cartan, "-q", "2"]) == 0
+    # diag still sweeps epsilon up to 1.0 by default
+    runs = [(tmp_path / f"diag{k}.csv", extra) for k, extra in enumerate(([], ["--epsilon", "1"]))]
+    for out, extra in runs:
+        assert main(["sweep", "family", "diag", "-q", "2", "--points", "2", "-N", "10",
+                     *extra, "-o", str(out)]) == 0
+    assert runs[0][0].read_bytes() == runs[1][0].read_bytes()
 
 
 def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
