@@ -6,11 +6,15 @@ sit at half-integer positions; site x maps to tensor leg 2x.  Operators are
 evolved in the Heisenberg picture gate by gate and kept as a tensor on their
 support legs, the identity elsewhere: a gate g touching the support acts as
 g^dag O g on its two legs, and a gate off the support cancels.  After t
-periods a single-site operator lives on at most 4t legs, so the cost grows
-with the light cone, not with the ring (the folded picture of Bertini, Kos
-and Prosen, PRL 123, 210601 (2019)).  The correlators are
-infinite-temperature traces, i.e. partial traces of the support tensor, so
-no state sampling enters and the results are exact.
+periods a single-site operator lives on at most 4t legs, a tensor of
+16 q^(8t) bytes, so the cost grows with the light cone, not with the ring
+(the folded picture of Bertini, Kos and Prosen, PRL 123, 210601 (2019)).
+Single-site tables meet in the middle: t1 periods forward from the initial
+operator and t2 = t - t1 backward from the final one, so each half covers
+at most 4 t1 or 4 t2 legs; t2 is picked per table from the sizes alone, and
+t2 = 0 wherever a split costs more.  Two-site tables evolve the whole t.
+The correlators are infinite-temperature traces, i.e. partial traces of the
+support tensors, so no state sampling enters and the results are exact.
 
 The simulator exists to validate channel predictions: for dual gates the
 single-site correlator vanishes strictly inside the light cone and equals
@@ -21,6 +25,7 @@ of the prediction, checked by `dualu circuit verify`, while the ring
 evolution here is exact at any t >= 0.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -30,9 +35,17 @@ from .tensor_ops import ValidationError, local_dim, require_unitary
 from .tolerances import SITE_TOL
 
 # bytes a simulator may spend on each of: the support tensor an evolution
-# builds (16 q^(2 |supp|); a gate step holds about three at once), and all the
-# correlator tables it keeps, together
+# builds (16 q^(2 |supp|), times q^2 for a backward half; a gate step holds
+# about three at once), and all the correlator tables and backward halves it
+# keeps, together
 SUPPORT_BUDGET = 2**28
+
+# the overhead of one numpy call in the cost model of a table's split, counted
+# in complex multiply-adds: about 15 us at about 2 ns each.  Fit on a 2-CPU
+# x86 box with OpenBLAS, where the model then picked the t2 of the fastest
+# first table in each of 41 measured (q, L, t) with q <= 5, L <= 24 and more
+# than one split within the budget.
+CALL_COST = 2**13
 
 
 def _require_budget(nbytes, what):
@@ -93,7 +106,9 @@ class CircuitSimulator:
 
     An evolved operator is a pair (legs, tensor): the tensor has one output
     axis per support leg, then one input axis per leg, in the order of
-    `legs`.  Correlator tables are cached per initial operator and time.
+    `legs`, after a leading batch axis where it holds a batch of operators.
+    Correlator tables are cached per initial operator and time, and the
+    backward halves of the single-site tables per t2.
     """
 
     def __init__(self, cfg):
@@ -113,7 +128,9 @@ class CircuitSimulator:
                         for gates in (cfg.even_gates, cfg.odd_gates)]
         self._single = {}
         self._two = {}
-        self._kept = 0  # bytes of the kept correlator tables
+        self._halves = {}  # t2 -> the backward halves at every leg
+        self._works = {}  # (leg parity, backward) -> _work per number of periods
+        self._kept = 0  # bytes of the kept correlator tables and backward halves
 
     def site_leg(self, x):
         leg = int(round(2 * x))
@@ -121,52 +138,146 @@ class CircuitSimulator:
             raise ValidationError(f"site {x} is not a half-integer position")
         return leg % self.n_legs
 
-    def _evolve(self, factors, t):
-        """U_F^-t (x_leg factors[leg]) U_F^t as (support legs, tensor).
+    def _steps(self, legs, t, backward=False):
+        """The gate steps of t periods on the growing support of `legs`, each as
+        (a, b, right factor, left factor) on legs (a, b), and the final support.
 
-        The gates that touch the growing support are listed first, so a
-        negative t or a final support over the budget is refused before
-        anything is built."""
+        Forward, one period of U_F^dag O U_F gate by gate: the unshifted layer
+        on legs (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate
+        factor on the first leg, bonds in ascending k, each gate g as g^dag O g.
+        This is the convention for which the correlator ray leaving y = 0
+        towards x = +t carries the powers of M_plus (and the y = 1/2 ray towards
+        -t those of M_minus); for L = 1 it reads U_F = U . SUS.  Backward,
+        U_F O U_F^dag: the layers in reverse order, each gate as g O g^dag.  The
+        gates of a layer are disjoint, so the bonds it adds to the support are
+        those of its legs at its start."""
         if t < 0:
             raise ValidationError("t must be nonnegative")
-        # One period of U_F^dag O U_F, gate by gate: the unshifted layer on legs
-        # (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate factor
-        # on the first leg, bonds in ascending k.  This is the convention for
-        # which the correlator ray leaving y = 0 towards x = +t carries the
-        # powers of M_plus (and the y = 1/2 ray towards -t those of M_minus);
-        # for L = 1 it reads U_F = U . SUS.  The gates of a layer are disjoint,
-        # so the bonds it adds to the support are those of its legs at its start.
         n = self.n_legs
-        support = set(factors)
+        layers = list(enumerate(self._layers))
+        if backward:
+            layers.reverse()
+        support = set(legs)
         steps = []
         for _ in range(t):
-            for layer, gates in enumerate(self._layers):
+            for layer, gates in layers:
                 for k in sorted({(leg - layer) % n // 2 for leg in support}):
                     a, b = 2 * k + layer, (2 * k + 1 + layer) % n
                     support |= {a, b}
-                    steps.append((a, b) + (self._uniform if gates is None else gates[k]))
-        _require_budget(16 * self.q ** (2 * len(support)),
-                        f"at t = {t} the evolved operator covers {len(support)} legs "
-                        f"as a q={self.q} tensor")
+                    g, gd = self._uniform if gates is None else gates[k]
+                    steps.append((a, b, gd, g) if backward else (a, b, g, gd))
+        return steps, support
+
+    def _evolve(self, factors, t, backward=False):
+        """U_F^-t (x_leg factors[leg]) U_F^t as (support legs, tensor), or
+        backward U_F^t (...) U_F^-t.  The operator on a single leg may carry a
+        leading batch axis, which the tensor keeps in front.
+
+        The steps are listed first, so a final support over the budget is
+        refused before anything is built."""
+        steps, support = self._steps(factors, t, backward)
         q = self.q
         legs = list(factors)
         s = len(legs)
-        T = reduce(np.multiply.outer, [np.asarray(factors[leg], dtype=complex) for leg in legs])
-        T = T.transpose(list(range(0, 2 * s, 2)) + list(range(1, 2 * s, 2)))
+        arrays = [np.asarray(factors[leg], dtype=complex) for leg in legs]
+        batch = math.prod(a.size for a in arrays) // q ** (2 * s)
+        _require_budget(16 * batch * q ** (2 * len(support)),
+                        f"at t = {t} the {'backward half' if backward else 'evolved operator'} "
+                        f"covers {len(support)} legs as a q={q} tensor"
+                        + (f" batch of {batch}" if batch > 1 else ""))
+        T = reduce(np.multiply.outer, arrays)
+        c = T.ndim - 2 * s  # the batch axis, if any
+        T = T.transpose(list(range(c)) + list(range(c, c + 2 * s, 2))
+                        + list(range(c + 1, c + 2 * s, 2)))
         for a, b, g, gd in steps:
             for leg in (a, b):
                 if leg not in legs:  # O x 1 on the new leg
-                    T = np.moveaxis(np.multiply.outer(T, np.eye(q)), 2 * s, s)
+                    T = np.moveaxis(np.multiply.outer(T, np.eye(q)), c + 2 * s, c + s)
                     legs.append(leg)
                     s += 1
-            pa, pb = legs.index(a), legs.index(b)
+            pa, pb = c + legs.index(a), c + legs.index(b)
             T = np.moveaxis(np.tensordot(gd, T, axes=([2, 3], [pa, pb])), [0, 1], [pa, pb])
             T = np.moveaxis(np.tensordot(T, g, axes=([s + pa, s + pb], [0, 1])),
                             [-2, -1], [s + pa, s + pb])
         return legs, T
 
+    def _work(self, leg, t, backward=False):
+        """(cost, support size) of evolving an operator on one leg t periods,
+        from the step lists alone, in complex multiply-adds: a gate step costs
+        q^2 per entry of the tensor it leaves (times the batch of q^2 backward)
+        and four numpy calls.  The geometry repeats with a shift of two legs,
+        and each period extends the one before."""
+        periods = self._works.setdefault((leg % 2, backward), [(0, {leg % 2})])
+        batch = self.q**2 if backward else 1
+        while len(periods) <= t:
+            cost, seen = periods[-1]
+            steps, support = self._steps(seen, 1, backward)
+            seen = set(seen)
+            for a, b, _, _ in steps:
+                seen |= {a, b}
+                cost += batch * self.q ** (2 * len(seen) + 2) + 4 * CALL_COST
+            periods.append((cost, support))
+        cost, support = periods[t]
+        return cost, len(support)
+
+    def _split(self, leg, t):
+        """The t2 of the cheapest way to build a single-site table at `leg`:
+        a_i forward t - t2 periods, and the basis backward t2 periods at every
+        leg (see single_site_table).  The cost counts the gate steps, the reads
+        of the halves at each leg, and the whole backward build, kept or not,
+        so the choice does not depend on which tables were built before.  A
+        split is not taken if one of its tensors, or its backward halves with
+        the kept tables, would exceed the budget; if none fits, the one with
+        the smallest tensors is refused."""
+        q, n, nb = self.q, self.n_legs, self.q**2
+        cost, s_f = self._work(leg, t)
+        options = [(cost + n * (q ** (2 * s_f) + CALL_COST), 0, [(
+            16 * q ** (2 * s_f),
+            f"at t = {t} the evolved operator covers {s_f} legs as a q={q} tensor")])]
+        for t2 in range(1, t + 1):
+            cost, s_f = self._work(leg, t - t2)
+            (c0, s0), (c1, s1) = (self._work(x, t2, backward=True) for x in (0, 1))
+            s_b = max(s0, s1)
+            halves = 0 if t2 in self._halves else 16 * nb * n // 2 * (q**(2 * s0) + q**(2 * s1))
+            split = f"at t = {t} = {t - t2} + {t2} the"
+            options.append((
+                cost + n // 2 * (c0 + c1) + n * (q ** (2 * s_f) + nb * q ** (2 * s_b) + 3 * CALL_COST),
+                t2,
+                [(16 * q ** (2 * s_f), f"{split} forward half covers {s_f} legs as a q={q} tensor"),
+                 (16 * nb * q ** (2 * s_b),
+                  f"{split} backward half covers {s_b} legs as a q={q} tensor batch of {nb}"),
+                 (self._kept + halves + 16 * n * nb,
+                  "the kept correlator tables and backward halves")]))
+        fits = [(cost, t2) for cost, t2, checks in options
+                if all(nbytes <= SUPPORT_BUDGET for nbytes, _ in checks)]
+        if not fits:
+            for nbytes, what in min((checks for _, _, checks in options), key=max):
+                _require_budget(nbytes, what)
+        return min(fits)[1]
+
+    def _backward(self, t2):
+        """The q^2 basis operators at every leg evolved backward t2 periods, as
+        one (support legs, batch tensor) per leg, built once and kept."""
+        if t2 not in self._halves:
+            halves = [self._evolve({x: self.basis}, t2, backward=True)
+                      for x in range(self.n_legs)]
+            self._kept += sum(T.nbytes for _, T in halves)
+            self._halves[t2] = halves
+        return self._halves[t2]
+
+    def _meet(self, op, half):
+        """tr[B_j O] / q^(legs of O or B) for each operator B_j of the batch
+        `half`: both are traced down to their common legs, where the outputs
+        of B meet the inputs of O and the inputs of B the outputs of O."""
+        shared = [leg for leg in half[0] if leg in op[0]]
+        m = len(shared)
+        O, B = self._marginal(op, shared), self._marginal(half, shared)
+        return np.tensordot(B, O, axes=(list(range(1, 2 * m + 1)),
+                                        list(range(m, 2 * m)) + list(range(m)))) / self.q**m
+
     def _marginal(self, op, legs):
-        """tr_rest(O) / q^(traced legs) on `legs`, axes (outputs..., inputs...).
+        """tr_rest(O) / q^(traced legs) on `legs`, axes (outputs..., inputs...)
+        after the batch axis, if the tensor has one.
 
         A leg outside the support carries the identity, so the correlator of
         an observable B on `legs` is tr(B rho) / q^len(legs).
@@ -174,7 +285,7 @@ class CircuitSimulator:
         support, T = op
         s = len(support)
         labels = list(range(s)) * 2  # equal output and input labels: traced
-        operands, outs, ins = [T, labels], [], []
+        extra, outs, ins = [], [], []
         for k, leg in enumerate(legs):
             if leg in support:
                 p = support.index(leg)
@@ -182,17 +293,19 @@ class CircuitSimulator:
                 outs.append(p)
                 ins.append(s + p)
             else:
-                operands += [np.eye(self.q), [2 * s + 2 * k, 2 * s + 2 * k + 1]]
+                extra += [np.eye(self.q), [2 * s + 2 * k, 2 * s + 2 * k + 1]]
                 outs.append(2 * s + 2 * k)
                 ins.append(2 * s + 2 * k + 1)
+        batch = [2 * s + 2 * len(legs)] * (T.ndim - 2 * s)
         traced = s - sum(leg in support for leg in legs)
-        return np.einsum(*operands, outs + ins) / self.q**traced
+        return np.einsum(T, batch + labels, *extra, batch + outs + ins) / self.q**traced
 
     def _table(self, store, key, entries, build):
         """store[key], built by build() on first use.  The tables a simulator
         keeps count against the budget together, checked before one is built."""
         if key not in store:
-            _require_budget(self._kept + 16 * entries, "the kept correlator tables")
+            _require_budget(self._kept + 16 * entries,
+                            "the kept correlator tables and backward halves")
             table = build()
             table.setflags(write=False)
             store[key] = table
@@ -200,11 +313,22 @@ class CircuitSimulator:
         return store[key]
 
     def single_site_table(self, i, y, t):
-        """C[x, j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and basis index j."""
+        """C[x, j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and basis index j.
+
+        Built by meeting in the middle.  With V = V1 V2 the gates of
+        t = t1 + t2 periods in the order they are applied,
+        tr[a_j^x V^dag a_i V] = tr[(V2 a_j^x V2^dag)(V1^dag a_i V1)]: a_i is
+        evolved forward t1 periods, and the basis at each leg x backward t2
+        periods, once per simulator for every table.  Each half covers at most
+        4 t1 or 4 t2 legs, not 4t.  t2 = 0 reads the marginals of the forward
+        operator; `_split` picks t2 from the sizes alone."""
         leg = self.site_leg(y)
 
         def build():
-            op = self._evolve({leg: self.basis[i]}, t)
+            t2 = self._split(leg, t)
+            op = self._evolve({leg: self.basis[i]}, t - t2)
+            if t2:
+                return np.array([self._meet(op, half) for half in self._backward(t2)])
             rows = [np.einsum("jab,ba->j", self.basis, self._marginal(op, [x]))
                     for x in range(self.n_legs)]
             return np.array(rows) / self.q

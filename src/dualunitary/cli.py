@@ -186,17 +186,48 @@ OPTION_FLOORS = (("workers", "--workers", 1), ("n", "-N", 1), ("points", "--poin
                  ("q", "-q", 2), ("max_iter", "--max-iter", 1))
 
 
+# the options each `gate make` family reads, and their defaults; a family
+# refuses any other option it is given
+GATE_OPTIONS = {"q": 3, "side": "ds", "sizes": None, "epsilon": 1.0, "spec": None,
+                "b": None, "J": 0.0, "max_iter": 10_000, "tol": FLOW_TOL, "name": None,
+                "seed": None}
+FAMILY_OPTIONS = {
+    "block": ("q", "side", "sizes", "seed"),
+    "diag": ("q", "epsilon", "seed"),
+    "perm": ("spec",),
+    "cat": ("q", "b"),
+    "cartan": ("J",),
+    "mr": ("q", "max_iter", "tol", "seed"),
+    "mrt": ("q", "max_iter", "tol", "seed"),
+    "fixture": ("name",),
+}
+
+
+def _gate_options(args):
+    """Refuse a `gate make` option the family ignores; default the others."""
+    for attr, default in GATE_OPTIONS.items():
+        if attr in FAMILY_OPTIONS[args.family]:
+            if getattr(args, attr) is None:
+                setattr(args, attr, default)
+        elif getattr(args, attr) is not None:
+            flag = "-q" if attr == "q" else "--" + attr.replace("_", "-")
+            raise ValidationError(f"gate make {args.family} takes no {flag}")
+
+
 def _resolve_defaults(args):
-    """Fill --seed/--workers from the environment (--workers: else the usable
-    CPUs) and check the integer options."""
+    """Check the options of `gate make` against its family, fill --seed and
+    --workers from the environment (--workers: else the usable CPUs) and check
+    the integer options."""
+    if args._command_path == ["gate", "make"]:
+        _gate_options(args)
     if getattr(args, "seed", 0) is None:
         args.seed = _int(os.environ.get("DUALUNITARY_SEED", 0), "DUALUNITARY_SEED")
     if getattr(args, "workers", 1) is None:
         args.workers = _int(os.environ.get("DUALUNITARY_WORKERS", _usable_cpus()),
                             "DUALUNITARY_WORKERS")
     for attr, flag, least in OPTION_FLOORS:
-        value = getattr(args, attr, least)
-        if value < least:
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
             raise ValidationError(f"{flag} must be at least {least}, got {value}")
 
 
@@ -394,13 +425,18 @@ def _basis_pairs(pairs, d):
     return [tuple(p) for p in pairs]
 
 
+def _pairs_or_default(pairs, q):
+    """The configured basis pairs, else every (i, j) with 1 <= i, j < min(q^2, 4)."""
+    if pairs is not None:
+        return _basis_pairs(pairs, q * q)
+    nb = min(q * q, 4)
+    return [(i, j) for i in range(1, nb) for j in range(1, nb)]
+
+
 def cmd_circuit_corr(args):
     cfg, t_max, pairs = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
-    nb = min(cfg.q * cfg.q, 4)
-    pairs = _basis_pairs(pairs, cfg.q * cfg.q) if pairs is not None else [
-        (i, j) for i in range(1, nb) for j in range(1, nb)
-    ]
+    pairs = _pairs_or_default(pairs, cfg.q)
     # every table before the first row, t_max's first: a grid over the budget
     # is refused before any other work, and no output is half written
     tables = {(i, t): sim.single_site_table(i, 0.0, t)
@@ -412,25 +448,27 @@ def cmd_circuit_corr(args):
 
 
 def cmd_circuit_verify(args):
-    cfg, t_max, _ = _load_circuit(args.config)
+    cfg, t_max, pairs = _load_circuit(args.config)
     if 2 * t_max > cfg.L:
         # the grid is exact on the ring at any t; the channel prediction is not
         raise ValidationError(
             f"t_max = {t_max} is outside the prediction window t <= L/2 = {cfg.L / 2}: "
             "finite-size recurrences invalidate the light-cone predictions")
+    pairs = _pairs_or_default(pairs, cfg.q)
+    if any(0 in p for p in pairs):
+        raise ValidationError(f"circuit verify takes basis_pairs of nontrivial indices "
+                              f"(>= 1), got {[list(p) for p in pairs]}")
     sim = CircuitSimulator(cfg)
-    nb = min(cfg.q * cfg.q, 4)
     worst_cone, worst_interior = 0.0, 0.0
     for t in (t_max, *range(1, t_max)):  # an over-budget t_max is refused first
-        for i in range(1, nb):
-            for j in range(1, nb):
-                gp = sim.c_plus(i, j, float(t), t)
-                pp = lightcone_correlation_prediction(
-                    cfg.gate, sim.basis[i], sim.basis[j], t, side="plus")
-                gm = sim.c_minus(i, j, float(-t), t)
-                pm = lightcone_correlation_prediction(
-                    cfg.gate, sim.basis[i], sim.basis[j], t, side="minus")
-                worst_cone = max(worst_cone, abs(gp - pp), abs(gm - pm))
+        for i, j in pairs:
+            gp = sim.c_plus(i, j, float(t), t)
+            pp = lightcone_correlation_prediction(
+                cfg.gate, sim.basis[i], sim.basis[j], t, side="plus")
+            gm = sim.c_minus(i, j, float(-t), t)
+            pm = lightcone_correlation_prediction(
+                cfg.gate, sim.basis[i], sim.basis[j], t, side="minus")
+            worst_cone = max(worst_cone, abs(gp - pp), abs(gm - pm))
         worst_interior = max(worst_interior, abs(sim.c_plus(1, 1, 0.0, t)))
     report = {
         "cone_residual": worst_cone,
@@ -509,16 +547,17 @@ def build_parser():
     # gate
     gate = sub.add_parser("gate").add_subparsers(dest="sub", required=True)
     gm = gate.add_parser("make")
-    gm.add_argument("family", choices=["block", "diag", "perm", "cat", "cartan", "mr", "mrt", "fixture"])
-    gm.add_argument("-q", type=int, default=3)
-    gm.add_argument("--side", choices=["ds", "sd"], default="ds")
+    # each family reads only its own options (FAMILY_OPTIONS; defaults in GATE_OPTIONS)
+    gm.add_argument("family", choices=list(FAMILY_OPTIONS))
+    gm.add_argument("-q", type=int)
+    gm.add_argument("--side", choices=["ds", "sd"])
     gm.add_argument("--sizes", help="comma-separated block sizes (multiples of q)")
-    gm.add_argument("--epsilon", type=float, default=1.0)
+    gm.add_argument("--epsilon", type=float)
     gm.add_argument("--spec", help="permutation spec JSON (1-indexed K, L, optional theta)")
-    gm.add_argument("--b", type=float, default=None, help="cat-family parameter")
-    gm.add_argument("--J", type=float, default=0.0)
-    gm.add_argument("--max-iter", type=int, default=10_000)
-    gm.add_argument("--tol", type=float, default=FLOW_TOL)
+    gm.add_argument("--b", type=float, help="cat-family parameter")
+    gm.add_argument("--J", type=float)
+    gm.add_argument("--max-iter", type=int)
+    gm.add_argument("--tol", type=float)
     gm.add_argument("--name", help="fixture name")
     gm.add_argument("-o", "--output", default="-")
     add_seed(gm)

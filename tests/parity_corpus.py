@@ -93,7 +93,12 @@ def _inputs():
                             "gate": _gate("cartan_0.2")},
         "cfg_not_unitary": {"q": 2, "L": 2, "gate": _gate("bad_not_unitary")},
         "cfg_gate_number": {"q": 2, "L": 2, "gate": 3.5},
-        "cfg_budget": {"q": 2, "L": 9, "gate": _gate("cartan_0.2")},
+        "cfg_budget": {"q": 3, "L": 6, "gate": _gate("cat_q3")},
+        "cfg_verify_bad_pairs": {"q": 2, "L": 2, "t_max": 1, "basis_pairs": [[1, 99]],
+                                 "gate": _gate("cartan_0.2")},
+        "cfg_verify_identity_pair": {"q": 2, "L": 2, "t_max": 1, "basis_pairs": [[0, 1]],
+                                     "gate": _gate("cartan_0.2")},
+        "cone_l9": {"q": 2, "L": 9, "gate": _gate("cartan_0.2")},
         "cfg_inline": {"q": 2, "L": 2, "gate": good},
     }
     texts.update({f"{name}.json": json.dumps(cfg) for name, cfg in configs.items()})
@@ -147,6 +152,7 @@ def _argvs():
     for kind in ("corr", "verify"):
         out.append(["circuit", kind, "{dir}/cone_pairs.json"])
         out.append(["circuit", kind, "{dir}/cfg_inline.json"])
+    out.append(["circuit", "verify", "{dir}/cone_l9.json"])
 
     out.append(["perm", "enumerate", "-q", "2"])
     out.append(["perm", "enumerate", "-q", "3"])
@@ -174,6 +180,7 @@ def _argvs():
     out.append(["gate", "make", "cat", "--b", "nan"])
     out.append(["gate", "make", "cartan", "--J=-inf"])
     out.append(["gate", "make", "mr", "--max-iter", "0"])
+    out.append(["gate", "make", "cartan", "-q", "5", "--epsilon", "0.3", "--seed", "9"])
     out.append(["gate", "make", "perm"])
     out.append(["gate", "make", "perm", "--spec", "{dir}/perm_bad_theta.json"])
     out.append(["gate", "make", "perm", "--spec", "{dir}/perm_bad_k.json"])
@@ -189,7 +196,8 @@ def _argvs():
     for name in ("cfg_t_max_zero", "cfg_unknown_key", "cfg_bad_pairs", "cfg_empty_pairs",
                  "cfg_gate_number", "cfg_budget"):
         out.append(["circuit", "corr", f"{{dir}}/{name}.json"])
-    out.append(["circuit", "verify", "{dir}/cfg_t_max_window.json"])
+    for name in ("cfg_t_max_window", "cfg_verify_bad_pairs", "cfg_verify_identity_pair"):
+        out.append(["circuit", "verify", f"{{dir}}/{name}.json"])
     return out
 
 

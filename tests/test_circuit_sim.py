@@ -178,6 +178,13 @@ def test_non_dual_gate_has_interior_correlations():
     assert best > 1e-3
 
 
+def test_non_dual_q3_gate_keeps_interior_correlations_at_t2():
+    # q = 3 at t = 2 is reached by the split alone: the 8-leg operator would be 657 MiB
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=3, L=4, gate=sample_haar(9, substream(6, "circ"))))
+    best = max(abs(sim.c_plus(i, j, x, 2)) for i in (1, 2) for j in (1, 2) for x in (0.0, 0.5, 1.0))
+    assert best > 1e-3
+
+
 def test_lightcone_scan_structure():
     # max |C_+| / |C_-| over basis pairs at every half-integer position, t = 1:
     # for a dual gate only the ray x = t of the plus side carries weight
@@ -210,11 +217,11 @@ def _oracle_worst(cfg, t_max, i_set, y_set, two_site):
     """max |engine - dense oracle| over t <= t_max: single-site tables (every
     x, j) for the given i and y, and two-site correlators (every x1, x2) for
     the given (i, j, k, l).  The oracle's embedded observables are monomial
-    matrices, so their products are taken as sparse matrices."""
+    matrices, so they are kept and multiplied as sparse matrices."""
     sim, ref = cs.CircuitSimulator(cfg), DenseCircuitSimulator(cfg)
     n, nb = sim.n_legs, cfg.q**2
-    E = {(x, j): ref.embed(ref.basis[j], 0.5 * x) for x in range(n) for j in range(nb)}
-    Es = {key: sparse.csr_matrix(op) for key, op in E.items()}
+    E = {(x, j): sparse.csr_matrix(ref.embed(ref.basis[j], 0.5 * x))
+         for x in range(n) for j in range(nb)}
     worst = 0.0
     for t in range(t_max + 1):
         for i in i_set:
@@ -222,13 +229,13 @@ def _oracle_worst(cfg, t_max, i_set, y_set, two_site):
                 A = ref.heisenberg(ref.embed(ref.basis[i], y), t)
                 table = sim.single_site_table(i, y, t)
                 for (x, j), B in E.items():
-                    val = complex(np.einsum("ij,ji->", B, A)) / ref.dim
+                    val = complex(B.multiply(A.T).sum()) / ref.dim
                     worst = max(worst, abs(table[x, j] - val))
         for (i, j, k, l) in two_site:
-            A = ref.heisenberg(E[(0, i)] @ E[(1, j)], t)
+            A = ref.heisenberg((E[(0, i)] @ E[(1, j)]).toarray(), t)
             for x1 in range(n):
                 for x2 in range(n):
-                    val = complex((Es[(x1, k)] @ Es[(x2, l)]).multiply(A.T).sum()) / ref.dim
+                    val = complex((E[(x1, k)] @ E[(x2, l)]).multiply(A.T).sum()) / ref.dim
                     got = sim.correlation_two_site(i, j, k, l, 0.5 * x1, 0.5 * x2, t)
                     worst = max(worst, abs(got - val))
     return worst
@@ -248,20 +255,26 @@ def test_engine_matches_dense_oracle():
         (cs.CircuitConfig(q=2, L=4, gate=bonds[0], even_gates=bonds[:4], odd_gates=bonds[4:]),
          4, (2,), (0.5, 2.0), [(2, 1, 1, 3)]),
         (cs.CircuitConfig(q=3, L=3, gate=sample_haar(9, rng)), 3, (4,), (0.0, 0.5), [(1, 8, 2, 4)]),
+        (cs.CircuitConfig(q=2, L=5, gate=sample_haar(4, rng)), 2, (2,), (0.0, 4.5), []),
     ]
     for cfg, t_max, i_set, y_set, two_site in cases:
         assert _oracle_worst(cfg, t_max, i_set, y_set, two_site) < 1e-12
+    # the t = 2 tables of the last ring meet in the middle, one period from each end
+    sim = cs.CircuitSimulator(cases[-1][0])
+    assert [sim._split(leg, 2) for leg in (0, 1)] == [1, 1]
 
 
 def test_support_budget_refuses_before_allocating(monkeypatch):
-    # q = 2, L = 8: at t = 4 the operator covers all 16 legs, a 64 GiB tensor
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=8, gate=cartan_gate(0.3)))
+    # q = 2, L = 16: at t = 8 the operator covers all 32 legs, and every split
+    # leaves a half on at least 16 legs, a 64 GiB tensor; the two-site table,
+    # never split, would cover all 32
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=16, gate=cartan_gate(0.3)))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
-            sim.c_plus(1, 1, 4.0, 4)
+            sim.c_plus(1, 1, 8.0, 8)
         with pytest.raises(ValueError, match="budget"):
-            sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 4)
+            sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 8)
         # a ring of 6e6 legs costs nothing to set up, and its first correlator
         # table alone (384 MiB) is refused
         ring = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=3 * 10**6, gate=cartan_gate(0.3)))

@@ -52,16 +52,16 @@ def test_gate_make_cartan_ep(tmp_path, capsys):
 def test_gate_make_families(tmp_path, capsys):
     # (family, options, exit code, whether `gate classify` must call it dual)
     for k, (fam, extra, code, dual) in enumerate([
-        ("block", ["-q", "3"], 0, True),
-        ("block", ["-q", "3", "--sizes", "6,3"], 0, True),
-        ("block", ["-q", "4", "--sizes", "8,4,4"], 0, True),
-        ("block", ["-q", "3", "--sizes", "4,5"], 3, None),
-        ("diag", ["-q", "2", "--epsilon", "0.5"], 0, True),
-        ("mr", ["-q", "3", "--tol", "1e-8"], 0, None),
+        ("block", ["-q", "3", "--seed", "3"], 0, True),
+        ("block", ["-q", "3", "--sizes", "6,3", "--seed", "3"], 0, True),
+        ("block", ["-q", "4", "--sizes", "8,4,4", "--seed", "3"], 0, True),
+        ("block", ["-q", "3", "--sizes", "4,5", "--seed", "3"], 3, None),
+        ("diag", ["-q", "2", "--epsilon", "0.5", "--seed", "3"], 0, True),
+        ("mr", ["-q", "3", "--tol", "1e-8", "--seed", "3"], 0, None),
         ("fixture", ["--name", "dual_q3_ep8over9"], 0, True),
     ]):
         out = tmp_path / f"{fam}{k}.json"
-        assert main(["gate", "make", fam, "-o", str(out), "--seed", "3"] + extra) == code
+        assert main(["gate", "make", fam, "-o", str(out)] + extra) == code
         if code:
             continue
         assert out.exists()
@@ -70,6 +70,27 @@ def test_gate_make_families(tmp_path, capsys):
             capsys.readouterr()
             assert main(["gate", "classify", str(out)]) == 0
             assert _strict_json(capsys.readouterr().out)["duality"]["dual"] is True
+
+
+def test_gate_make_refuses_options_its_family_ignores(tmp_path, capsys, monkeypatch):
+    # exit 3 naming the first ignored option, before any gate is built or written
+    out = tmp_path / "g.json"
+    for argv, flag in ((["cartan", "-q", "5", "--epsilon", "0.3", "--seed", "9"], "-q"),
+                       (["cartan", "--J", "0.2", "--seed", "9"], "--seed"),
+                       (["cat", "-q", "3", "--epsilon", "0.5"], "--epsilon"),
+                       (["fixture", "--name", "dual_q3_d3s", "-q", "3"], "-q"),
+                       (["diag", "--max-iter", "5"], "--max-iter"),
+                       (["mr", "--sizes", "3,3"], "--sizes"),
+                       (["perm", "--J", "0.1"], "--J"),
+                       (["block", "--b", "1"], "--b"),
+                       (["mrt", "--name", "x"], "--name")):
+        capsys.readouterr()
+        assert main(["gate", "make", *argv, "-o", str(out)]) == 3
+        assert f"takes no {flag}" in _validation_error(capsys)
+        assert not out.exists()
+    # a default seed from the environment is no option given
+    monkeypatch.setenv("DUALUNITARY_SEED", "9")
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(out)]) == 0
 
 
 def test_gate_make_perm_spec(tmp_path):
@@ -191,10 +212,48 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
     for pairs in ([[1, 7]], [[-1, 1]], []):
         cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
                                    "basis_pairs": pairs}))
+        for kind in ("corr", "verify"):
+            capsys.readouterr()
+            assert main(["circuit", kind, str(cfg)]) == 3
+            err = _strict_json(capsys.readouterr().err.splitlines()[0])
+            assert err["error"] == "validation" and "basis_pairs" in err["message"]
+    # verify checks nontrivial pairs only: index 0 is the identity, and its
+    # correlator is no channel prediction
+    cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
+                               "basis_pairs": [[1, 1], [0, 2]]}))
+    capsys.readouterr()
+    assert main(["circuit", "verify", str(cfg)]) == 3
+    assert "basis_pairs" in _validation_error(capsys)
+    assert main(["circuit", "corr", str(cfg), "-o", os.devnull]) == 0
+
+
+def test_circuit_verify_checks_the_configured_pairs(tmp_path, capsys, monkeypatch):
+    gate = tmp_path / "g.json"
+    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
+                               "basis_pairs": [[3, 2]]}))
+    checked = []
+    real = cli.lightcone_correlation_prediction
+    monkeypatch.setattr(cli, "lightcone_correlation_prediction", lambda U, a, b, t, side: (
+        checked.append((t, side)) or real(U, a, b, t, side=side)))
+    assert main(["circuit", "verify", str(cfg)]) == 0
+    assert _strict_json(capsys.readouterr().out)["ok"] is True
+    assert checked == [(1, "plus"), (1, "minus")]  # the one configured pair, both rays
+
+
+def test_circuit_verify_reaches_q3_at_t2(tmp_path, capsys):
+    # the t = 2 tables meet in the middle: the 8-leg operator (657 MiB at q = 3) is never built
+    for name, gate in (("dual_q3_ep8over9", ["fixture", "--name", "dual_q3_ep8over9"]),
+                       ("cat_q3", ["cat", "-q", "3"])):
+        path = tmp_path / f"{name}.json"
+        assert main(["gate", "make", *gate, "-o", str(path)]) == 0
+        cfg = tmp_path / f"{name}_cfg.json"
+        cfg.write_text(json.dumps({"q": 3, "L": 4, "t_max": 2, "gate": str(path)}))
         capsys.readouterr()
-        assert main(["circuit", "corr", str(cfg)]) == 3
-        err = _strict_json(capsys.readouterr().err.splitlines()[0])
-        assert err["error"] == "validation" and "basis_pairs" in err["message"]
+        assert main(["circuit", "verify", str(cfg)]) == 0
+        rep = _strict_json(capsys.readouterr().out)
+        assert rep["ok"] is True and rep["t_max"] == 2 and rep["cone_residual"] < 1e-12
 
 
 def _write_gate_and_config(tmp_path, U):
@@ -330,10 +389,14 @@ def test_exit_codes(tmp_path, capsys):
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     capsys.readouterr()
-    # t_max = 4 is evaluated first: its 16-leg operator is refused before any other work
-    cfg.write_text(json.dumps({"q": 2, "L": 9, "gate": str(gate)}))
+    # q = 3, L = 6: t_max = 3 is evaluated first, and its cheapest split still
+    # leaves an 8-leg half (657 MiB), refused before any other work
+    main(["gate", "make", "cat", "-q", "3", "-o", str(gate)])
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"q": 3, "L": 6, "gate": str(gate)}))
     assert main(["circuit", "verify", str(cfg)]) == 3
-    assert "budget" in _strict_json(capsys.readouterr().err.splitlines()[0])["message"]
+    message = _strict_json(capsys.readouterr().err.splitlines()[0])["message"]
+    assert "budget" in message and "8 legs" in message and "657 MiB" in message
 
 
 def test_a_fault_of_the_program_is_an_internal_error(monkeypatch, capsys):
