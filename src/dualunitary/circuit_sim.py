@@ -207,6 +207,8 @@ class CircuitSimulator:
         q^2 per entry of the tensor it leaves (times the batch of q^2 backward)
         and four numpy calls.  The geometry repeats with a shift of two legs,
         and each period extends the one before."""
+        if t < 0:
+            raise ValidationError("t must be nonnegative")
         periods = self._works.setdefault((leg % 2, backward), [(0, {leg % 2})])
         batch = self.q**2 if backward else 1
         while len(periods) <= t:

@@ -85,6 +85,12 @@ def test_window_guard():
     for i, j in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ValueError, match="nontrivial"):
             sim.correlation_single(i, j, 0.0, 0.0, 1)
+    # a negative t stays that refusal after the costs of a large t are known
+    big = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=16, gate=cartan_gate(0.2)))
+    with pytest.raises(ValueError, match="budget"):
+        big.c_plus(1, 1, 8.0, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        big.c_plus(1, 1, 1.0, -1)
 
 
 def test_interior_vanishes_and_cone_matches_channel_for_dual_gates():

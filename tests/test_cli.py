@@ -387,12 +387,10 @@ def test_exit_codes(tmp_path, capsys):
     # guard violation through circuit config
     cfg = tmp_path / "cfg.json"
     gate = tmp_path / "g.json"
-    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
-    capsys.readouterr()
-    # q = 3, L = 6: t_max = 3 is evaluated first, and its cheapest split still
-    # leaves an 8-leg half (657 MiB), refused before any other work
     main(["gate", "make", "cat", "-q", "3", "-o", str(gate)])
     capsys.readouterr()
+    # q = 3, L = 6: t_max = 3 is evaluated first, and every split of it leaves
+    # a half of 8 legs or more (657 MiB), refused before any other work
     cfg.write_text(json.dumps({"q": 3, "L": 6, "gate": str(gate)}))
     assert main(["circuit", "verify", str(cfg)]) == 3
     message = _strict_json(capsys.readouterr().err.splitlines()[0])["message"]
