@@ -5,7 +5,8 @@ gates on pairs (x, x+1/2), then the same layer shifted by one site.  Sites
 sit at half-integer positions; site x maps to tensor leg 2x.  Operators are
 evolved in the Heisenberg picture gate by gate and kept as a tensor on their
 support legs, the identity elsewhere: a gate g touching the support acts as
-g^dag O g on its two legs, and a gate off the support cancels.  After t
+g^dag O g on its two legs, two matrix products, and a gate off the support
+cancels.  After t
 periods a single-site operator lives on at most 4t legs, a tensor of
 16 q^(8t) bytes, so the cost grows with the light cone, not with the ring
 (the folded picture of Bertini, Kos and Prosen, PRL 123, 210601 (2019)).
@@ -37,14 +38,18 @@ from .tolerances import SITE_TOL
 # bytes a simulator may spend on each of: the support tensor an evolution
 # builds (16 q^(2 |supp|), times q^2 for a backward half; a gate step holds
 # about three at once), and all the correlator tables and backward halves it
-# keeps, together
+# keeps, together, with the marginals of the halves it keeps in the room they
+# leave
 SUPPORT_BUDGET = 2**28
 
 # the overhead of one numpy call in the cost model of a table's split, counted
 # in complex multiply-adds: about 15 us at about 2 ns each.  Fit on a 2-CPU
-# x86 box with OpenBLAS, where the model then picked the t2 of the fastest
-# first table in each of 41 measured (q, L, t) with q <= 5, L <= 24 and more
-# than one split within the budget.
+# x86 box with OpenBLAS when a gate step made two tensordot and two moveaxis
+# calls, charged as 4 CALL_COST per step; the model then picked the t2 of the
+# fastest first table in each of 41 measured (q, L, t) with q <= 5, L <= 24
+# and more than one split within the budget.  A step of the labelled kernel
+# costs less than that charge, but the constant stays as fit: it picks t2, and
+# so the bytes of every split table.
 CALL_COST = 2**13
 
 
@@ -107,8 +112,9 @@ class CircuitSimulator:
     An evolved operator is a pair (legs, tensor): the tensor has one output
     axis per support leg, then one input axis per leg, in the order of
     `legs`, after a leading batch axis where it holds a batch of operators.
-    Correlator tables are cached per initial operator and time, and the
-    backward halves of the single-site tables per t2.
+    Correlator tables are cached per initial operator and time, the
+    backward halves of the single-site tables per t2, and a half's marginal
+    per set of legs it shares with a forward half.
     """
 
     def __init__(self, cfg):
@@ -117,11 +123,11 @@ class CircuitSimulator:
         self.L = cfg.L
         self.n_legs = 2 * cfg.L
         self.basis = weyl_basis(cfg.q)
-        shape = (cfg.q,) * 4
+        self._eye = np.eye(cfg.q)
 
-        def folded(g):  # (g, g^dag) as q x q x q x q tensors
+        def folded(g):  # (g, g^dag) as the C-ordered q^2 x q^2 matrices a gate step multiplies
             g = np.asarray(g, dtype=complex)
-            return g.reshape(shape), g.conj().T.reshape(shape)
+            return np.ascontiguousarray(g), np.ascontiguousarray(g.conj().T)
 
         self._uniform = folded(cfg.gate)
         self._layers = [None if gates is None else [folded(g) for g in gates]
@@ -129,8 +135,9 @@ class CircuitSimulator:
         self._single = {}
         self._two = {}
         self._halves = {}  # t2 -> the backward halves at every leg
+        self._shared = {}  # (t2, leg, common legs) -> that half's marginal on them
         self._works = {}  # (leg parity, backward) -> _work per number of periods
-        self._kept = 0  # bytes of the kept correlator tables and backward halves
+        self._kept = 0  # bytes of the kept tables, backward halves and their marginals
 
     def site_leg(self, x):
         leg = int(round(2 * x))
@@ -174,39 +181,53 @@ class CircuitSimulator:
         leading batch axis, which the tensor keeps in front.
 
         The steps are listed first, so a final support over the budget is
-        refused before anything is built."""
+        refused before anything is built.  The tensor's axes carry labels (-1
+        the batch, 2 leg the output of a leg, 2 leg + 1 its input), so no step
+        restores their order.  A gate step is two matrix products: the left
+        factor on the outputs of its legs, read with those two axes in front,
+        then the right factor on their inputs, read with those two behind.
+        The other axes are read in the order of the result, batch, outputs,
+        inputs, each in the order of `legs`: that fixes each operand's layout,
+        and so the bits of each product, and leaves one transpose for the end.
+        A new leg is an outer product with the identity and two labels."""
         steps, support = self._steps(factors, t, backward)
         q = self.q
         legs = list(factors)
-        s = len(legs)
         arrays = [np.asarray(factors[leg], dtype=complex) for leg in legs]
-        batch = math.prod(a.size for a in arrays) // q ** (2 * s)
+        batch = math.prod(a.size for a in arrays) // q ** (2 * len(legs))
         _require_budget(16 * batch * q ** (2 * len(support)),
                         f"at t = {t} the {'backward half' if backward else 'evolved operator'} "
                         f"covers {len(support)} legs as a q={q} tensor"
                         + (f" batch of {batch}" if batch > 1 else ""))
         T = reduce(np.multiply.outer, arrays)
-        c = T.ndim - 2 * s  # the batch axis, if any
-        T = T.transpose(list(range(c)) + list(range(c, c + 2 * s, 2))
-                        + list(range(c + 1, c + 2 * s, 2)))
+        head = [-1] * (T.ndim - 2 * len(legs))
+        dims = (batch,) * len(head)
+        axes = head + [2 * leg + side for leg in legs for side in (0, 1)]  # in T's order
+        outs, ins = [2 * leg for leg in legs], [2 * leg + 1 for leg in legs]
         for a, b, g, gd in steps:
             for leg in (a, b):
                 if leg not in legs:  # O x 1 on the new leg
-                    T = np.moveaxis(np.multiply.outer(T, np.eye(q)), c + 2 * s, c + s)
+                    T = np.multiply.outer(T, self._eye)
+                    axes += [2 * leg, 2 * leg + 1]
+                    outs.append(2 * leg)
+                    ins.append(2 * leg + 1)
                     legs.append(leg)
-                    s += 1
-            pa, pb = c + legs.index(a), c + legs.index(b)
-            T = np.moveaxis(np.tensordot(gd, T, axes=([2, 3], [pa, pb])), [0, 1], [pa, pb])
-            T = np.moveaxis(np.tensordot(T, g, axes=([s + pa, s + pb], [0, 1])),
-                            [-2, -1], [s + pa, s + pb])
-        return legs, T
+            new = [2 * a, 2 * b, *head, *[x for x in outs if x != 2 * a and x != 2 * b], *ins]
+            T = np.dot(gd, T.transpose([axes.index(x) for x in new]).reshape(q * q, -1))
+            T, axes = T.reshape((q, q) + dims + (q,) * (len(new) - 2 - len(head))), new
+            new = [*head, *outs, *[x for x in ins if x != 2 * a + 1 and x != 2 * b + 1],
+                   2 * a + 1, 2 * b + 1]
+            T = np.dot(T.transpose([axes.index(x) for x in new]).reshape(-1, q * q), g)
+            T, axes = T.reshape(dims + (q,) * (len(new) - len(head))), new
+        return legs, T.transpose([axes.index(x) for x in head + outs + ins])
 
     def _work(self, leg, t, backward=False):
         """(cost, support size) of evolving an operator on one leg t periods,
         from the step lists alone, in complex multiply-adds: a gate step costs
         q^2 per entry of the tensor it leaves (times the batch of q^2 backward)
-        and four numpy calls.  The geometry repeats with a shift of two legs,
-        and each period extends the one before."""
+        and a fixed 4 CALL_COST, the four numpy calls a step made when the
+        model was fit (see CALL_COST).  The geometry repeats with a shift of
+        two legs, and each period extends the one before."""
         if t < 0:
             raise ValidationError("t must be nonnegative")
         periods = self._works.setdefault((leg % 2, backward), [(0, {leg % 2})])
@@ -242,6 +263,7 @@ class CircuitSimulator:
             s_b = max(s0, s1)
             halves = 0 if t2 in self._halves else 16 * nb * n // 2 * (q**(2 * s0) + q**(2 * s1))
             split = f"at t = {t} = {t - t2} + {t2} the"
+            self._make_room(halves + 16 * n * nb)
             options.append((
                 cost + n // 2 * (c0 + c1) + n * (q ** (2 * s_f) + nb * q ** (2 * s_b) + 3 * CALL_COST),
                 t2,
@@ -267,15 +289,34 @@ class CircuitSimulator:
             self._halves[t2] = halves
         return self._halves[t2]
 
-    def _meet(self, op, half):
-        """tr[B_j O] / q^(legs of O or B) for each operator B_j of the batch
-        `half`: both are traced down to their common legs, where the outputs
-        of B meet the inputs of O and the inputs of B the outputs of O."""
-        shared = [leg for leg in half[0] if leg in op[0]]
+    def _meet(self, op, t2, x):
+        """tr[B_j O] / q^(legs of O or B) for each operator B_j of the backward
+        half at leg x: both are traced down to their common legs, where the
+        outputs of B meet the inputs of O and the inputs of B the outputs of O.
+        The half's marginal is kept per (t2, x, common legs), with the halves,
+        if it fits the budget beside the table being built."""
+        half = self._backward(t2)[x]
+        shared = tuple(leg for leg in half[0] if leg in op[0])
         m = len(shared)
-        O, B = self._marginal(op, shared), self._marginal(half, shared)
-        return np.tensordot(B, O, axes=(list(range(1, 2 * m + 1)),
-                                        list(range(m, 2 * m)) + list(range(m)))) / self.q**m
+        key = (t2, x, shared)
+        B = self._shared.get(key)
+        if B is None:
+            B = self._marginal(half, shared)
+            if self._kept + B.nbytes + 16 * self.n_legs * self.q**2 <= SUPPORT_BUDGET:
+                self._shared[key] = B
+                self._kept += B.nbytes
+        O = self._marginal(op, shared)
+        O = O.transpose([*range(m, 2 * m), *range(m)]).reshape(-1, 1)
+        return np.dot(B.reshape(len(B), -1), O)[:, 0] / self.q**m
+
+    def _make_room(self, nbytes):
+        """Drop the kept marginals of the halves if `nbytes` more fit the budget
+        without them but not with them.  They are a cache that yields to the
+        tables and halves, so no split and no refusal depends on them."""
+        cached = sum(B.nbytes for B in self._shared.values())
+        if self._kept - cached + nbytes <= SUPPORT_BUDGET < self._kept + nbytes:
+            self._kept -= cached
+            self._shared.clear()
 
     def _marginal(self, op, legs):
         """tr_rest(O) / q^(traced legs) on `legs`, axes (outputs..., inputs...)
@@ -295,7 +336,7 @@ class CircuitSimulator:
                 outs.append(p)
                 ins.append(s + p)
             else:
-                extra += [np.eye(self.q), [2 * s + 2 * k, 2 * s + 2 * k + 1]]
+                extra += [self._eye, [2 * s + 2 * k, 2 * s + 2 * k + 1]]
                 outs.append(2 * s + 2 * k)
                 ins.append(2 * s + 2 * k + 1)
         batch = [2 * s + 2 * len(legs)] * (T.ndim - 2 * s)
@@ -306,6 +347,7 @@ class CircuitSimulator:
         """store[key], built by build() on first use.  The tables a simulator
         keeps count against the budget together, checked before one is built."""
         if key not in store:
+            self._make_room(16 * entries)
             _require_budget(self._kept + 16 * entries,
                             "the kept correlator tables and backward halves")
             table = build()
@@ -330,10 +372,14 @@ class CircuitSimulator:
             t2 = self._split(leg, t)
             op = self._evolve({leg: self.basis[i]}, t - t2)
             if t2:
-                return np.array([self._meet(op, half) for half in self._backward(t2)])
-            rows = [np.einsum("jab,ba->j", self.basis, self._marginal(op, [x]))
-                    for x in range(self.n_legs)]
-            return np.array(rows) / self.q
+                return np.array([self._meet(op, t2, x) for x in range(self.n_legs)])
+            rows = {}  # per support leg, and one for every leg off it (None)
+            for x in range(self.n_legs):
+                key = x if x in op[0] else None
+                if key not in rows:
+                    rows[key] = np.einsum("jab,ba->j", self.basis, self._marginal(op, [x]))
+            return np.array([rows[x if x in op[0] else None]
+                             for x in range(self.n_legs)]) / self.q
 
         return self._table(self._single, (i, leg, t), self.n_legs * self.q**2, build)
 
@@ -345,15 +391,20 @@ class CircuitSimulator:
         def build():
             op = self._evolve({0: B[i], 1: B[j]}, t)
             products = np.einsum("kab,lbc->klac", B, B)  # a_k a_l on one leg
+
+            def entry(x1, x2):
+                if x1 == x2:
+                    return np.einsum("klab,ba->kl", products, self._marginal(op, [x1])) / q
+                return np.einsum("kab,lcd,bdac->kl", B, B, self._marginal(op, [x1, x2])) / q**2
+
             table = np.empty((n, n, q * q, q * q), dtype=complex)
+            values = {}  # a leg off the support (None) carries the identity, whichever it is
             for x1 in range(n):
                 for x2 in range(n):
-                    if x1 == x2:
-                        table[x1, x2] = np.einsum(
-                            "klab,ba->kl", products, self._marginal(op, [x1])) / q
-                    else:
-                        table[x1, x2] = np.einsum(
-                            "kab,lcd,bdac->kl", B, B, self._marginal(op, [x1, x2])) / q**2
+                    key = (x1 if x1 in op[0] else None, x2 if x2 in op[0] else None, x1 == x2)
+                    if key not in values:
+                        values[key] = entry(x1, x2)
+                    table[x1, x2] = values[key]
             return table
 
         return self._table(self._two, (i, j, t), (n * q * q) ** 2, build)

@@ -300,3 +300,120 @@ def test_support_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="kept correlator tables"):
         sim.single_site_table(3, 1.0, 1)
     sim.single_site_table(1, 0.0, 1)  # a kept table is read without a new charge
+
+
+def _dense(sim, legs, T):
+    """The operator (legs, T) on the whole ring, the identity off `legs`, as a
+    q^n x q^n matrix, or a stack of them when T has a batch axis."""
+    n = sim.n_legs
+    batch = [2 * n] * (T.ndim - 2 * len(legs))
+    args = [T, batch + list(legs) + [n + leg for leg in legs]]
+    for x in range(n):
+        if x not in legs:
+            args += [np.eye(sim.q), [x, n + x]]
+    full = np.einsum(*args, batch + list(range(2 * n)))
+    return full.reshape(T.shape[:len(batch)] + (sim.q**n, sim.q**n))
+
+
+def test_evolve_matches_dense_oracle_without_tensordot_or_moveaxis(monkeypatch):
+    # a gate step is two matrix products on a labelled tensor: the kernel
+    # neither contracts with tensordot nor restores the axis order with moveaxis
+    def refuse(*args, **kwargs):
+        raise AssertionError("the light-cone kernel called tensordot or moveaxis")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    rng = substream(7, "kernel")
+    bonds = [sample_haar(4, rng) for _ in range(6)]
+    for cfg in (cs.CircuitConfig(q=2, L=3, gate=sample_haar(4, rng)),
+                cs.CircuitConfig(q=2, L=3, gate=bonds[0], even_gates=bonds[:3], odd_gates=bonds[3:]),
+                cs.CircuitConfig(q=3, L=2, gate=sample_haar(9, rng))):
+        sim, ref = cs.CircuitSimulator(cfg), DenseCircuitSimulator(cfg)
+        for t in (0, 1, 2):
+            for factors in ({0: sim.basis[1]}, {3: sim.basis[2]},
+                            {0: sim.basis[1], 1: sim.basis[3]}):
+                A = np.eye(ref.dim)
+                for leg, a in factors.items():
+                    A = A @ ref.embed(a, 0.5 * leg)
+                assert np.abs(_dense(sim, *sim._evolve(factors, t))
+                              - ref.heisenberg(A, t)).max() < 1e-12
+            # backward batch halves: U_F^t a_j U_F^-t for every basis operator a_j
+            U = ref.power(t)
+            for x in (0, 1, 3):
+                got = _dense(sim, *sim._evolve({x: sim.basis}, t, backward=True))
+                for j, a in enumerate(sim.basis):
+                    want = U @ ref.embed(a, 0.5 * x) @ U.conj().T
+                    assert np.abs(got[j] - want).max() < 1e-12
+    # ... and the tables built on it, split t = 2 ones included
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=bonds[0]))
+    assert sim._split(0, 2) == 1
+    sim.single_site_table(1, 0.0, 2)
+    sim._two_site_table(1, 2, 1)
+
+
+def test_tables_do_not_depend_on_build_order():
+    # the caches (backward halves, their marginals, the kept tables) never
+    # change a table's bytes: two build orders give identical tables
+    rng = substream(8, "order")
+    for q, L in ((2, 4), (3, 3)):
+        bonds = [sample_haar(q * q, rng) for _ in range(2 * L)]
+        for cfg in (cs.CircuitConfig(q=q, L=L, gate=bonds[0]),
+                    cs.CircuitConfig(q=q, L=L, gate=bonds[0],
+                                     even_gates=bonds[:L], odd_gates=bonds[L:])):
+            single = [(i, y, t) for t in (1, 2) for y in (0.0, 0.5, 1.5) for i in (1, 2)]
+            two = [(1, 2, 1), (3, 1, 1)]
+            first, second = cs.CircuitSimulator(cfg), cs.CircuitSimulator(cfg)
+            assert [first._split(leg, 2) for leg in (0, 1)] == [1, 1]  # t = 2 meets in the middle
+            a = {key: first.single_site_table(*key) for key in single}
+            a.update({key: first._two_site_table(*key) for key in two})
+            b = {key: second._two_site_table(*key) for key in reversed(two)}
+            b.update({key: second.single_site_table(*key) for key in reversed(single)})
+            assert second._shared.keys() == first._shared.keys()
+            for key in a:
+                assert np.array_equal(a[key], b[key]), (q, L, key)
+
+
+def test_kept_bytes_count_every_table_half_and_marginal(monkeypatch):
+    def build(sim):
+        tables = [sim._two_site_table(1, 2, 1)]
+        tables += [sim.single_site_table(i, y, t)
+                   for t in (1, 2) for y in (0.0, 0.5) for i in (1, 2, 3)]
+        return tables
+
+    def kept(sim):
+        halves = [T for t2 in sim._halves.values() for _, T in t2]
+        return [*sim._single.values(), *sim._two.values(), *halves, *sim._shared.values()]
+
+    cfg = cs.CircuitConfig(q=2, L=4, gate=cartan_gate(0.3))
+    sim = cs.CircuitSimulator(cfg)
+    tables = build(sim)
+    assert sim._shared  # the split t = 2 tables kept their halves' marginals
+    assert sim._kept == sum(T.nbytes for T in kept(sim))
+    # with room for one more two-site table besides the tables and halves, a
+    # marginal is kept only where it fits, and the cache yields to that table
+    marginals = sum(B.nbytes for B in sim._shared.values())
+    two_site = 16 * (sim.n_legs * 4) ** 2
+    monkeypatch.setattr(cs, "SUPPORT_BUDGET", sim._kept - marginals + two_site)
+    tight = cs.CircuitSimulator(cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(tables, build(tight), strict=True))
+    assert 0 < len(tight._shared) < len(sim._shared)
+    assert tight._kept == sum(T.nbytes for T in kept(tight)) <= cs.SUPPORT_BUDGET
+    tight._two_site_table(2, 1, 1)
+    assert not tight._shared and tight._kept == cs.SUPPORT_BUDGET
+
+
+def test_legs_off_the_support_share_one_marginal(monkeypatch):
+    # every leg off an operator's support carries the identity, so a t2 = 0
+    # single-site table reads one marginal for all of them, and a two-site
+    # table one per pattern of (leg on or off the support, equal or not)
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=6, gate=cartan_gate(0.3)))
+    calls = []
+    real = sim._marginal
+    monkeypatch.setattr(sim, "_marginal", lambda op, legs: calls.append(legs) or real(op, legs))
+    sim.single_site_table(1, 0.0, 1)
+    s = len(sim._evolve({0: sim.basis[1]}, 1)[0])
+    assert len(calls) == s + 1 < sim.n_legs
+    calls.clear()
+    sim._two_site_table(1, 2, 1)
+    s = len(sim._evolve({0: sim.basis[1], 1: sim.basis[2]}, 1)[0])
+    assert len(calls) == s * s + 2 * s + 2 < sim.n_legs**2

@@ -242,6 +242,30 @@ def test_circuit_verify_checks_the_configured_pairs(tmp_path, capsys, monkeypatc
     assert checked == [(1, "plus"), (1, "minus")]  # the one configured pair, both rays
 
 
+def test_circuit_verify_builds_the_channels_once_per_ray_and_time(tmp_path, capsys, monkeypatch):
+    # the predictions of every basis pair come from one M+- and one power 2t per (side, t)
+    from dualunitary import channels
+
+    calls = []
+    for name in ("build_m_plus", "build_m_minus"):
+        monkeypatch.setattr(channels, name, lambda U, real=getattr(channels, name), name=name: (
+            calls.append(name) or real(U)))
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda M, n: calls.append(n) or power(M, n))
+    gate = tmp_path / "g.json"
+    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
+    for L, t_max, want in ((2, 1, ["build_m_plus", 2, "build_m_minus", 2]),
+                           (4, 2, ["build_m_plus", 4, "build_m_minus", 4,
+                                   "build_m_plus", 2, "build_m_minus", 2])):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 2, "L": L, "gate": str(gate), "t_max": t_max}))
+        calls.clear()
+        capsys.readouterr()
+        assert main(["circuit", "verify", str(cfg)]) == 0  # the nine default pairs
+        assert _strict_json(capsys.readouterr().out)["ok"] is True
+        assert calls == want
+
+
 def test_circuit_verify_reaches_q3_at_t2(tmp_path, capsys):
     # the t = 2 tables meet in the middle: the 8-leg operator (657 MiB at q = 3) is never built
     for name, gate in (("dual_q3_ep8over9", ["fixture", "--name", "dual_q3_ep8over9"]),
