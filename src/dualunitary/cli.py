@@ -466,8 +466,8 @@ def cmd_circuit_verify(args):
         gm = [sim.c_minus(i, j, float(-t), t) for i, j in pairs]
         pp, pm = (lightcone_correlation_prediction(cfg.gate, a_i, a_j, t, side=side)
                   for side in ("plus", "minus"))
-        for k in range(len(pairs)):
-            worst_cone = max(worst_cone, abs(gp[k] - pp[k]), abs(gm[k] - pm[k]))
+        for cp, vp, cm, vm in zip(gp, pp, gm, pm, strict=True):
+            worst_cone = max(worst_cone, abs(cp - vp), abs(cm - vm))
         worst_interior = max(worst_interior, abs(sim.c_plus(1, 1, 0.0, t)))
     report = {
         "cone_residual": worst_cone,
