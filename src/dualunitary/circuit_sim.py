@@ -1,56 +1,50 @@
-"""Brickwork-circuit correlators on a ring of 2L qudits, evolved on the light cone.
+"""Brickwork-circuit correlators on a ring of 2L qudits, contracted on their causal diamond.
 
 The one-period evolution is U_F = T U^(xL) T^dag U^(xL): a layer of two-site
 gates on pairs (x, x+1/2), then the same layer shifted by one site.  Sites
-sit at half-integer positions; site x maps to tensor leg 2x.  Operators are
-evolved in the Heisenberg picture gate by gate and kept as a tensor on their
-support legs, the identity elsewhere: a gate g touching the support acts as
-g^dag O g on its two legs, two matrix products, and a gate off the support
-cancels.  After t
-periods a single-site operator lives on at most 4t legs, a tensor of
-16 q^(8t) bytes, so the cost grows with the light cone, not with the ring
-(the folded picture of Bertini, Kos and Prosen, PRL 123, 210601 (2019)).
-Single-site tables meet in the middle: t1 periods forward from the initial
-operator and t2 = t - t1 backward from the final one, so each half covers
-at most 4 t1 or 4 t2 legs; t2 is picked per table from the sizes alone, and
-t2 = 0 wherever a split costs more.  Two-site tables evolve the whole t.
-The correlators are infinite-temperature traces, i.e. partial traces of the
-support tensors, so no state sampling enters and the results are exact.
+sit at half-integer positions; site x maps to tensor leg 2x.
+
+A correlator tr[B U_F^-t A U_F^t] / q^(2L), of an operator A on the initial
+legs and an observable B on the target legs, is a network of folded gates:
+on the operator spaces of its two legs (q^2 each), a gate g is the q^4 x q^4
+matrix W = g^dag (x) g^T of A -> g^dag A g.  A gate outside the forward light
+cone of A meets identities and cancels by unitarity, and so does one outside
+the backward cone of B; what is left is the causal diamond of Bertini, Kos
+and Prosen, PRL 123, 210601 (2019).  One sweep contracts it: its gates act in
+a topological order on a state over the live legs, a leg opening with the
+identity at its first gate and, unless it is a target, traced out after its
+last, both folded into that gate's matrix.  Of the two orders that put first
+the smaller light-cone coordinate depth + position or depth - position, the
+plan keeps the one whose largest state is smaller: inside the window
+t <= L/2 a single-site sweep carries at most t + 1 legs, 16 q^(2(t+1)) bytes
+per batch entry, where the whole evolved operator covers 4t legs.  The plan
+is the geometry alone, so every output byte follows from the inputs, and its
+state is checked against the budget before anything is allocated.  Beyond
+the window the cones wrap around the ring: the sweep stays exact, and only
+its state grows.  The correlators are infinite-temperature traces, so no
+state sampling enters and the results are exact.
 
 The simulator exists to validate channel predictions: for dual gates the
 single-site correlator vanishes strictly inside the light cone and equals
 tr[M_pm^(2t)(a_i) a_j]/q on the cone, and for 2-unitary gates the two-site
 correlator vanishes at every spacetime-separated point.  The predictions
 hold up to half the particle number, t <= L/2; that window is a condition
-of the prediction, checked by `dualu circuit verify`, while the ring
-evolution here is exact at any t >= 0.
+of the prediction, checked by `dualu circuit verify`, while the contraction
+here is exact at any t >= 0.
 """
 
-import math
+import heapq
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .tensor_ops import ValidationError, local_dim, require_unitary
 from .tolerances import SITE_TOL
 
-# bytes a simulator may spend on each of: the support tensor an evolution
-# builds (16 q^(2 |supp|), times q^2 for a backward half; a gate step holds
-# about three at once), and all the correlator tables and backward halves it
-# keeps, together, with the marginals of the halves it keeps in the room they
-# leave
+# bytes a simulator may spend on the state of one sweep (16 q^(2 legs) per
+# batch entry; a gate step holds about three at once), and on all the
+# correlator tables it keeps, together
 SUPPORT_BUDGET = 2**28
-
-# the overhead of one numpy call in the cost model of a table's split, counted
-# in complex multiply-adds: about 15 us at about 2 ns each.  Fit on a 2-CPU
-# x86 box with OpenBLAS when a gate step made two tensordot and two moveaxis
-# calls, charged as 4 CALL_COST per step; the model then picked the t2 of the
-# fastest first table in each of 41 measured (q, L, t) with q <= 5, L <= 24
-# and more than one split within the budget.  A step of the labelled kernel
-# costs less than that charge, but the constant stays as fit: it picks t2, and
-# so the bytes of every split table.
-CALL_COST = 2**13
 
 
 def _require_budget(nbytes, what):
@@ -107,37 +101,29 @@ def weyl_basis(q):
 
 
 class CircuitSimulator:
-    """Evolves local operators on their light cone and evaluates correlators.
+    """Contracts correlators on their causal diamonds.
 
-    An evolved operator is a pair (legs, tensor): the tensor has one output
-    axis per support leg, then one input axis per leg, in the order of
-    `legs`, after a leading batch axis where it holds a batch of operators.
-    Correlator tables are cached per initial operator and time, the
-    backward halves of the single-site tables per t2, and a half's marginal
-    per set of legs it shares with a forward half.
+    A sweep's state has one axis of q^2 per live leg, the leg's operator read
+    row-major as (output, input), then a last axis for a batch of initial
+    operators.  Correlator tables are kept per initial operator and time.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.q = cfg.q
+        self.q = q = cfg.q
         self.L = cfg.L
         self.n_legs = 2 * cfg.L
-        self.basis = weyl_basis(cfg.q)
-        self._eye = np.eye(cfg.q)
-
-        def folded(g):  # (g, g^dag) as the C-ordered q^2 x q^2 matrices a gate step multiplies
-            g = np.asarray(g, dtype=complex)
-            return np.ascontiguousarray(g), np.ascontiguousarray(g.conj().T)
-
-        self._uniform = folded(cfg.gate)
-        self._layers = [None if gates is None else [folded(g) for g in gates]
-                        for gates in (cfg.even_gates, cfg.odd_gates)]
+        self.basis = B = weyl_basis(q)
+        self._layers = (cfg.even_gates, cfg.odd_gates)
+        one = np.eye(q).reshape(q * q)  # the identity on one leg
+        self._open, self._trace = one[:, None], one[None, :] / q
+        # C[j] = tr[a_j rho] / q and C[k, l] = tr[a_k a_l rho] / q from the state rho of one leg
+        self._read = B.transpose(0, 2, 1).reshape(q * q, q * q).T / q
+        self._products = np.einsum("kim,lmo->oikl", B, B).reshape(q * q, -1) / q
+        self._gates = {}  # (gate id, opened, traced) -> the gate's matrix in a sweep
         self._single = {}
         self._two = {}
-        self._halves = {}  # t2 -> the backward halves at every leg
-        self._shared = {}  # (t2, leg, common legs) -> that half's marginal on them
-        self._works = {}  # (leg parity, backward) -> _work per number of periods
-        self._kept = 0  # bytes of the kept tables, backward halves and their marginals
+        self._kept = 0  # bytes of the kept tables
 
     def site_leg(self, x):
         leg = int(round(2 * x))
@@ -145,211 +131,167 @@ class CircuitSimulator:
             raise ValidationError(f"site {x} is not a half-integer position")
         return leg % self.n_legs
 
-    def _steps(self, legs, t, backward=False):
-        """The gate steps of t periods on the growing support of `legs`, each as
-        (a, b, right factor, left factor) on legs (a, b), and the final support.
+    def _steps(self, legs, t):
+        """The gates of t periods in the forward light cone of `legs`, in the
+        order they act, each as (depth, a, b, gate) on legs (a, b), the depth
+        counting layers from 0.
 
-        Forward, one period of U_F^dag O U_F gate by gate: the unshifted layer
-        on legs (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate
-        factor on the first leg, bonds in ascending k, each gate g as g^dag O g.
-        This is the convention for which the correlator ray leaving y = 0
-        towards x = +t carries the powers of M_plus (and the y = 1/2 ray towards
-        -t those of M_minus); for L = 1 it reads U_F = U . SUS.  Backward,
-        U_F O U_F^dag: the layers in reverse order, each gate as g O g^dag.  The
-        gates of a layer are disjoint, so the bonds it adds to the support are
-        those of its legs at its start."""
+        One period of U_F^dag A U_F, gate by gate: the unshifted layer on legs
+        (2k, 2k+1), then the shifted one on (2k+1, 2k+2), first gate factor on
+        the first leg, each gate g as g^dag A g.  This is the convention for
+        which the correlator ray leaving y = 0 towards x = +t carries the
+        powers of M_plus (and the y = 1/2 ray towards -t those of M_minus); for
+        L = 1 it reads U_F = U . SUS.  The gates of a layer are disjoint, so the
+        bonds it adds to the cone are those of its legs at its start."""
         if t < 0:
             raise ValidationError("t must be nonnegative")
         n = self.n_legs
-        layers = list(enumerate(self._layers))
-        if backward:
-            layers.reverse()
         support = set(legs)
         steps = []
-        for _ in range(t):
-            for layer, gates in layers:
+        for period in range(t):
+            for layer, gates in enumerate(self._layers):
                 for k in sorted({(leg - layer) % n // 2 for leg in support}):
                     a, b = 2 * k + layer, (2 * k + 1 + layer) % n
                     support |= {a, b}
-                    g, gd = self._uniform if gates is None else gates[k]
-                    steps.append((a, b, gd, g) if backward else (a, b, g, gd))
-        return steps, support
+                    steps.append((2 * period + layer, a, b,
+                                  self.cfg.gate if gates is None else gates[k]))
+        return steps
 
-    def _evolve(self, factors, t, backward=False):
-        """U_F^-t (x_leg factors[leg]) U_F^t as (support legs, tensor), or
-        backward U_F^t (...) U_F^-t.  The operator on a single leg may carry a
-        leading batch axis, which the tensor keeps in front.
+    def _gate(self, g, opened, traced):
+        """The matrix of gate g in a sweep, from the operator spaces of its live
+        input legs to those of its kept output legs: W = g^dag (x) g^T, with the
+        identity fed to the legs in `opened` and the legs in `traced` traced
+        out (tr / q); a leg is 0 for the gate's first and 1 for its second.
+        One einsum: labels 0-3 are the outputs and inputs of g^dag, 4-7 the
+        inputs and outputs of g, and an opened or traced leg shares a label."""
+        key = (id(g), opened, traced)
+        if key not in self._gates:
+            q = self.q
+            g = np.asarray(g, dtype=complex)
+            right = [4, 5, 6, 7]
+            for s in opened:
+                right[s] = 2 + s
+            for s in traced:
+                right[2 + s] = s
+            out = ([x for s in (0, 1) if s not in traced for x in (s, 6 + s)]
+                   + [x for s in (0, 1) if s not in opened for x in (2 + s, 4 + s)])
+            W = np.einsum(g.conj().T.reshape((q,) * 4), [0, 1, 2, 3], g.reshape((q,) * 4), right, out)
+            self._gates[key] = W.reshape(q ** (4 - 2 * len(traced)), -1) / q ** len(traced)
+        return self._gates[key]
 
-        The steps are listed first, so a final support over the budget is
-        refused before anything is built.  The tensor's axes carry labels (-1
-        the batch, 2 leg the output of a leg, 2 leg + 1 its input), so no step
-        restores their order.  A gate step is two matrix products: the left
-        factor on the outputs of its legs, read with those two axes in front,
-        then the right factor on their inputs, read with those two behind.
-        The other axes are read in the order of the result, batch, outputs,
-        inputs, each in the order of `legs`: that fixes each operand's layout,
-        and so the bits of each product, and leaves one transpose for the end.
-        A new leg is an outer product with the identity and two labels."""
-        steps, support = self._steps(factors, t, backward)
-        q = self.q
-        legs = list(factors)
-        arrays = [np.asarray(factors[leg], dtype=complex) for leg in legs]
-        batch = math.prod(a.size for a in arrays) // q ** (2 * len(legs))
-        _require_budget(16 * batch * q ** (2 * len(support)),
-                        f"at t = {t} the {'backward half' if backward else 'evolved operator'} "
-                        f"covers {len(support)} legs as a q={q} tensor"
+    def _plan(self, steps, legs, targets, batch, t):
+        """The sweep that carries an operator on `legs` through `steps`, its
+        forward cone, to the `targets`: a list of (matrix, input legs, output
+        legs), each applied in turn to the state.  Its largest state is checked
+        against the budget here, before any matrix is built.
+
+        It keeps the gates in the backward cone of the targets.  A leg other
+        than a target is traced out after its last kept gate, or at once if it
+        is an initial leg that none reaches; a target that none reaches opens
+        at the end.  The kept gates on one leg follow one another in every
+        topological order, so their matrices do not depend on the order.
+        Kahn's algorithm gives two orders, putting first the smaller
+        depth + position or depth - position (the position of a gate's first
+        leg counted from the first initial leg), and the plan keeps the one
+        whose largest state has fewer legs, the first on a tie."""
+        need, kept = set(targets), []
+        for step in reversed(steps):
+            if step[1] in need or step[2] in need:
+                need.update(step[1:3])
+                kept.append(step)
+        kept.reverse()
+        last = {}
+        for k, (_, a, b, _) in enumerate(kept):
+            last[a] = last[b] = k
+        first = [x for x in legs if x not in last and x not in targets]
+        live = set(legs) - set(first)
+        n, work, growth = self.n_legs, [], []
+        prev, after, blocked = {}, [[] for _ in kept], [0] * len(kept)
+        for k, (_, a, b, g) in enumerate(kept):
+            opened = tuple(s for s, x in enumerate((a, b)) if x not in live)
+            traced = tuple(s for s, x in enumerate((a, b)) if last[x] == k and x not in targets)
+            live |= {a, b}
+            live -= {(a, b)[s] for s in traced}
+            work.append((g, opened, traced, [(a, b)[s] for s in (0, 1) if s not in opened],
+                         [(a, b)[s] for s in (0, 1) if s not in traced]))
+            growth.append(len(opened) - len(traced))
+            for x in (a, b):
+                if x in prev:
+                    after[prev[x]].append(k)
+                    blocked[k] += 1
+                prev[x] = k
+        end = [x for x in targets if x not in live]
+
+        def order(sign):
+            left = blocked[:]
+            key = [d + sign * ((a - legs[0] + n // 2) % n) for d, a, _, _ in kept]
+            ready = [(key[k], k) for k in range(len(kept)) if not left[k]]
+            heapq.heapify(ready)
+            out = []
+            while ready:
+                k = heapq.heappop(ready)[1]
+                out.append(k)
+                for m in after[k]:
+                    left[m] -= 1
+                    if not left[m]:
+                        heapq.heappush(ready, (key[m], m))
+            return out
+
+        def largest(order):
+            size = peak = len(legs)
+            size -= len(first)
+            for k in order:
+                size += growth[k]
+                peak = max(peak, size)
+            return max(peak, size + len(end))
+
+        best = min((order(1), order(-1)), key=largest)
+        size = largest(best)
+        _require_budget(16 * batch * self.q ** (2 * size),
+                        f"at t = {t} a sweep carries {size} legs as a q={self.q} state"
                         + (f" batch of {batch}" if batch > 1 else ""))
-        T = reduce(np.multiply.outer, arrays)
-        head = [-1] * (T.ndim - 2 * len(legs))
-        dims = (batch,) * len(head)
-        axes = head + [2 * leg + side for leg in legs for side in (0, 1)]  # in T's order
-        outs, ins = [2 * leg for leg in legs], [2 * leg + 1 for leg in legs]
-        for a, b, g, gd in steps:
-            for leg in (a, b):
-                if leg not in legs:  # O x 1 on the new leg
-                    T = np.multiply.outer(T, self._eye)
-                    axes += [2 * leg, 2 * leg + 1]
-                    outs.append(2 * leg)
-                    ins.append(2 * leg + 1)
-                    legs.append(leg)
-            new = [2 * a, 2 * b, *head, *[x for x in outs if x != 2 * a and x != 2 * b], *ins]
-            T = np.dot(gd, T.transpose([axes.index(x) for x in new]).reshape(q * q, -1))
-            T, axes = T.reshape((q, q) + dims + (q,) * (len(new) - 2 - len(head))), new
-            new = [*head, *outs, *[x for x in ins if x != 2 * a + 1 and x != 2 * b + 1],
-                   2 * a + 1, 2 * b + 1]
-            T = np.dot(T.transpose([axes.index(x) for x in new]).reshape(-1, q * q), g)
-            T, axes = T.reshape(dims + (q,) * (len(new) - len(head))), new
-        return legs, T.transpose([axes.index(x) for x in head + outs + ins])
+        return ([(self._trace, [x], []) for x in first]
+                + [(self._gate(g, opened, traced), ins, outs)
+                   for g, opened, traced, ins, outs in (work[k] for k in best)]
+                + [(self._open, [], [x]) for x in end])
 
-    def _work(self, leg, t, backward=False):
-        """(cost, support size) of evolving an operator on one leg t periods,
-        from the step lists alone, in complex multiply-adds: a gate step costs
-        q^2 per entry of the tensor it leaves (times the batch of q^2 backward)
-        and a fixed 4 CALL_COST, the four numpy calls a step made when the
-        model was fit (see CALL_COST).  The geometry repeats with a shift of
-        two legs, and each period extends the one before."""
-        if t < 0:
-            raise ValidationError("t must be nonnegative")
-        periods = self._works.setdefault((leg % 2, backward), [(0, {leg % 2})])
-        batch = self.q**2 if backward else 1
-        while len(periods) <= t:
-            cost, seen = periods[-1]
-            steps, support = self._steps(seen, 1, backward)
-            seen = set(seen)
-            for a, b, _, _ in steps:
-                seen |= {a, b}
-                cost += batch * self.q ** (2 * len(seen) + 2) + 4 * CALL_COST
-            periods.append((cost, support))
-        cost, support = periods[t]
-        return cost, len(support)
+    def _run(self, plan, legs, T, targets):
+        """The state of a sweep after its plan, from T on `legs` (axes legs...,
+        batch) to axes (targets..., batch).  A step reads the state with its
+        input legs in front, the other axes in their order, so the batch axis
+        stays last, and leaves its output legs in front."""
+        axes, qq, batch = [*legs, -1], self.q**2, T.shape[-1]
+        for W, ins, outs in plan:
+            rest = [x for x in axes if x not in ins]
+            T = np.dot(W, T.transpose([axes.index(x) for x in ins + rest]).reshape(W.shape[1], -1))
+            axes = outs + rest
+            T = T.reshape((qq,) * (len(axes) - 1) + (batch,))
+        return T.transpose([axes.index(x) for x in (*targets, -1)])
 
-    def _split(self, leg, t):
-        """The t2 of the cheapest way to build a single-site table at `leg`:
-        a_i forward t - t2 periods, and the basis backward t2 periods at every
-        leg (see single_site_table).  The cost counts the gate steps, the reads
-        of the halves at each leg, and the whole backward build, kept or not,
-        so the choice does not depend on which tables were built before.  A
-        split is not taken if one of its tensors, or its backward halves with
-        the kept tables, would exceed the budget; if none fits, the one with
-        the smallest tensors is refused."""
-        q, n, nb = self.q, self.n_legs, self.q**2
-        cost, s_f = self._work(leg, t)
-        options = [(cost + n * (q ** (2 * s_f) + CALL_COST), 0, [(
-            16 * q ** (2 * s_f),
-            f"at t = {t} the evolved operator covers {s_f} legs as a q={q} tensor")])]
-        for t2 in range(1, t + 1):
-            cost, s_f = self._work(leg, t - t2)
-            (c0, s0), (c1, s1) = (self._work(x, t2, backward=True) for x in (0, 1))
-            s_b = max(s0, s1)
-            halves = 0 if t2 in self._halves else 16 * nb * n // 2 * (q**(2 * s0) + q**(2 * s1))
-            split = f"at t = {t} = {t - t2} + {t2} the"
-            self._make_room(halves + 16 * n * nb)
-            options.append((
-                cost + n // 2 * (c0 + c1) + n * (q ** (2 * s_f) + nb * q ** (2 * s_b) + 3 * CALL_COST),
-                t2,
-                [(16 * q ** (2 * s_f), f"{split} forward half covers {s_f} legs as a q={q} tensor"),
-                 (16 * nb * q ** (2 * s_b),
-                  f"{split} backward half covers {s_b} legs as a q={q} tensor batch of {nb}"),
-                 (self._kept + halves + 16 * n * nb,
-                  "the kept correlator tables and backward halves")]))
-        fits = [(cost, t2) for cost, t2, checks in options
-                if all(nbytes <= SUPPORT_BUDGET for nbytes, _ in checks)]
-        if not fits:
-            for nbytes, what in min((checks for _, _, checks in options), key=max):
-                _require_budget(nbytes, what)
-        return min(fits)[1]
+    def _sweeps(self, legs, T, targets, t):
+        """The states of the sweeps from T on `legs` (axes legs..., batch) over
+        t periods to each tuple of target legs, one sweep each.  Every sweep is
+        planned, and so checked against the budget, before the first runs."""
+        steps = self._steps(legs, t)
+        plans = [self._plan(steps, legs, tg, T.shape[-1], t) for tg in targets]
+        return (self._run(plan, legs, T, tg) for plan, tg in zip(plans, targets))
 
-    def _backward(self, t2):
-        """The q^2 basis operators at every leg evolved backward t2 periods, as
-        one (support legs, batch tensor) per leg, built once and kept."""
-        if t2 not in self._halves:
-            halves = [self._evolve({x: self.basis}, t2, backward=True)
-                      for x in range(self.n_legs)]
-            self._kept += sum(T.nbytes for _, T in halves)
-            self._halves[t2] = halves
-        return self._halves[t2]
+    def _rows(self, i, leg, xs, t):
+        """C[x, ..., j] at each leg x of xs: the a_i travel as the batch."""
+        T = self.basis[np.asarray(i)].reshape(-1, self.q**2).T
+        rows = [S.T @ self._read for S in self._sweeps([leg], T, [(x,) for x in xs], t)]
+        return np.array(rows).reshape(len(xs), *np.shape(i), -1)
 
-    def _meet(self, op, t2, x):
-        """tr[B_j O] / q^(legs of O or B) for each operator B_j of the backward
-        half at leg x: both are traced down to their common legs, where the
-        outputs of B meet the inputs of O and the inputs of B the outputs of O.
-        The half's marginal is kept per (t2, x, common legs), with the halves,
-        if it fits the budget beside the table being built."""
-        half = self._backward(t2)[x]
-        shared = tuple(leg for leg in half[0] if leg in op[0])
-        m = len(shared)
-        key = (t2, x, shared)
-        B = self._shared.get(key)
-        if B is None:
-            B = self._marginal(half, shared)
-            if self._kept + B.nbytes + 16 * self.n_legs * self.q**2 <= SUPPORT_BUDGET:
-                self._shared[key] = B
-                self._kept += B.nbytes
-        O = self._marginal(op, shared)
-        O = O.transpose([*range(m, 2 * m), *range(m)]).reshape(-1, 1)
-        return np.dot(B.reshape(len(B), -1), O)[:, 0] / self.q**m
-
-    def _make_room(self, nbytes):
-        """Drop the kept marginals of the halves if `nbytes` more fit the budget
-        without them but not with them.  They are a cache that yields to the
-        tables and halves, so no split and no refusal depends on them."""
-        cached = sum(B.nbytes for B in self._shared.values())
-        if self._kept - cached + nbytes <= SUPPORT_BUDGET < self._kept + nbytes:
-            self._kept -= cached
-            self._shared.clear()
-
-    def _marginal(self, op, legs):
-        """tr_rest(O) / q^(traced legs) on `legs`, axes (outputs..., inputs...)
-        after the batch axis, if the tensor has one.
-
-        A leg outside the support carries the identity, so the correlator of
-        an observable B on `legs` is tr(B rho) / q^len(legs).
-        """
-        support, T = op
-        s = len(support)
-        labels = list(range(s)) * 2  # equal output and input labels: traced
-        extra, outs, ins = [], [], []
-        for k, leg in enumerate(legs):
-            if leg in support:
-                p = support.index(leg)
-                labels[s + p] = s + p
-                outs.append(p)
-                ins.append(s + p)
-            else:
-                extra += [self._eye, [2 * s + 2 * k, 2 * s + 2 * k + 1]]
-                outs.append(2 * s + 2 * k)
-                ins.append(2 * s + 2 * k + 1)
-        batch = [2 * s + 2 * len(legs)] * (T.ndim - 2 * s)
-        traced = s - sum(leg in support for leg in legs)
-        return np.einsum(T, batch + labels, *extra, batch + outs + ins) / self.q**traced
+    def correlations(self, i, y, x, t):
+        """C[..., j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every basis index j,
+        by one sweep; i is a basis index, or a list of them for a leading axis."""
+        return self._rows(i, self.site_leg(y), [self.site_leg(x)], t)[0]
 
     def _table(self, store, key, entries, build):
         """store[key], built by build() on first use.  The tables a simulator
         keeps count against the budget together, checked before one is built."""
         if key not in store:
-            self._make_room(16 * entries)
-            _require_budget(self._kept + 16 * entries,
-                            "the kept correlator tables and backward halves")
+            _require_budget(self._kept + 16 * entries, "the kept correlator tables")
             table = build()
             table.setflags(write=False)
             store[key] = table
@@ -357,57 +299,33 @@ class CircuitSimulator:
         return store[key]
 
     def single_site_table(self, i, y, t):
-        """C[x, j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and basis index j.
-
-        Built by meeting in the middle.  With V = V1 V2 the gates of
-        t = t1 + t2 periods in the order they are applied,
-        tr[a_j^x V^dag a_i V] = tr[(V2 a_j^x V2^dag)(V1^dag a_i V1)]: a_i is
-        evolved forward t1 periods, and the basis at each leg x backward t2
-        periods, once per simulator for every table.  Each half covers at most
-        4 t1 or 4 t2 legs, not 4t.  t2 = 0 reads the marginals of the forward
-        operator; `_split` picks t2 from the sizes alone."""
+        """C[x, ..., j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and
+        basis index j, one sweep per x; i is a basis index, or a tuple of them
+        for the axis after x."""
         leg = self.site_leg(y)
-
-        def build():
-            t2 = self._split(leg, t)
-            op = self._evolve({leg: self.basis[i]}, t - t2)
-            if t2:
-                return np.array([self._meet(op, t2, x) for x in range(self.n_legs)])
-            rows = {}  # per support leg, and one for every leg off it (None)
-            for x in range(self.n_legs):
-                key = x if x in op[0] else None
-                if key not in rows:
-                    rows[key] = np.einsum("jab,ba->j", self.basis, self._marginal(op, [x]))
-            return np.array([rows[x if x in op[0] else None]
-                             for x in range(self.n_legs)]) / self.q
-
-        return self._table(self._single, (i, leg, t), self.n_legs * self.q**2, build)
+        return self._table(self._single, (i, leg, t), self.n_legs * np.size(i) * self.q**2,
+                           lambda: self._rows(i, leg, range(self.n_legs), t))
 
     def _two_site_table(self, i, j, t):
         """C[x1, x2, k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L)
-        for every pair of legs and basis indices."""
-        n, q, B = self.n_legs, self.q, self.basis
+        for every pair of legs and basis indices, one sweep per pair {x1, x2}:
+        on two legs a_k^{x1} and a_l^{x2} commute."""
+        n, nb, B = self.n_legs, self.q**2, self.basis
 
         def build():
-            op = self._evolve({0: B[i], 1: B[j]}, t)
-            products = np.einsum("kab,lbc->klac", B, B)  # a_k a_l on one leg
-
-            def entry(x1, x2):
+            T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
+            pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
+            states = self._sweeps([0, 1], T, [(x1, x2)[:1 + (x1 < x2)] for x1, x2 in pairs], t)
+            table = np.empty((n, n, nb, nb), dtype=complex)
+            for (x1, x2), S in zip(pairs, states):
                 if x1 == x2:
-                    return np.einsum("klab,ba->kl", products, self._marginal(op, [x1])) / q
-                return np.einsum("kab,lcd,bdac->kl", B, B, self._marginal(op, [x1, x2])) / q**2
-
-            table = np.empty((n, n, q * q, q * q), dtype=complex)
-            values = {}  # a leg off the support (None) carries the identity, whichever it is
-            for x1 in range(n):
-                for x2 in range(n):
-                    key = (x1 if x1 in op[0] else None, x2 if x2 in op[0] else None, x1 == x2)
-                    if key not in values:
-                        values[key] = entry(x1, x2)
-                    table[x1, x2] = values[key]
+                    table[x1, x1] = (S[:, 0] @ self._products).reshape(nb, nb)
+                else:
+                    table[x1, x2] = self._read.T @ S[..., 0] @ self._read
+                    table[x2, x1] = table[x1, x2].T
             return table
 
-        return self._table(self._two, (i, j, t), (n * q * q) ** 2, build)
+        return self._table(self._two, (i, j, t), (n * nb) ** 2, build)
 
     def correlation_single(self, i, j, x, y, t):
         """D^{ij}(x, y, t) = tr[a_j^x U^-t a_i^y U^t] / q^(2L), i, j > 0."""

@@ -438,11 +438,13 @@ def cmd_circuit_corr(args):
     sim = CircuitSimulator(cfg)
     pairs = _pairs_or_default(pairs, cfg.q)
     # every table before the first row, t_max's first: a grid over the budget
-    # is refused before any other work, and no output is half written
-    tables = {(i, t): sim.single_site_table(i, 0.0, t)
-              for t in (t_max, *range(1, t_max)) for i, _ in pairs}
-    rows = ((0.5 * n, t, i, j, tables[i, t][n, j].real, tables[i, t][n, j].imag)
-            for t in range(1, t_max + 1) for n in range(sim.n_legs) for i, j in pairs)
+    # is refused before any other work, and no output is half written; the
+    # configured a_i travel as one batch, so each (t, x) is one sweep
+    batch = tuple(sorted({i for i, _ in pairs}))
+    tables = {t: sim.single_site_table(batch, 0.0, t) for t in (t_max, *range(1, t_max))}
+    rows = ((0.5 * n, t, i, j, c.real, c.imag)
+            for t in range(1, t_max + 1) for n in range(sim.n_legs) for i, j in pairs
+            for c in [tables[t][n, batch.index(i), j]])
     out = _write_csv(args.output, ("x", "t", "i", "j", "value_re", "value_im"), rows)
     return [out]
 
@@ -461,14 +463,17 @@ def cmd_circuit_verify(args):
     sim = CircuitSimulator(cfg)
     worst_cone, worst_interior = 0.0, 0.0
     a_i, a_j = (sim.basis[[p[k] for p in pairs]] for k in (0, 1))
+    batch = sorted({i for i, _ in pairs})
     for t in (t_max, *range(1, t_max)):  # an over-budget t_max is refused first
-        gp = [sim.c_plus(i, j, float(t), t) for i, j in pairs]
-        gm = [sim.c_minus(i, j, float(-t), t) for i, j in pairs]
+        # the interior entry C+(x = 0) first: its sweep carries the largest state
+        worst_interior = max(worst_interior, abs(sim.correlations(1, 0.0, 0.0, t)[1]))
+        # one sweep per ray, the configured a_i as its batch: C+(x = t), C-(x = -t)
+        gp, gm = (sim.correlations(batch, y, y + x, t) for y, x in ((0.0, t), (0.5, -t)))
         pp, pm = (lightcone_correlation_prediction(cfg.gate, a_i, a_j, t, side=side)
                   for side in ("plus", "minus"))
-        for cp, vp, cm, vm in zip(gp, pp, gm, pm, strict=True):
-            worst_cone = max(worst_cone, abs(cp - vp), abs(cm - vm))
-        worst_interior = max(worst_interior, abs(sim.c_plus(1, 1, 0.0, t)))
+        for (i, j), vp, vm in zip(pairs, pp, pm, strict=True):
+            k = batch.index(i)
+            worst_cone = max(worst_cone, abs(gp[k, j] - vp), abs(gm[k, j] - vm))
     report = {
         "cone_residual": worst_cone,
         "interior_max": worst_interior,

@@ -76,7 +76,7 @@ def _inputs():
     texts["perm_ols_q3.json"] = json.dumps(perm_spec_to_json(K, L))
     texts["perm_bad_theta.json"] = json.dumps(perm_spec_to_json(K, L, np.zeros((2, 2))))
     texts["perm_bad_k.json"] = json.dumps({**perm_spec_to_json(K, L), "K": [[1, 2, 3], [1]]})
-    # the four circuit_cone shapes, then refused configs
+    # the four circuit_cone shapes, then the other configs, most of them refused
     configs = {
         "cone0": {"q": 2, "L": 5, "t_max": 1, "gate": _gate("diag_q2_s1")},
         "cone1": {"q": 3, "L": 3, "gate": _gate("dual_q3_ep8over9")},
@@ -94,6 +94,7 @@ def _inputs():
         "cfg_not_unitary": {"q": 2, "L": 2, "gate": _gate("bad_not_unitary")},
         "cfg_gate_number": {"q": 2, "L": 2, "gate": 3.5},
         "cfg_budget": {"q": 3, "L": 6, "gate": _gate("cat_q3")},
+        "cfg_budget_l24": {"q": 2, "L": 24, "gate": _gate("cartan_0.2")},
         "cfg_verify_bad_pairs": {"q": 2, "L": 2, "t_max": 1, "basis_pairs": [[1, 99]],
                                  "gate": _gate("cartan_0.2")},
         "cfg_verify_identity_pair": {"q": 2, "L": 2, "t_max": 1, "basis_pairs": [[0, 1]],
@@ -153,6 +154,7 @@ def _argvs():
         out.append(["circuit", kind, "{dir}/cone_pairs.json"])
         out.append(["circuit", kind, "{dir}/cfg_inline.json"])
     out.append(["circuit", "verify", "{dir}/cone_l9.json"])
+    out.append(["circuit", "corr", "{dir}/cfg_budget.json"])
 
     out.append(["perm", "enumerate", "-q", "2"])
     out.append(["perm", "enumerate", "-q", "3"])
@@ -194,9 +196,10 @@ def _argvs():
     out.append(["oracle", "haar-identity", "-q", "2", "-N", "1"])
     out.append(["perm", "enumerate", "-q", "1"])
     for name in ("cfg_t_max_zero", "cfg_unknown_key", "cfg_bad_pairs", "cfg_empty_pairs",
-                 "cfg_gate_number", "cfg_budget"):
+                 "cfg_gate_number", "cfg_budget_l24"):
         out.append(["circuit", "corr", f"{{dir}}/{name}.json"])
-    for name in ("cfg_t_max_window", "cfg_verify_bad_pairs", "cfg_verify_identity_pair"):
+    for name in ("cfg_t_max_window", "cfg_verify_bad_pairs", "cfg_verify_identity_pair",
+                 "cfg_budget_l24"):
         out.append(["circuit", "verify", f"{{dir}}/{name}.json"])
     return out
 

@@ -85,10 +85,10 @@ def test_window_guard():
     for i, j in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ValueError, match="nontrivial"):
             sim.correlation_single(i, j, 0.0, 0.0, 1)
-    # a negative t stays that refusal after the costs of a large t are known
-    big = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=16, gate=cartan_gate(0.2)))
+    # a negative t stays that refusal after a large t is refused for its size
+    big = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=24, gate=cartan_gate(0.2)))
     with pytest.raises(ValueError, match="budget"):
-        big.c_plus(1, 1, 8.0, 8)
+        big.c_plus(1, 1, 12.0, 12)
     with pytest.raises(ValueError, match="nonnegative"):
         big.c_plus(1, 1, 1.0, -1)
 
@@ -185,7 +185,7 @@ def test_non_dual_gate_has_interior_correlations():
 
 
 def test_non_dual_q3_gate_keeps_interior_correlations_at_t2():
-    # q = 3 at t = 2 is reached by the split alone: the 8-leg operator would be 657 MiB
+    # a t = 2 sweep carries at most 3 legs, where the 8-leg operator would be 657 MiB
     sim = cs.CircuitSimulator(cs.CircuitConfig(q=3, L=4, gate=sample_haar(9, substream(6, "circ"))))
     best = max(abs(sim.c_plus(i, j, x, 2)) for i in (1, 2) for j in (1, 2) for x in (0.0, 0.5, 1.0))
     assert best > 1e-3
@@ -265,22 +265,18 @@ def test_engine_matches_dense_oracle():
     ]
     for cfg, t_max, i_set, y_set, two_site in cases:
         assert _oracle_worst(cfg, t_max, i_set, y_set, two_site) < 1e-12
-    # the t = 2 tables of the last ring meet in the middle, one period from each end
-    sim = cs.CircuitSimulator(cases[-1][0])
-    assert [sim._split(leg, 2) for leg in (0, 1)] == [1, 1]
 
 
 def test_support_budget_refuses_before_allocating(monkeypatch):
-    # q = 2, L = 16: at t = 8 the operator covers all 32 legs, and every split
-    # leaves a half on at least 16 legs, a 64 GiB tensor; the two-site table,
-    # never split, would cover all 32
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=16, gate=cartan_gate(0.3)))
+    # q = 2, L = 24: at t = 12 the centre sweep carries 13 legs, a 1 GiB state,
+    # and so does the two-site sweep back to the initial legs
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=24, gate=cartan_gate(0.3)))
     tracemalloc.start()
     try:
+        with pytest.raises(ValueError, match="13 legs .* budget"):
+            sim.c_plus(1, 1, 12.0, 12)
         with pytest.raises(ValueError, match="budget"):
-            sim.c_plus(1, 1, 8.0, 8)
-        with pytest.raises(ValueError, match="budget"):
-            sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 8)
+            sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 12)
         # a ring of 6e6 legs costs nothing to set up, and its first correlator
         # table alone (384 MiB) is refused
         ring = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=3 * 10**6, gate=cartan_gate(0.3)))
@@ -290,9 +286,12 @@ def test_support_budget_refuses_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    sim.c_plus(1, 1, 2.0, 2)  # at t = 2 the support is 8 legs, well inside the budget
+    # q = 2, L = 16, t = 8 was refused by the meet-in-the-middle engine: its
+    # centre sweep carries 9 legs, 4 MiB
+    small = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=16, gate=cartan_gate(0.3)))
+    assert abs(small.correlations(1, 0.0, 0.0, 8)[1]) < 1e-10
     # the kept tables count together: 512 B each on 8 legs at q = 2, and a
-    # t = 1 operator on 4 legs takes the whole 4 KiB
+    # t = 1 sweep's state of at most 2 legs takes 256 B of the 4 KiB
     monkeypatch.setattr(cs, "SUPPORT_BUDGET", 8 * 512)
     sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=cartan_gate(0.3)))
     for k in range(8):
@@ -302,24 +301,11 @@ def test_support_budget_refuses_before_allocating(monkeypatch):
     sim.single_site_table(1, 0.0, 1)  # a kept table is read without a new charge
 
 
-def _dense(sim, legs, T):
-    """The operator (legs, T) on the whole ring, the identity off `legs`, as a
-    q^n x q^n matrix, or a stack of them when T has a batch axis."""
-    n = sim.n_legs
-    batch = [2 * n] * (T.ndim - 2 * len(legs))
-    args = [T, batch + list(legs) + [n + leg for leg in legs]]
-    for x in range(n):
-        if x not in legs:
-            args += [np.eye(sim.q), [x, n + x]]
-    full = np.einsum(*args, batch + list(range(2 * n)))
-    return full.reshape(T.shape[:len(batch)] + (sim.q**n, sim.q**n))
-
-
-def test_evolve_matches_dense_oracle_without_tensordot_or_moveaxis(monkeypatch):
-    # a gate step is two matrix products on a labelled tensor: the kernel
-    # neither contracts with tensordot nor restores the axis order with moveaxis
+def test_sweeps_match_dense_oracle_without_tensordot_or_moveaxis(monkeypatch):
+    # a gate step is one matrix product on a labelled state: the kernel neither
+    # contracts with tensordot nor restores the axis order with moveaxis
     def refuse(*args, **kwargs):
-        raise AssertionError("the light-cone kernel called tensordot or moveaxis")
+        raise AssertionError("the sweep called tensordot or moveaxis")
 
     monkeypatch.setattr(np, "tensordot", refuse)
     monkeypatch.setattr(np, "moveaxis", refuse)
@@ -328,32 +314,46 @@ def test_evolve_matches_dense_oracle_without_tensordot_or_moveaxis(monkeypatch):
     for cfg in (cs.CircuitConfig(q=2, L=3, gate=sample_haar(4, rng)),
                 cs.CircuitConfig(q=2, L=3, gate=bonds[0], even_gates=bonds[:3], odd_gates=bonds[3:]),
                 cs.CircuitConfig(q=3, L=2, gate=sample_haar(9, rng))):
-        sim, ref = cs.CircuitSimulator(cfg), DenseCircuitSimulator(cfg)
-        for t in (0, 1, 2):
-            for factors in ({0: sim.basis[1]}, {3: sim.basis[2]},
-                            {0: sim.basis[1], 1: sim.basis[3]}):
-                A = np.eye(ref.dim)
-                for leg, a in factors.items():
-                    A = A @ ref.embed(a, 0.5 * leg)
-                assert np.abs(_dense(sim, *sim._evolve(factors, t))
-                              - ref.heisenberg(A, t)).max() < 1e-12
-            # backward batch halves: U_F^t a_j U_F^-t for every basis operator a_j
-            U = ref.power(t)
-            for x in (0, 1, 3):
-                got = _dense(sim, *sim._evolve({x: sim.basis}, t, backward=True))
-                for j, a in enumerate(sim.basis):
-                    want = U @ ref.embed(a, 0.5 * x) @ U.conj().T
-                    assert np.abs(got[j] - want).max() < 1e-12
-    # ... and the tables built on it, split t = 2 ones included
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=bonds[0]))
-    assert sim._split(0, 2) == 1
-    sim.single_site_table(1, 0.0, 2)
-    sim._two_site_table(1, 2, 1)
+        assert _oracle_worst(cfg, 2, (1, 2), (0.0, 1.5), [(1, 3, 2, 1)]) < 1e-12
+        # a batch of initial operators gives the rows of each alone
+        sim = cs.CircuitSimulator(cfg)
+        batch = sim.correlations([3, 1, 2], 0.5, -1.0, 2)
+        for row, i in zip(batch, (3, 1, 2), strict=True):
+            assert np.abs(row - sim.single_site_table(i, 0.5, 2)[sim.site_leg(-1.0)]).max() < 1e-15
+
+
+def _largest_state(plan, legs):
+    """The most legs a state holds along a plan."""
+    size = top = len(legs)
+    for _, ins, outs in plan:
+        size += len(outs) - len(ins)
+        top = max(top, size)
+    return top
+
+
+def test_sweeps_carry_at_most_t_plus_one_legs_in_the_window():
+    # the causal diamond of one initial leg and one target leg, swept along its
+    # shorter side; two initial legs add at most one more, whichever targets
+    for L in range(1, 9):
+        sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=L, gate=cartan_gate(0.3)))
+        n = sim.n_legs
+        for t in range(L // 2 + 1):
+            for legs in ([0], [1], [0, 1]):
+                steps = sim._steps(legs, t)
+                for x in range(n):
+                    for targets in ((x,), (x, (x + 3) % n)) if len(legs) == 2 else ((x,),):
+                        plan = sim._plan(steps, legs, targets, 1, t)
+                        assert _largest_state(plan, legs) <= t + len(legs), (L, t, legs, targets)
+    # on the cone the diamond is one ray of 2t gates, each opening one leg and
+    # tracing the other: the one-leg channel M+, so the state keeps one leg
+    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=8, gate=cartan_gate(0.3)))
+    plan = sim._plan(sim._steps([0], 4), [0], (8,), 1, 4)
+    assert [W.shape for W, _, _ in plan] == [(4, 4)] * 8 and _largest_state(plan, [0]) == 1
 
 
 def test_tables_do_not_depend_on_build_order():
-    # the caches (backward halves, their marginals, the kept tables) never
-    # change a table's bytes: two build orders give identical tables
+    # the kept tables never change a table's bytes: two build orders give
+    # identical tables
     rng = substream(8, "order")
     for q, L in ((2, 4), (3, 3)):
         bonds = [sample_haar(q * q, rng) for _ in range(2 * L)]
@@ -363,57 +363,55 @@ def test_tables_do_not_depend_on_build_order():
             single = [(i, y, t) for t in (1, 2) for y in (0.0, 0.5, 1.5) for i in (1, 2)]
             two = [(1, 2, 1), (3, 1, 1)]
             first, second = cs.CircuitSimulator(cfg), cs.CircuitSimulator(cfg)
-            assert [first._split(leg, 2) for leg in (0, 1)] == [1, 1]  # t = 2 meets in the middle
             a = {key: first.single_site_table(*key) for key in single}
             a.update({key: first._two_site_table(*key) for key in two})
             b = {key: second._two_site_table(*key) for key in reversed(two)}
             b.update({key: second.single_site_table(*key) for key in reversed(single)})
-            assert second._shared.keys() == first._shared.keys()
             for key in a:
                 assert np.array_equal(a[key], b[key]), (q, L, key)
 
 
-def test_kept_bytes_count_every_table_half_and_marginal(monkeypatch):
+def test_kept_bytes_count_every_table(monkeypatch):
     def build(sim):
-        tables = [sim._two_site_table(1, 2, 1)]
+        tables = [sim._two_site_table(1, 2, 1), sim.single_site_table((1, 3), 0.0, 2)]
         tables += [sim.single_site_table(i, y, t)
                    for t in (1, 2) for y in (0.0, 0.5) for i in (1, 2, 3)]
         return tables
 
-    def kept(sim):
-        halves = [T for t2 in sim._halves.values() for _, T in t2]
-        return [*sim._single.values(), *sim._two.values(), *halves, *sim._shared.values()]
-
     cfg = cs.CircuitConfig(q=2, L=4, gate=cartan_gate(0.3))
     sim = cs.CircuitSimulator(cfg)
     tables = build(sim)
-    assert sim._shared  # the split t = 2 tables kept their halves' marginals
-    assert sim._kept == sum(T.nbytes for T in kept(sim))
-    # with room for one more two-site table besides the tables and halves, a
-    # marginal is kept only where it fits, and the cache yields to that table
-    marginals = sum(B.nbytes for B in sim._shared.values())
-    two_site = 16 * (sim.n_legs * 4) ** 2
-    monkeypatch.setattr(cs, "SUPPORT_BUDGET", sim._kept - marginals + two_site)
+    assert tables[1].shape == (sim.n_legs, 2, 4)
+    assert sim._kept == sum(T.nbytes for T in tables)
+    sim.correlations([1, 2, 3], 0.0, 1.0, 2)  # a sweep's state is not kept
+    assert sim._kept == sum(T.nbytes for T in tables)
+    # with room for exactly these tables, the next one is refused before it is built
+    monkeypatch.setattr(cs, "SUPPORT_BUDGET", sim._kept)
     tight = cs.CircuitSimulator(cfg)
     assert all(np.array_equal(a, b) for a, b in zip(tables, build(tight), strict=True))
-    assert 0 < len(tight._shared) < len(sim._shared)
-    assert tight._kept == sum(T.nbytes for T in kept(tight)) <= cs.SUPPORT_BUDGET
-    tight._two_site_table(2, 1, 1)
-    assert not tight._shared and tight._kept == cs.SUPPORT_BUDGET
+    assert tight._kept == cs.SUPPORT_BUDGET
+    with pytest.raises(ValueError, match="kept correlator tables"):
+        tight.single_site_table(1, 1.0, 1)
+    assert tight._kept == cs.SUPPORT_BUDGET
 
 
-def test_legs_off_the_support_share_one_marginal(monkeypatch):
-    # every leg off an operator's support carries the identity, so a t2 = 0
-    # single-site table reads one marginal for all of them, and a two-site
-    # table one per pattern of (leg on or off the support, equal or not)
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=6, gate=cartan_gate(0.3)))
-    calls = []
-    real = sim._marginal
-    monkeypatch.setattr(sim, "_marginal", lambda op, legs: calls.append(legs) or real(op, legs))
-    sim.single_site_table(1, 0.0, 1)
-    s = len(sim._evolve({0: sim.basis[1]}, 1)[0])
-    assert len(calls) == s + 1 < sim.n_legs
-    calls.clear()
-    sim._two_site_table(1, 2, 1)
-    s = len(sim._evolve({0: sim.basis[1], 1: sim.basis[2]}, 1)[0])
-    assert len(calls) == s * s + 2 * s + 2 < sim.n_legs**2
+@pytest.mark.parametrize("q, L, t", [(3, 6, 3), (2, 12, 6)])
+def test_tables_reach_beyond_the_split(q, L, t):
+    # both were refused by the meet-in-the-middle engine: every split left a
+    # half of 8 legs (657 MiB) at q = 3 and of 13 or more (1 GiB) at q = 2
+    gate = fixtures()["dual_q3_ep8over9"] if q == 3 else diagonal_dual_sample(2, 1.0, substream(9, "circ"))
+    haar = sample_haar(q * q, substream(10, "circ"))
+    for U, dual in ((gate, True), (haar, False)):
+        sim = cs.CircuitSimulator(cs.CircuitConfig(q=q, L=L, gate=U))
+        plus, minus = sim.single_site_table((1, 2), 0.0, t), sim.single_site_table((1, 2), 0.5, t)
+        interior = max(np.abs(table[(y + k) % sim.n_legs, :, 1:]).max()
+                       for table, y in ((plus, 0), (minus, 1)) for k in range(-2 * t + 1, 2 * t))
+        if not dual:  # the control: a Haar gate keeps correlations inside the cone
+            assert interior > 1e-3
+            continue
+        assert interior <= 1e-10
+        for table, side, x in ((plus, "plus", 2 * t), (minus, "minus", 1 - 2 * t)):
+            for k, i in enumerate((1, 2)):
+                for j in range(1, q * q):
+                    pred = lightcone_correlation_prediction(U, sim.basis[i], sim.basis[j], t, side=side)
+                    assert abs(table[x % sim.n_legs, k, j] - pred) < 1e-12

@@ -267,7 +267,7 @@ def test_circuit_verify_builds_the_channels_once_per_ray_and_time(tmp_path, caps
 
 
 def test_circuit_verify_reaches_q3_at_t2(tmp_path, capsys):
-    # the t = 2 tables meet in the middle: the 8-leg operator (657 MiB at q = 3) is never built
+    # a t = 2 sweep carries at most 3 legs: the 8-leg operator (657 MiB at q = 3) is never built
     for name, gate in (("dual_q3_ep8over9", ["fixture", "--name", "dual_q3_ep8over9"]),
                        ("cat_q3", ["cat", "-q", "3"])):
         path = tmp_path / f"{name}.json"
@@ -278,6 +278,19 @@ def test_circuit_verify_reaches_q3_at_t2(tmp_path, capsys):
         assert main(["circuit", "verify", str(cfg)]) == 0
         rep = _strict_json(capsys.readouterr().out)
         assert rep["ok"] is True and rep["t_max"] == 2 and rep["cone_residual"] < 1e-12
+
+
+def test_circuit_verify_reaches_q3_at_t4(tmp_path, capsys):
+    # q = 3, L = 8, t_max = 4: the centre sweep carries 5 legs; every split of
+    # the former meet-in-the-middle engine left a half of 8 legs or more
+    gate, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    assert main(["gate", "make", "fixture", "--name", "dual_q3_ep8over9", "-o", str(gate)]) == 0
+    cfg.write_text(json.dumps({"q": 3, "L": 8, "t_max": 4, "gate": str(gate)}))
+    capsys.readouterr()
+    assert main(["circuit", "verify", str(cfg)]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["ok"] is True and rep["t_max"] == 4
+    assert rep["cone_residual"] < 1e-12 and rep["interior_max"] <= 1e-10
 
 
 def _write_gate_and_config(tmp_path, U):
@@ -310,8 +323,8 @@ def test_circuit_commands_refuse_a_non_unitary_gate_before_evolving(tmp_path, ca
     def evolve(*_):
         raise RuntimeError("evolved")
 
-    monkeypatch.setattr(CircuitSimulator, "_evolve", evolve)
-    for defect, code in ((2e-13, 1), (6e-9, 3)):  # a unitary gate reaches the evolution
+    monkeypatch.setattr(CircuitSimulator, "_sweeps", evolve)
+    for defect, code in ((2e-13, 1), (6e-9, 3)):  # a unitary gate reaches the sweeps
         _, cfg = _write_gate_and_config(tmp_path, defective_gate(defect))
         for kind in ("corr", "verify"):
             capsys.readouterr()
@@ -411,14 +424,14 @@ def test_exit_codes(tmp_path, capsys):
     # guard violation through circuit config
     cfg = tmp_path / "cfg.json"
     gate = tmp_path / "g.json"
-    main(["gate", "make", "cat", "-q", "3", "-o", str(gate)])
+    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     capsys.readouterr()
-    # q = 3, L = 6: t_max = 3 is evaluated first, and every split of it leaves
-    # a half of 8 legs or more (657 MiB), refused before any other work
-    cfg.write_text(json.dumps({"q": 3, "L": 6, "gate": str(gate)}))
+    # q = 2, L = 24: t_max = 12 is evaluated first, and its centre sweep carries
+    # 13 legs (1024 MiB), refused before any other work
+    cfg.write_text(json.dumps({"q": 2, "L": 24, "gate": str(gate)}))
     assert main(["circuit", "verify", str(cfg)]) == 3
     message = _strict_json(capsys.readouterr().err.splitlines()[0])["message"]
-    assert "budget" in message and "8 legs" in message and "657 MiB" in message
+    assert "budget" in message and "13 legs" in message and "1024 MiB" in message
 
 
 def test_a_fault_of_the_program_is_an_internal_error(monkeypatch, capsys):
