@@ -41,8 +41,8 @@ import numpy as np
 from .tensor_ops import ValidationError, local_dim, require_unitary
 from .tolerances import SITE_TOL
 
-# bytes a simulator may spend on the state of one sweep (16 q^(2 legs) per
-# batch entry; a gate step holds about three at once), and on all the
+# bytes a simulator may spend on each of: the state of one sweep (16 q^(2 legs)
+# per batch entry; a gate step holds about three at once), and all the
 # correlator tables it keeps, together
 SUPPORT_BUDGET = 2**28
 
@@ -175,7 +175,8 @@ class CircuitSimulator:
                 right[2 + s] = s
             out = ([x for s in (0, 1) if s not in traced for x in (s, 6 + s)]
                    + [x for s in (0, 1) if s not in opened for x in (2 + s, 4 + s)])
-            W = np.einsum(g.conj().T.reshape((q,) * 4), [0, 1, 2, 3], g.reshape((q,) * 4), right, out)
+            W = np.einsum(g.conj().T.reshape((q,) * 4), [0, 1, 2, 3],
+                          g.reshape((q,) * 4), right, out)
             self._gates[key] = W.reshape(q ** (4 - 2 * len(traced)), -1) / q ** len(traced)
         return self._gates[key]
 
@@ -315,7 +316,8 @@ class CircuitSimulator:
         def build():
             T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
             pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
-            states = self._sweeps([0, 1], T, [(x1, x2)[:1 + (x1 < x2)] for x1, x2 in pairs], t)
+            targets = [(x1,) if x1 == x2 else (x1, x2) for x1, x2 in pairs]
+            states = self._sweeps([0, 1], T, targets, t)
             table = np.empty((n, n, nb, nb), dtype=complex)
             for (x1, x2), S in zip(pairs, states):
                 if x1 == x2:

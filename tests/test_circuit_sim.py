@@ -333,7 +333,7 @@ def _largest_state(plan, legs):
 
 def test_sweeps_carry_at_most_t_plus_one_legs_in_the_window():
     # the causal diamond of one initial leg and one target leg, swept along its
-    # shorter side; two initial legs add at most one more, whichever targets
+    # shorter side; two initial legs, with one or two targets, add one more
     for L in range(1, 9):
         sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=L, gate=cartan_gate(0.3)))
         n = sim.n_legs
@@ -399,19 +399,21 @@ def test_kept_bytes_count_every_table(monkeypatch):
 def test_tables_reach_beyond_the_split(q, L, t):
     # both were refused by the meet-in-the-middle engine: every split left a
     # half of 8 legs (657 MiB) at q = 3 and of 13 or more (1 GiB) at q = 2
-    gate = fixtures()["dual_q3_ep8over9"] if q == 3 else diagonal_dual_sample(2, 1.0, substream(9, "circ"))
+    dual = (fixtures()["dual_q3_ep8over9"] if q == 3
+            else diagonal_dual_sample(2, 1.0, substream(9, "circ")))
     haar = sample_haar(q * q, substream(10, "circ"))
-    for U, dual in ((gate, True), (haar, False)):
+    for U, is_dual in ((dual, True), (haar, False)):
         sim = cs.CircuitSimulator(cs.CircuitConfig(q=q, L=L, gate=U))
         plus, minus = sim.single_site_table((1, 2), 0.0, t), sim.single_site_table((1, 2), 0.5, t)
         interior = max(np.abs(table[(y + k) % sim.n_legs, :, 1:]).max()
                        for table, y in ((plus, 0), (minus, 1)) for k in range(-2 * t + 1, 2 * t))
-        if not dual:  # the control: a Haar gate keeps correlations inside the cone
+        if not is_dual:  # the control: a Haar gate keeps correlations inside the cone
             assert interior > 1e-3
             continue
         assert interior <= 1e-10
         for table, side, x in ((plus, "plus", 2 * t), (minus, "minus", 1 - 2 * t)):
             for k, i in enumerate((1, 2)):
                 for j in range(1, q * q):
-                    pred = lightcone_correlation_prediction(U, sim.basis[i], sim.basis[j], t, side=side)
+                    pred = lightcone_correlation_prediction(U, sim.basis[i], sim.basis[j], t,
+                                                            side=side)
                     assert abs(table[x % sim.n_legs, k, j] - pred) < 1e-12
