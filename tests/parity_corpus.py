@@ -154,7 +154,7 @@ def _argvs():
         out.append(["circuit", kind, "{dir}/cone_pairs.json"])
         out.append(["circuit", kind, "{dir}/cfg_inline.json"])
     out.append(["circuit", "verify", "{dir}/cone_l9.json"])
-    out.append(["circuit", "corr", "{dir}/cfg_budget.json"])
+    out.append(["circuit", "corr", "{dir}/cfg_budget.json"])  # q = 3, L = 6: once over budget
 
     out.append(["perm", "enumerate", "-q", "2"])
     out.append(["perm", "enumerate", "-q", "3"])
