@@ -1,10 +1,5 @@
 """Two-qudit dual-unitary gates, their correlation channels, and the ergodic
-hierarchy of the brickwork circuits built from them.
-
-Importing the package loads numpy only.  scipy is imported on first use by
-the three functions that call it: the spectrum matching of constructions and
-the expm kicks of constructions.perturbed_two_unitary and
-haar_mc.max_mixing_rate.  No `dualu` command calls them."""
+hierarchy of the brickwork circuits built from them."""
 
 __version__ = "0.1.0"
 

@@ -269,19 +269,24 @@ class CircuitSimulator:
             T = T.reshape((qq,) * (len(axes) - 1) + (batch,))
         return T.transpose([axes.index(x) for x in (*targets, -1)])
 
-    def _sweeps(self, legs, T, targets, t):
-        """The states of the sweeps from T on `legs` (axes legs..., batch) over
-        t periods to each tuple of target legs, one sweep each.  Every sweep is
-        planned, and so checked against the budget, before the first runs."""
-        steps = self._steps(legs, t)
+    def _sweeps(self, steps, legs, T, targets, t):
+        """The states of the sweeps from T on `legs` (axes legs..., batch) through
+        `steps`, their t-period cone, to each tuple of target legs.  Every sweep
+        is planned, and so checked against the budget, before the first runs."""
         plans = [self._plan(steps, legs, tg, T.shape[-1], t) for tg in targets]
         return (self._run(plan, legs, T, tg) for plan, tg in zip(plans, targets))
 
     def _rows(self, i, leg, xs, t):
-        """C[x, ..., j] at each leg x of xs: the a_i travel as the batch."""
+        """C[x, ..., j] at each leg x of xs: the a_i travel as the batch.  Legs off
+        the forward cone of `leg` share one row: the a_i traced, the identity opened."""
         T = self.basis[np.asarray(i)].reshape(-1, self.q**2).T
-        rows = [S.T @ self._read for S in self._sweeps([leg], T, [(x,) for x in xs], t)]
-        return np.array(rows).reshape(len(xs), *np.shape(i), -1)
+        steps = self._steps([leg], t)
+        cone = {leg}.union(*(step[1:3] for step in steps))
+        on = [x for x in xs if x in cone]
+        states = self._sweeps(steps, [leg], T, [(x,) for x in on], t)
+        rows = {x: S.T @ self._read for x, S in zip(on, states)}
+        off = np.dot(self._open, np.dot(self._trace, T)).T @ self._read
+        return np.array([rows.get(x, off) for x in xs]).reshape(len(xs), *np.shape(i), -1)
 
     def correlations(self, i, y, x, t):
         """C[..., j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every basis index j,
@@ -301,8 +306,8 @@ class CircuitSimulator:
 
     def single_site_table(self, i, y, t):
         """C[x, ..., j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and
-        basis index j, one sweep per x; i is a basis index, or a tuple of them
-        for the axis after x."""
+        basis index j, one sweep per x in the forward cone of y; i is a basis
+        index, or a tuple of them for the axis after x."""
         leg = self.site_leg(y)
         return self._table(self._single, (i, leg, t), self.n_legs * np.size(i) * self.q**2,
                            lambda: self._rows(i, leg, range(self.n_legs), t))
@@ -317,7 +322,7 @@ class CircuitSimulator:
             T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
             pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
             targets = [(x1,) if x1 == x2 else (x1, x2) for x1, x2 in pairs]
-            states = self._sweeps([0, 1], T, targets, t)
+            states = self._sweeps(self._steps([0, 1], t), [0, 1], T, targets, t)
             table = np.empty((n, n, nb, nb), dtype=complex)
             for (x1, x2), S in zip(pairs, states):
                 if x1 == x2:

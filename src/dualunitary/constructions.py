@@ -35,6 +35,7 @@ from .tensor_ops import (
     ValidationError,
     _json_array,
     _json_object,
+    expi_hermitian,
     local_dim,
     max_entangled_vector,
     partial_transpose_t2,
@@ -124,13 +125,16 @@ def _embed_block(q, block, offset):
 
 
 def _matched_residual(a, b):
-    """Largest |a_i - b_pi(i)| under the matching pi of least total distance
-    (Hungarian): the distance between two spectra as multisets."""
-    import scipy.optimize
-
-    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    """Largest |a_i - b_j| over pairs taken by increasing distance, each index once.
+    It is the Hungarian matching's value when one side repeats each degenerate
+    eigenvalue exactly and the other lies well inside the gaps between them."""
+    cost = np.abs(np.subtract.outer(a, b))
+    free_a, free_b = np.ones(len(cost), bool), np.ones(len(cost), bool)
+    for i, j in zip(*np.unravel_index(np.argsort(cost, axis=None), cost.shape)):
+        if free_a[i] and free_b[j]:
+            free_a[i] = free_b[j] = False
+            last = cost[i, j]  # the largest pair so far
+    return float(last)
 
 
 def block_channel_forms(q, blocks, side="ds"):
@@ -229,7 +233,7 @@ def _iterate(U0, max_iter, tol, two_unitary=False):
         P, sigma, Qh = np.linalg.svd(realign_r2(U))
         s_hist.append(2.0 * (sigma.sum() / q - 1.0))
         deficit = es - (1.0 - (sigma**4).sum() / q**4)
-        if two_unitary:
+        if two_unitary and deficit < tol:  # E(US) can only delay convergence
             deficit = max(deficit, es - operator_entanglement_swapped(U))
         if deficit < tol:
             converged = True
@@ -266,14 +270,11 @@ def perturbed_two_unitary(U2, scale, rng):
     """A dual gate with e_p slightly below 1: kick a 2-unitary with a random
     Hermitian generator and flow back to the dual manifold (at most 6000
     realign-polar steps)."""
-    import scipy.linalg
-
     q = local_dim(U2)
     H = rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
     H = (H + H.conj().T) / 2
-    kicked = np.asarray(U2, dtype=complex) @ scipy.linalg.expm(1j * scale * H)
-    U, _ = mr_iterate(kicked, max_iter=6000, tol=REFLOW_TOL)
-    return U
+    kicked = np.asarray(U2, dtype=complex) @ expi_hermitian(H, scale)
+    return mr_iterate(kicked, max_iter=6000, tol=REFLOW_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -636,21 +637,15 @@ def fixtures():
 # the unistochastic reduction of the D3.S channel
 
 def _deltoid_contains(z, samples=720):
-    """Even-odd containment test against the 3-cusped hypocycloid
-    (2 e^{it} + e^{-2it})/3."""
+    """Even-odd containment test of each point of z against the 3-cusped
+    hypocycloid (2 e^{it} + e^{-2it})/3, a polygon of `samples` edges."""
     t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     bx = (2 * np.cos(t) + np.cos(2 * t)) / 3
     by = (2 * np.sin(t) - np.sin(2 * t)) / 3
-    x, y = z.real, z.imag
-    inside = False
-    j = samples - 1
-    for i in range(samples):
-        if (by[i] > y) != (by[j] > y):
-            xi = bx[j] + (y - by[j]) * (bx[i] - bx[j]) / (by[i] - by[j])
-            if x < xi:
-                inside = not inside
-        j = i
-    return inside
+    bxj, byj = np.roll(bx, 1), np.roll(by, 1)  # edge i runs from vertex i - 1 to i
+    x, y = np.asarray(z).real[..., None], np.asarray(z).imag[..., None]
+    xi = bxj + (y - byj) * (bx - bxj) / (by - byj)
+    return np.count_nonzero(((by > y) != (byj > y)) & (x < xi), axis=-1) % 2 == 1
 
 
 def unistochastic_reduction(u):
@@ -676,7 +671,7 @@ def unistochastic_reduction(u):
     spectrum_residual = _matched_residual(np.linalg.eigvals(M),
                                           np.concatenate([eigs, np.zeros(q * q - q)]))
     # the trivial eigenvalue 1 sits exactly on a cusp of the curve
-    inside = [bool(_deltoid_contains(z * (1.0 - DELTOID_SHRINK))) for z in eigs]
+    inside = _deltoid_contains(eigs * (1.0 - DELTOID_SHRINK)).tolist()
     return {
         "restriction_residual": float(np.abs(restricted - B).max()),
         "spectrum_residual": spectrum_residual,

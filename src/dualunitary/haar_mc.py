@@ -76,7 +76,8 @@ import numpy as np
 
 from .channels import build_m_plus, decay_rates, deflate_trivial, factored_channel
 from .invariants import entangling_power
-from .tensor_ops import ValidationError, haar_from_ginibre, local_dim, realign_r2, sample_haar
+from .tensor_ops import (ValidationError, expi_hermitian, haar_from_ginibre, local_dim,
+                         realign_r2, sample_haar)
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 256
@@ -262,8 +263,6 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     u <- u exp(i eps H) over random Hermitian directions with a shrinking
     step.  Returns the rate and the method record.
     """
-    import scipy.linalg
-
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     X, Yh = factored_channel(build_m_plus(U))
@@ -276,7 +275,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     for step in range(refine_steps if best_r > 0 else 0):  # nothing beats a zero radius
         H = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         H = (H + H.conj().T) / 2
-        trial = best_u @ scipy.linalg.expm(1j * eps * H)
+        trial = best_u @ expi_hermitian(H, eps)
         r_trial = _radii(X, Yh, np.kron(trial, trial.conj()))
         if r_trial < best_r:
             best_r, best_u = r_trial, trial

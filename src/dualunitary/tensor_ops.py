@@ -123,6 +123,12 @@ def sample_haar(d, rng):
     return haar_from_ginibre(z)
 
 
+def expi_hermitian(H, eps):
+    """exp(i eps H) = V e^{i eps Lambda} V^dag of a Hermitian H = V Lambda V^dag."""
+    lam, V = np.linalg.eigh(H)
+    return (V * np.exp(1j * eps * lam)) @ V.conj().T
+
+
 def unitarity_defect(U):
     """Max-entry norm of U U^dag - 1."""
     U = np.asarray(U)

@@ -417,3 +417,31 @@ def test_tables_reach_beyond_the_split(q, L, t):
                     pred = lightcone_correlation_prediction(U, sim.basis[i], sim.basis[j], t,
                                                             side=side)
                     assert abs(table[x % sim.n_legs, k, j] - pred) < 1e-12
+
+
+def test_off_cone_legs_share_one_row_equal_to_their_sweeps(monkeypatch):
+    # a leg off the forward cone of the initial leg is planned no sweep of its
+    # own: its row is the shared trace-then-open one, bit for bit its sweep's
+    plans = []
+    plan = cs.CircuitSimulator._plan
+    monkeypatch.setattr(cs.CircuitSimulator, "_plan",
+                        lambda self, *args: plans.append(args[2]) or plan(self, *args))
+    rng = substream(11, "off-cone")
+    offs = 0
+    for q, L in ((2, 4), (3, 3)):
+        sim = cs.CircuitSimulator(cs.CircuitConfig(q=q, L=L, gate=sample_haar(q * q, rng)))
+        n = sim.n_legs
+        for t in (0, 1, 2):
+            for y in (0.0, 0.5):
+                for i in (2, (1, 3)):
+                    leg, steps = sim.site_leg(y), sim._steps([sim.site_leg(y)], t)
+                    cone = {leg}.union(*(step[1:3] for step in steps))
+                    plans.clear()
+                    table = sim.single_site_table(i, y, t)
+                    assert sorted(plans) == [(x,) for x in range(n) if x in cone]
+                    offs += n - len(cone)
+                    T = sim.basis[np.asarray(i)].reshape(-1, q * q).T
+                    states = sim._sweeps(steps, [leg], T, [(x,) for x in range(n)], t)
+                    for x, S in enumerate(states):
+                        assert np.array_equal(table[x], (S.T @ sim._read).reshape(table[x].shape))
+    assert offs > 0

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -506,6 +507,33 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     # parallel loop is a thread pool (tests/test_parallelism_policy.py)
     assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, False],
                                        [0, False], [0, False], False]
+
+
+# Run in a fresh interpreter: calls the library functions that exponentiate a
+# Hermitian generator or match two spectra, then prints whether scipy was loaded.
+LIBRARY_PROBE = """
+import sys
+from dualunitary import constructions as co, haar_mc as hm
+co.perturbed_two_unitary(co.two_unitary_permutation(3), 0.05, hm.substream(1, "probe"))
+hm.max_mixing_rate(co.cat_family(3, 1), 20, seed=2, refine_steps=5)
+co.block_channel_forms(3, [hm.sample_haar(3, hm.substream(3, "probe", k)) for k in range(3)])
+co.unistochastic_reduction(hm.sample_haar(3, hm.substream(4, "probe")))
+print("scipy" in sys.modules)
+"""
+
+
+def test_library_runs_without_scipy():
+    proc = _child_python("-c", LIBRARY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_no_module_imports_scipy():
+    for path in pathlib.Path(dualunitary.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
 def _validation_error(capsys):

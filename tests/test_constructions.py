@@ -8,6 +8,7 @@ from dualunitary import invariants as iv
 from dualunitary import tensor_ops as to
 from dualunitary.channels import build_m_plus, channel_spectrum, classify_gate
 from dualunitary.haar_mc import sample_haar, substream
+from dualunitary.tolerances import DELTOID_SHRINK
 
 
 def test_block_diagonal_validation():
@@ -118,6 +119,20 @@ def test_flow_takes_one_svd_per_realign_step(monkeypatch):
         calls.clear()
         _, trace = flow(U0, max_iter=25, tol=1e-10)
         assert len(calls) == per_step * trace.n_iter + 1  # + the seed's SVD
+
+
+def test_mrt_takes_the_swapped_purity_only_below_tol(monkeypatch):
+    # E(S) - E(US) can only delay convergence, so a step takes it only once
+    # its realign deficit is below tol: an unconverged Haar run never does
+    calls = []
+    e_us = co.operator_entanglement_swapped
+    monkeypatch.setattr(co, "operator_entanglement_swapped", lambda U: calls.append(1) or e_us(U))
+    _, trace = co.mrt_iterate(sample_haar(9, substream(8, "flow-svd-count")), max_iter=5,
+                              tol=1e-10)
+    assert not trace.converged and not calls
+    _, trace = co.mrt_iterate(co.permutation_gate(*co.PERM_DUAL_EXAMPLE_Q3), max_iter=500,
+                              tol=1e-12)
+    assert trace.converged and 1 <= len(calls) < trace.n_iter
 
 
 def test_mrt_reaches_two_unitary_from_documented_seed():
@@ -289,3 +304,51 @@ def test_unistochastic_reduction():
         # deltoid containment is a cited conjecture: reported, never asserted
         assert 0.0 <= rep3["deltoid_fraction"] <= 1.0
         assert np.abs(rep3["bistochastic_spectrum"]).max() <= 1 + 1e-12
+
+
+def _criterion_12_spectra(n):
+    """The spectra criterion 12 matches for its first n locals u: the locally
+    rotated D3.S channel's, and |u_ij|^2's padded with six zeros."""
+    Mp = build_m_plus(co.fixtures()["dual_q3_d3s"])
+    for k in range(n):
+        u = sample_haar(3, substream(20240811, "c12-u", k))
+        eigs = np.linalg.eigvals(np.abs(u) ** 2)
+        yield np.linalg.eigvals(np.kron(u, u.conj()) @ Mp), np.concatenate([eigs, np.zeros(6)])
+
+
+def test_matched_residual_equals_the_hungarian_matching():
+    from test_channels import multiset_residual
+
+    for a, b in _criterion_12_spectra(1000):
+        assert co._matched_residual(a, b) == multiset_residual(a, b)
+    # a perturbed copy of a spectrum with degenerate clusters, either way round
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        exact = np.repeat(rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                          rng.integers(1, 5, size=4))
+        noise = rng.standard_normal((2, exact.size)) * 1e-9
+        noisy = (exact + noise[0] + 1j * noise[1])[rng.permutation(exact.size)]
+        for a, b in ((noisy, exact), (exact, noisy)):
+            assert co._matched_residual(a, b) == multiset_residual(a, b)
+
+
+def test_deltoid_flags_match_the_edge_by_edge_crossing_count():
+    t = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+    bx = (2 * np.cos(t) + np.cos(2 * t)) / 3
+    by = (2 * np.sin(t) - np.sin(2 * t)) / 3
+
+    def inside(z):
+        flag, j = False, 719
+        for i in range(720):
+            if (by[i] > z.imag) != (by[j] > z.imag):
+                if z.real < bx[j] + (z.imag - by[j]) * (bx[i] - bx[j]) / (by[i] - by[j]):
+                    flag = not flag
+            j = i
+        return flag
+
+    # the shrunk bistochastic eigenvalues of criterion 12, the trivial one on
+    # a cusp among them, and points around the other two cusps
+    z = np.concatenate([b[:3] for _, b in _criterion_12_spectra(200)]) * (1.0 - DELTOID_SHRINK)
+    cusps = np.exp(2j * math.pi / 3 * np.array([1, 2]))
+    z = np.concatenate([z, (cusps[:, None] * (1 - np.logspace(-12, -1, 12))).ravel()])
+    assert co._deltoid_contains(z).tolist() == [inside(w) for w in z]

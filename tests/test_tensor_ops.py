@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from dualunitary import tensor_ops as to
 from dualunitary.haar_mc import sample_haar, substream
-from dualunitary.tolerances import RESHUFFLE_TOL
+from dualunitary.tolerances import GATE_UNITARY_TOL, RESHUFFLE_TOL
 
 
 def random_complex(n, seed):
@@ -201,6 +201,22 @@ def test_unitarity_defect_and_require():
     nan[1, 2] = np.nan
     with pytest.raises(ValueError, match="not unitary"):
         to.require_unitary(nan)
+
+
+def test_expi_hermitian_matches_expm_and_is_unitary():
+    # the kicks of perturbed_two_unitary (d = q^2) and of the max-rate
+    # hill-climb (d = q) at q = 2-4, against scipy's Pade expm
+    import scipy.linalg
+
+    rng = np.random.default_rng(22)
+    for d in (2, 3, 4, 9, 16):
+        for _ in range(40):
+            H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            H = (H + H.conj().T) / 2
+            eps = rng.uniform(0.005, 0.5)
+            E = to.expi_hermitian(H, eps)
+            assert np.abs(E - scipy.linalg.expm(1j * eps * H)).max() < 1e-13
+            assert to.unitarity_defect(E) <= GATE_UNITARY_TOL
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
