@@ -254,19 +254,24 @@ def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
     }
 
 
+def channel_power_traces(P, a_i, a_j):
+    """tr[P(a_i) a_j]/q for the vectorized channel P (q^2 x q^2), one value per
+    pair of the paired stacks a_i, a_j (k x q x q): P applied to each a_i alone."""
+    q = local_dim(P)
+    a_i = np.asarray(a_i, dtype=complex).reshape(-1, q * q)
+    return [complex(np.trace((P @ a).reshape(q, q) @ b)) / q
+            for a, b in zip(a_i, np.asarray(a_j).reshape(-1, q, q), strict=True)]
+
+
 def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):
     """Light-cone correlation C_(+/-)(+/-t, t) = tr[M^(2t)(a_i) a_j]/q.
 
     a_i and a_j are q x q operators, or paired stacks of them (k x q x q),
     which give a list of one value per pair.  The channel is built and raised
-    to the power 2t once per call, and applied to each a_i alone."""
-    q = local_dim(U)
+    to the power 2t once per call (`channel_power_traces`)."""
     M = build_m_plus(U) if side == "plus" else build_m_minus(U)
-    P = np.linalg.matrix_power(M, 2 * t)
-    a_i, a_j = np.asarray(a_i, dtype=complex), np.asarray(a_j)
-    values = [complex(np.trace(devectorize(P @ vectorize(a)) @ b)) / q
-              for a, b in zip(a_i.reshape(-1, q, q), a_j.reshape(-1, q, q), strict=True)]
-    return values if a_i.ndim == 3 else values[0]
+    values = channel_power_traces(np.linalg.matrix_power(M, 2 * t), a_i, a_j)
+    return values if np.ndim(a_i) == 3 else values[0]
 
 
 def inhomogeneous_bound(gates):

@@ -117,9 +117,8 @@ class CircuitSimulator:
         self._layers = (cfg.even_gates, cfg.odd_gates)
         one = np.eye(q).reshape(q * q)  # the identity on one leg
         self._open, self._trace = one[:, None], one[None, :] / q
-        # C[j] = tr[a_j rho] / q and C[k, l] = tr[a_k a_l rho] / q from the state rho of one leg
+        # C[j] = tr[a_j rho] / q from the state rho of one leg
         self._read = B.transpose(0, 2, 1).reshape(q * q, q * q).T / q
-        self._products = np.einsum("kim,lmo->oikl", B, B).reshape(q * q, -1) / q
         self._gates = {}  # (gate id, opened, traced) -> the gate's matrix in a sweep
         self._single = {}
         self._two = {}
@@ -269,6 +268,14 @@ class CircuitSimulator:
             T = T.reshape((qq,) * (len(axes) - 1) + (batch,))
         return T.transpose([axes.index(x) for x in (*targets, -1)])
 
+    def _off_cone(self, legs, T, opened):
+        """The state (axes opened legs..., batch) of every sweep from T on `legs`
+        to `opened` target legs off their forward cone: T traced out, then the
+        identity opened, as `_plan` gives such a sweep, which keeps no gate."""
+        targets = [("open", k) for k in range(opened)]
+        plan = [(self._trace, [x], []) for x in legs] + [(self._open, [], [x]) for x in targets]
+        return self._run(plan, legs, T, targets)
+
     def _sweeps(self, steps, legs, T, targets, t):
         """The states of the sweeps from T on `legs` (axes legs..., batch) through
         `steps`, their t-period cone, to each tuple of target legs.  Every sweep
@@ -285,7 +292,7 @@ class CircuitSimulator:
         on = [x for x in xs if x in cone]
         states = self._sweeps(steps, [leg], T, [(x,) for x in on], t)
         rows = {x: S.T @ self._read for x, S in zip(on, states)}
-        off = np.dot(self._open, np.dot(self._trace, T)).T @ self._read
+        off = self._off_cone([leg], T, 1).T @ self._read if len(on) < len(xs) else None
         return np.array([rows.get(x, off) for x in xs]).reshape(len(xs), *np.shape(i), -1)
 
     def correlations(self, i, y, x, t):
@@ -314,19 +321,27 @@ class CircuitSimulator:
 
     def _two_site_table(self, i, j, t):
         """C[x1, x2, k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L)
-        for every pair of legs and basis indices, one sweep per pair {x1, x2}:
-        on two legs a_k^{x1} and a_l^{x2} commute."""
+        for every pair of legs and basis indices, one sweep per pair {x1, x2}
+        with a leg in the forward cone of {0, 1}; the pairs off it share the
+        trace-then-open state.  On two legs a_k^{x1} and a_l^{x2} commute."""
         n, nb, B = self.n_legs, self.q**2, self.basis
 
         def build():
+            # C[k, l] = tr[a_k a_l rho] / q from the state rho of one leg
+            products = np.einsum("kim,lmo->oikl", B, B).reshape(nb, -1) / self.q
             T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
+            steps = self._steps([0, 1], t)
+            cone = {0, 1}.union(*(step[1:3] for step in steps))
             pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
-            targets = [(x1,) if x1 == x2 else (x1, x2) for x1, x2 in pairs]
-            states = self._sweeps(self._steps([0, 1], t), [0, 1], T, targets, t)
+            on = [p for p in pairs if cone.intersection(p)]
+            targets = [(x1,) if x1 == x2 else (x1, x2) for x1, x2 in on]
+            states = dict(zip(on, self._sweeps(steps, [0, 1], T, targets, t)))
+            off = {k: self._off_cone([0, 1], T, k) for k in (1, 2)}
             table = np.empty((n, n, nb, nb), dtype=complex)
-            for (x1, x2), S in zip(pairs, states):
+            for x1, x2 in pairs:
+                S = states.get((x1, x2), off[len({x1, x2})])
                 if x1 == x2:
-                    table[x1, x1] = (S[:, 0] @ self._products).reshape(nb, nb)
+                    table[x1, x1] = (S[:, 0] @ products).reshape(nb, nb)
                 else:
                     table[x1, x2] = self._read.T @ S[..., 0] @ self._read
                     table[x2, x1] = table[x1, x2].T

@@ -21,9 +21,9 @@ or written), 4 non-convergence; every failure writes a one-line JSON error
 record as the first line on stderr.  A circuit config's "gate" is a gate file
 path or an inline gate object; `channel spectrum --locals` takes seed:<int>.
 Every command emits a run manifest next to its output file (or on stderr when
-the output is stdout or not a regular file); it records the Haar-stream
-layout (`stream_scheme`, see haar_mc) and, for the sweeps, the thread cap
-`workers` the run used.
+the output is stdout or not a regular file); it records the sha256 of each
+output's bytes as written, the Haar-stream layout (`stream_scheme`, see
+haar_mc) and, for the sweeps, the thread cap `workers` the run used.
 """
 
 import argparse
@@ -43,9 +43,9 @@ from . import __version__
 from .channels import (
     build_m_minus,
     build_m_plus,
+    channel_power_traces,
     channel_spectrum,
     classify_gate,
-    lightcone_correlation_prediction,
 )
 from .circuit_sim import CircuitConfig, CircuitSimulator
 from .constructions import (
@@ -117,13 +117,17 @@ def _write_json(path, obj):
 
 
 def _write_text(path, chunks):
-    """Write the text chunks in order to path, or to stdout for '-'."""
+    """Write the text chunks in order to path, or to stdout for '-'.  A file
+    output is (path, sha256 of the bytes as written), None for stdout."""
     if path in (None, "-"):
         sys.stdout.writelines(chunks)
         return None
+    h = hashlib.sha256()
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(chunks)
-    return path
+        for chunk in chunks:
+            fh.write(chunk)
+            h.update(chunk.encode(fh.encoding))
+    return path, h.hexdigest()
 
 
 def _read_json(path):
@@ -139,16 +143,10 @@ def _read_gate(path):
     return gate_from_json(_read_json(path))
 
 
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _emit_manifest(args, outputs, t0):
-    files = [p for p in outputs if p and os.path.isfile(p)]
+    """The run manifest: beside the first output that is a regular file, with
+    the digests `_write_text` took of the outputs, else on stderr."""
+    files = dict(out for out in outputs if out and os.path.isfile(out[0]))
     manifest = {
         "command": " ".join(args._command_path),
         "argv": args._raw_argv,
@@ -156,13 +154,13 @@ def _emit_manifest(args, outputs, t0):
         "stream_scheme": STREAM_SCHEME,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 6),
-        "outputs": {p: _digest(p) for p in files},
+        "outputs": files,
     }
     if hasattr(args, "workers"):
         manifest["workers"] = args.workers
     blob = _json(manifest, indent=2, sort_keys=True)
     if files:
-        with open(files[0] + ".manifest.json", "w", newline="\n") as fh:
+        with open(next(iter(files)) + ".manifest.json", "w", newline="\n") as fh:
             fh.write(blob)
     else:  # stdout, /dev/null, a pipe: nothing to write beside
         sys.stderr.write(blob)
@@ -433,6 +431,21 @@ def _pairs_or_default(pairs, q):
     return [(i, j) for i in range(1, nb) for j in range(1, nb)]
 
 
+def _corr_csv(tables, batch, pairs):
+    """The `circuit corr` CSV of the tables C[x, batch index, j] at t = 1, 2,
+    ...: a row (x, t, i, j, re, im) per t, leg and pair, as `_fmt` writes it
+    (repr of a Python float is its shortest round-trip text)."""
+    k, j = [batch.index(i) for i, _ in pairs], [j for _, j in pairs]
+    labels = [f"{i},{j}" for i, j in pairs]
+    lines = ["x,t,i,j,value_re,value_im\n"]
+    for t in range(1, len(tables) + 1):
+        c = tables[t][:, k, j]
+        for n, (res, ims) in enumerate(zip(c.real.tolist(), c.imag.tolist())):
+            head = f"{0.5 * n!r},{t},"
+            lines += [f"{head}{ij},{re!r},{im!r}\n" for ij, re, im in zip(labels, res, ims)]
+    return "".join(lines)
+
+
 def cmd_circuit_corr(args):
     cfg, t_max, pairs = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
@@ -442,11 +455,7 @@ def cmd_circuit_corr(args):
     # configured a_i travel as one batch, so each (t, x) is one sweep
     batch = tuple(sorted({i for i, _ in pairs}))
     tables = {t: sim.single_site_table(batch, 0.0, t) for t in (t_max, *range(1, t_max))}
-    rows = ((0.5 * n, t, i, j, c.real, c.imag)
-            for t in range(1, t_max + 1) for n in range(sim.n_legs) for i, j in pairs
-            for c in [tables[t][n, batch.index(i), j]])
-    out = _write_csv(args.output, ("x", "t", "i", "j", "value_re", "value_im"), rows)
-    return [out]
+    return [_write_text(args.output, [_corr_csv(tables, batch, pairs)])]
 
 
 def cmd_circuit_verify(args):
@@ -464,13 +473,15 @@ def cmd_circuit_verify(args):
     worst_cone, worst_interior = 0.0, 0.0
     a_i, a_j = (sim.basis[[p[k] for p in pairs]] for k in (0, 1))
     batch = sorted({i for i, _ in pairs})
+    channels = build_m_plus(cfg.gate), build_m_minus(cfg.gate)
     for t in (t_max, *range(1, t_max)):  # an over-budget t_max is refused first
         # the interior entry C+(x = 0) first: its sweep carries the largest state
         worst_interior = max(worst_interior, abs(sim.correlations(1, 0.0, 0.0, t)[1]))
         # one sweep per ray, the configured a_i as its batch: C+(x = t), C-(x = -t)
         gp, gm = (sim.correlations(batch, y, y + x, t) for y, x in ((0.0, t), (0.5, -t)))
-        pp, pm = (lightcone_correlation_prediction(cfg.gate, a_i, a_j, t, side=side)
-                  for side in ("plus", "minus"))
+        # tr[M^(2t)(a_i) a_j] / q on each ray, M+ and M- built once per call
+        pp, pm = (channel_power_traces(np.linalg.matrix_power(M, 2 * t), a_i, a_j)
+                  for M in channels)
         for (i, j), vp, vm in zip(pairs, pp, pm, strict=True):
             k = batch.index(i)
             worst_cone = max(worst_cone, abs(gp[k, j] - vp), abs(gm[k, j] - vm))

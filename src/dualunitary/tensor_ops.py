@@ -220,14 +220,16 @@ def _json_array(value, key, shape, kind="integer"):
     """A JSON integer (shape ()), or nested lists of JSON integers or numbers
     (kind) of the given shape, as a numpy array; bools, strings and ragged
     lists are refused, never coerced."""
-    types = (int,) if kind == "integer" else (int, float)
+    types = {int} if kind == "integer" else {int, float}
 
     def fits(v, dims):
-        if not dims:
-            return type(v) in types
-        return type(v) is list and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
+        if type(v) is not list or len(v) != dims[0]:
+            return False
+        if len(dims) == 1:  # an innermost row: one test of its set of types
+            return {*map(type, v)} <= types
+        return all(fits(x, dims[1:]) for x in v)
 
-    if not fits(value, shape):
+    if not (type(value) in types if shape == () else fits(value, shape)):
         what = "an integer" if shape == () else "a {} x {} matrix of {}s".format(*shape, kind)
         raise ValidationError(f"{key} must be {what}, got {reprlib.repr(value)}")
     try:

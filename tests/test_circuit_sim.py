@@ -445,3 +445,39 @@ def test_off_cone_legs_share_one_row_equal_to_their_sweeps(monkeypatch):
                     for x, S in enumerate(states):
                         assert np.array_equal(table[x], (S.T @ sim._read).reshape(table[x].shape))
     assert offs > 0
+
+
+def _two_site_by_sweeps(sim, i, j, t):
+    """The two-site table with one planned sweep for every pair {x1, x2}."""
+    n, nb, B = sim.n_legs, sim.q**2, sim.basis
+    products = np.einsum("kim,lmo->oikl", B, B).reshape(nb, -1) / sim.q
+    T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
+    pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
+    targets = [(x1,) if x1 == x2 else (x1, x2) for x1, x2 in pairs]
+    table = np.empty((n, n, nb, nb), dtype=complex)
+    for (x1, x2), S in zip(pairs, sim._sweeps(sim._steps([0, 1], t), [0, 1], T, targets, t)):
+        if x1 == x2:
+            table[x1, x1] = (S[:, 0] @ products).reshape(nb, nb)
+        else:
+            table[x1, x2] = sim._read.T @ S[..., 0] @ sim._read
+            table[x2, x1] = table[x1, x2].T
+    return table
+
+
+def test_two_site_pairs_off_the_cone_share_one_state_equal_to_their_sweeps(monkeypatch):
+    # a pair with both legs off the forward cone of {0, 1} is planned no sweep:
+    # it shares the trace-then-open state, bit for bit its own sweep's
+    plans = []
+    plan = cs.CircuitSimulator._plan
+    monkeypatch.setattr(cs.CircuitSimulator, "_plan",
+                        lambda self, *args: plans.append(args[2]) or plan(self, *args))
+    rng = substream(12, "two-site off-cone")
+    for q, L, t, off in ((2, 4, 1, 10), (2, 8, 1, 78), (2, 16, 2, 300), (3, 3, 1, 3)):
+        cfg = cs.CircuitConfig(q=q, L=L, gate=sample_haar(q * q, rng))
+        sim, n = cs.CircuitSimulator(cfg), 2 * L
+        plans.clear()
+        table = sim._two_site_table(1, 2, t)
+        assert len(plans) == n * (n + 1) // 2 - off, (q, L, t)
+        if L <= 4:
+            assert np.array_equal(table, _two_site_by_sweeps(sim, 1, 2, t))
+            assert _oracle_worst(cfg, t, (), (), [(1, 2, 3, 1), (2, 0, 1, 2)]) < 1e-12

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import os
@@ -8,10 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dualunitary
 from dualunitary import cli
-from dualunitary.circuit_sim import CircuitSimulator
+from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
 from dualunitary.constructions import perm_spec_to_json, PERM_OLS_EXAMPLE_Q3
 from dualunitary.tensor_ops import gate_to_json
@@ -229,35 +232,45 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
 
 
 def test_circuit_verify_checks_the_configured_pairs(tmp_path, capsys, monkeypatch):
+    from dualunitary.channels import build_m_minus, build_m_plus
+
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
-                               "basis_pairs": [[3, 2]]}))
+                               "basis_pairs": [[3, 2], [1, 3], [3, 3]]}))
     checked = []
-    real = cli.lightcone_correlation_prediction
-    monkeypatch.setattr(cli, "lightcone_correlation_prediction", lambda U, a, b, t, side: (
-        checked.append((t, side)) or real(U, a, b, t, side=side)))
+    real = cli.channel_power_traces
+    monkeypatch.setattr(cli, "channel_power_traces", lambda P, a, b: (
+        checked.append((P, a, b)) or real(P, a, b)))
     assert main(["circuit", "verify", str(cfg)]) == 0
     assert _strict_json(capsys.readouterr().out)["ok"] is True
-    assert checked == [(1, "plus"), (1, "minus")]  # the one configured pair, both rays
+    # every configured pair, in one stack, on the M+ ray and then the M- ray
+    U, basis = cli._read_gate(str(gate)), weyl_basis(2)
+    assert len(checked) == 2
+    for (P, a, b), build in zip(checked, (build_m_plus, build_m_minus)):
+        assert np.array_equal(P, np.linalg.matrix_power(build(U), 2))
+        assert np.array_equal(a, basis[[3, 1, 3]]) and np.array_equal(b, basis[[2, 3, 3]])
 
 
 def test_circuit_verify_builds_the_channels_once_per_ray_and_time(tmp_path, capsys, monkeypatch):
-    # the predictions of every basis pair come from one M+- and one power 2t per (side, t)
+    # one M+ and one M- per call, each gate checked once; one power 2t per (side, t)
     from dualunitary import channels
 
     calls = []
     for name in ("build_m_plus", "build_m_minus"):
-        monkeypatch.setattr(channels, name, lambda U, real=getattr(channels, name), name=name: (
+        monkeypatch.setattr(cli, name, lambda U, real=getattr(cli, name), name=name: (
             calls.append(name) or real(U)))
+    check = channels.require_unitary
+    monkeypatch.setattr(channels, "require_unitary", lambda U, what: (
+        calls.append("require_unitary") or check(U, what=what)))
     power = np.linalg.matrix_power
     monkeypatch.setattr(np.linalg, "matrix_power", lambda M, n: calls.append(n) or power(M, n))
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
-    for L, t_max, want in ((2, 1, ["build_m_plus", 2, "build_m_minus", 2]),
-                           (4, 2, ["build_m_plus", 4, "build_m_minus", 4,
-                                   "build_m_plus", 2, "build_m_minus", 2])):
+    built = ["build_m_plus", "require_unitary", "build_m_minus", "require_unitary"]
+    for L, t_max, want in ((2, 1, built + [2, 2]), (4, 2, built + [4, 4, 2, 2]),
+                           (6, 3, built + [6, 6, 2, 2, 4, 4])):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 2, "L": L, "gate": str(gate), "t_max": t_max}))
         calls.clear()
@@ -655,3 +668,37 @@ def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):
     capsys.readouterr()
     assert main(["circuit", "corr", str(cfg)]) == 3
     assert "UTF-8 JSON" in _validation_error(capsys)
+
+
+_CSV_FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-17, 0.1, 1 / 3])
+               | st.floats())
+
+
+@st.composite
+def _corr_tables(draw):
+    """(tables, batch, pairs): complex tables C[x, batch index, j] at t = 1 ..
+    t_max over 2L legs, and the basis pairs whose rows `circuit corr` writes."""
+    q, n_legs, t_max = draw(st.integers(2, 3)), 2 * draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, q * q - 1), st.integers(0, q * q - 1)),
+                          min_size=1, max_size=5))
+    batch = tuple(sorted({i for i, _ in pairs}))
+    shape = (n_legs, len(batch), q * q)
+    part = arrays(np.float64, shape, elements=_CSV_FLOATS)
+    tables = {}
+    for t in range(1, t_max + 1):
+        tables[t] = np.empty(shape, dtype=complex)
+        tables[t].real, tables[t].imag = draw(part), draw(part)
+    return tables, batch, pairs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_corr_tables())
+def test_circuit_corr_rows_keep_the_text_of_fmt(case):
+    # one pass over the table arrays writes each row as ",".join(map(_fmt, row))
+    tables, batch, pairs = case
+    header = ("x", "t", "i", "j", "value_re", "value_im")
+    rows = ((0.5 * n, t, i, j, c.real, c.imag)
+            for t in range(1, len(tables) + 1) for n in range(len(tables[1]))
+            for i, j in pairs for c in [tables[t][n, batch.index(i), j]])
+    want = "".join(",".join(map(cli._fmt, row)) + "\n" for row in itertools.chain([header], rows))
+    assert cli._corr_csv(tables, batch, pairs) == want

@@ -227,3 +227,89 @@ def test_gate_json_rejects_non_finite_entries(part, bad):
     for obj in (payload, json.loads(json.dumps(payload))):
         with pytest.raises(ValueError, match="non-finite"):
             to.gate_from_json(obj)
+
+
+def _recursive_json_array(value, key, shape, kind="integer"):
+    """The reader `_json_array` replaced: one recursive type test per entry."""
+    import reprlib
+
+    types = (int,) if kind == "integer" else (int, float)
+
+    def fits(v, dims):
+        if not dims:
+            return type(v) in types
+        return type(v) is list and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
+
+    if not fits(value, shape):
+        what = "an integer" if shape == () else "a {} x {} matrix of {}s".format(*shape, kind)
+        raise to.ValidationError(f"{key} must be {what}, got {reprlib.repr(value)}")
+    try:
+        return np.array(value, dtype=int if kind == "integer" else float)
+    except OverflowError:
+        raise to.ValidationError(f"{key} holds a number out of range") from None
+
+
+# every kind of JSON scalar, and ints beyond int64 and beyond float
+_JSON_LEAVES = (st.integers(-3, 3) | st.integers(-2**80, 2**80)
+                | st.sampled_from([2**63, -2**63 - 1, 10**400, -10**400])
+                | st.floats() | st.booleans() | st.none() | st.text(max_size=2))
+
+
+@st.composite
+def _json_arrays(draw):
+    """(value, shape): a JSON integer (shape ()) or an r x c matrix of ints or
+    numbers, then at most one flaw: a stray leaf or list for an entry or a
+    row, a short or long row, or one level of nesting too many."""
+    shape = draw(st.sampled_from([(), (1, 1), (2, 2), (2, 3), (3, 2), (0, 2), (2, 0)]))
+    leaf = draw(st.sampled_from([st.integers(-9, 9), st.integers(-9, 9) | st.floats(),
+                                 st.integers(-2**70, 2**70), _JSON_LEAVES]))
+    stray = _JSON_LEAVES | st.lists(_JSON_LEAVES, max_size=2)
+    if shape == ():
+        return draw(leaf | stray), shape
+    value = draw(st.lists(st.lists(leaf, min_size=shape[1], max_size=shape[1]),
+                          min_size=shape[0], max_size=shape[0]))
+    flaw = draw(st.sampled_from(["none", "entry", "row", "short", "long", "deeper"]))
+    if flaw != "none" and value and value[0]:
+        k, m = draw(st.integers(0, len(value) - 1)), draw(st.integers(0, len(value[0]) - 1))
+        if flaw == "entry":
+            value[k][m] = draw(stray)
+        elif flaw == "row":
+            value[k] = draw(stray)
+        elif flaw == "short":
+            del value[k][m]
+        elif flaw == "long":
+            value[k].append(draw(leaf))
+        else:
+            value = [value] if draw(st.booleans()) else [[[x] for x in row] for row in value]
+    return value, shape
+
+
+def _outcome(read, value, key, shape, kind):
+    try:
+        A = read(value, key, shape, kind)
+    except to.ValidationError as exc:
+        return "refused", str(exc)
+    return "accepted", A.dtype, A.shape, A.tolist()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_json_arrays(), kind=st.sampled_from(["integer", "number"]))
+def test_json_array_accepts_and_refuses_what_the_recursive_reader_did(case, kind):
+    value, shape = case
+    want = _outcome(_recursive_json_array, value, "K", shape, kind)
+    assert _outcome(to._json_array, value, "K", shape, kind) == want
+
+
+def test_json_array_refusals_keep_their_messages():
+    for value, shape, kind, message in (
+            (True, (), "integer", "q must be an integer, got True"),
+            ([[1, 2], [3]], (2, 2), "integer",
+             "q must be a 2 x 2 matrix of integers, got [[1, 2], [3]]"),
+            ([[1, 2.0], [3, 4]], (2, 2), "integer", "q must be a 2 x 2 matrix of integers"),
+            ([[1, None], [3, 4]], (2, 2), "number", "q must be a 2 x 2 matrix of numbers"),
+            ([[1, [2]], [3, 4]], (2, 2), "number", "q must be a 2 x 2 matrix of numbers"),
+            ([[1, 2], [3, 2**64]], (2, 2), "integer", "q holds a number out of range"),
+            ([[1, 2], [3, 10**400]], (2, 2), "number", "q holds a number out of range")):
+        with pytest.raises(to.ValidationError) as info:
+            to._json_array(value, "q", shape, kind)
+        assert str(info.value).startswith(message)
