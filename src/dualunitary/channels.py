@@ -256,11 +256,15 @@ def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
 
 def channel_power_traces(P, a_i, a_j):
     """tr[P(a_i) a_j]/q for the vectorized channel P (q^2 x q^2), one value per
-    pair of the paired stacks a_i, a_j (k x q x q): P applied to each a_i alone."""
+    pair of the paired stacks a_i, a_j (k x q x q): P applied to each a_i alone,
+    as one stacked matrix-vector product, then one stacked product with the a_j."""
     q = local_dim(P)
     a_i = np.asarray(a_i, dtype=complex).reshape(-1, q * q)
-    return [complex(np.trace((P @ a).reshape(q, q) @ b)) / q
-            for a, b in zip(a_i, np.asarray(a_j).reshape(-1, q, q), strict=True)]
+    a_j = np.asarray(a_j).reshape(-1, q, q)
+    if len(a_i) != len(a_j):
+        raise ValidationError(f"{len(a_i)} a_i against {len(a_j)} a_j: the stacks must pair up")
+    traces = np.trace(np.matmul(P, a_i[..., None]).reshape(-1, q, q) @ a_j, axis1=1, axis2=2)
+    return [c / q for c in traces.tolist()]
 
 
 def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):

@@ -13,16 +13,17 @@ the backward cone of B; what is left is the causal diamond of Bertini, Kos
 and Prosen, PRL 123, 210601 (2019).  One sweep contracts it: its gates act in
 a topological order on a state over the live legs, a leg opening with the
 identity at its first gate and, unless it is a target, traced out after its
-last, both folded into that gate's matrix.  Of the two orders that put first
-the smaller light-cone coordinate depth + position or depth - position, the
-plan keeps the one whose largest state is smaller: inside the window
-t <= L/2 a single-site sweep carries at most t + 1 legs, 16 q^(2(t+1)) bytes
-per batch entry, where the whole evolved operator covers 4t legs.  The plan
-is the geometry alone, so every output byte follows from the inputs, and its
-state is checked against the budget before anything is allocated.  Beyond
-the window the cones wrap around the ring: the sweep stays exact, and only
-its state grows.  The correlators are infinite-temperature traces, so no
-state sampling enters and the results are exact.
+last, both folded into that gate's matrix.  The plan is made in one backward
+pass over the forward cone; of the two orders that put first the smaller
+light-cone coordinate depth + position or depth - position, it keeps the one
+whose largest state is smaller: inside the window t <= L/2 a single-site
+sweep carries at most t + 1 legs, 16 q^(2(t+1)) bytes per batch entry, where
+the whole evolved operator covers 4t legs.  The plan is the geometry alone,
+so every output byte follows from the inputs, and its state is checked
+against the budget before anything is allocated.  Beyond the window the
+cones wrap around the ring: the sweep stays exact, and only its state grows.
+The correlators are infinite-temperature traces, so no state sampling enters
+and the results are exact.
 
 The simulator exists to validate channel predictions: for dual gates the
 single-site correlator vanishes strictly inside the light cone and equals
@@ -35,6 +36,7 @@ here is exact at any t >= 0.
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,6 +47,10 @@ from .tolerances import SITE_TOL
 # per batch entry; a gate step holds about three at once), and all the
 # correlator tables it keeps, together
 SUPPORT_BUDGET = 2**28
+# the sides (0 for a gate's first leg, 1 for its second) in a bit mask, and the
+# slice of [first leg, second leg] that the mask leaves
+_SIDES = ((), (0,), (1,), (0, 1))
+_LEFT = (slice(0, 2), slice(1, 2), slice(0, 1), slice(0, 0))
 
 
 def _require_budget(nbytes, what):
@@ -88,16 +94,14 @@ def weyl_basis(q):
     X = np.zeros((q, q), dtype=complex)
     for k in range(q):
         X[(k + 1) % q, k] = 1.0
-    Z = np.diag(w ** np.arange(q))
-    basis = []
-    Xm = np.eye(q, dtype=complex)
-    for _ in range(q):
-        Zn = np.eye(q, dtype=complex)
-        for _ in range(q):
-            basis.append(Xm @ Zn)
-            Zn = Zn @ Z
-        Xm = Xm @ X
-    return np.array(basis)
+    XZ = np.array([X, np.diag(w ** np.arange(q))])
+    # P[:, m] = X^m, Z^m as the products I X X ... and I Z Z ..., one matmul a
+    # step, so every part of a_(m,n) = X^m Z^n keeps its bits and its zero signs
+    P = np.empty((2, q, q, q), dtype=complex)
+    P[:, 0] = np.eye(q)
+    for m in range(1, q):
+        np.matmul(P[:, m - 1], XZ, out=P[:, m])
+    return np.matmul(P[0, :, None], P[1]).reshape(q * q, q, q)
 
 
 class CircuitSimulator:
@@ -185,47 +189,48 @@ class CircuitSimulator:
         legs), each applied in turn to the state.  Its largest state is checked
         against the budget here, before any matrix is built.
 
-        It keeps the gates in the backward cone of the targets.  A leg other
-        than a target is traced out after its last kept gate, or at once if it
-        is an initial leg that none reaches; a target that none reaches opens
-        at the end.  The kept gates on one leg follow one another in every
-        topological order, so their matrices do not depend on the order.
-        Kahn's algorithm gives two orders, putting first the smaller
-        depth + position or depth - position (the position of a gate's first
-        leg counted from the first initial leg), and the plan keeps the one
-        whose largest state has fewer legs, the first on a tie."""
-        need, kept = set(targets), []
-        for step in reversed(steps):
-            if step[1] in need or step[2] in need:
-                need.update(step[1:3])
-                kept.append(step)
-        kept.reverse()
-        last = {}
-        for k, (_, a, b, _) in enumerate(kept):
-            last[a] = last[b] = k
-        first = [x for x in legs if x not in last and x not in targets]
-        live = set(legs) - set(first)
-        n, work, growth = self.n_legs, [], []
-        prev, after, blocked = {}, [[] for _ in kept], [0] * len(kept)
-        for k, (_, a, b, g) in enumerate(kept):
-            opened = tuple(s for s, x in enumerate((a, b)) if x not in live)
-            traced = tuple(s for s, x in enumerate((a, b)) if last[x] == k and x not in targets)
-            live |= {a, b}
-            live -= {(a, b)[s] for s in traced}
-            work.append((g, opened, traced, [(a, b)[s] for s in (0, 1) if s not in opened],
-                         [(a, b)[s] for s in (0, 1) if s not in traced]))
-            growth.append(len(opened) - len(traced))
-            for x in (a, b):
-                if x in prev:
-                    after[prev[x]].append(k)
-                    blocked[k] += 1
-                prev[x] = k
-        end = [x for x in targets if x not in live]
+        One backward pass over `steps` keeps the gates in the backward cone of
+        the targets and links each to the next kept gate on its legs.  A leg
+        other than a target is traced out after its last kept gate, or at once
+        if it is an initial leg that none reaches; a target that none reaches
+        opens at the end.  The kept set is closed under predecessors, so a kept
+        gate opens a leg unless it is an initial leg or the pass meets an
+        earlier gate on it.  The kept gates on one leg follow one another in
+        every topological order, so their matrices do not depend on the order.
+        Kahn's algorithm gives two orders, putting first the smaller depth +
+        position or depth - position (the position of a gate's first leg
+        counted from the first initial leg), and the plan keeps the one whose
+        largest state has fewer legs, the first on a tie; no state is smaller
+        than the `legs` it starts on or the `targets` it ends on."""
+        n, need, nxt = self.n_legs, set(targets), {}
+        # per kept step index: keys d + p and d - p, opened and traced sides as
+        # bit masks, legs added to the state, successors, number of predecessors
+        keys, opened, traced, growth, after, blocked = {}, {}, {}, {}, {}, {}
+        for k in range(len(steps) - 1, -1, -1):
+            d, a, b, _ = steps[k]
+            if a in need or b in need:
+                p = (a - legs[0] + n // 2) % n
+                keys[k] = d + p, d - p
+                opened[k] = (a not in legs) | (b not in legs) << 1
+                traced[k] = (a not in need) | (b not in need) << 1
+                growth[k] = opened[k].bit_count() - traced[k].bit_count()
+                after[k], blocked[k] = [], 0
+                for bit, x in ((1, a), (2, b)):
+                    if x in nxt:  # k precedes the kept gate m on leg x: m does not open x
+                        m, side = nxt[x]
+                        after[k].append(m)
+                        blocked[m] += 1
+                        opened[m] &= ~side
+                        growth[m] -= x not in legs
+                    nxt[x] = k, bit
+                need.add(a)
+                need.add(b)
+        first = [x for x in legs if x not in nxt and x not in targets]
+        end = [x for x in targets if x not in nxt and x not in legs]
 
-        def order(sign):
-            left = blocked[:]
-            key = [d + sign * ((a - legs[0] + n // 2) % n) for d, a, _, _ in kept]
-            ready = [(key[k], k) for k in range(len(kept)) if not left[k]]
+        def order(minus):  # by d + p, or by d - p
+            left = dict(blocked)
+            ready = [(keys[k][minus], k) for k, c in left.items() if not c]
             heapq.heapify(ready)
             out = []
             while ready:
@@ -234,26 +239,21 @@ class CircuitSimulator:
                 for m in after[k]:
                     left[m] -= 1
                     if not left[m]:
-                        heapq.heappush(ready, (key[m], m))
-            return out
+                        heapq.heappush(ready, (keys[m][minus], m))
+            sizes = accumulate(map(growth.__getitem__, out), initial=len(legs) - len(first))
+            return max(len(legs), len(targets), *sizes), out
 
-        def largest(order):
-            size = peak = len(legs)
-            size -= len(first)
-            for k in order:
-                size += growth[k]
-                peak = max(peak, size)
-            return max(peak, size + len(end))
-
-        best = min((order(1), order(-1)), key=largest)
-        size = largest(best)
-        _require_budget(16 * batch * self.q ** (2 * size),
-                        f"at t = {t} a sweep carries {size} legs as a q={self.q} state"
-                        + (f" batch of {batch}" if batch > 1 else ""))
-        return ([(self._trace, [x], []) for x in first]
-                + [(self._gate(g, opened, traced), ins, outs)
-                   for g, opened, traced, ins, outs in (work[k] for k in best)]
-                + [(self._open, [], [x]) for x in end])
+        size, best = min(order(0), order(1), key=lambda o: o[0])
+        nbytes = 16 * batch * self.q ** (2 * size)
+        if nbytes > SUPPORT_BUDGET:  # the message is formatted only for a refusal
+            _require_budget(nbytes, f"at t = {t} a sweep carries {size} legs as a q={self.q} "
+                            "state" + (f" batch of {batch}" if batch > 1 else ""))
+        plan = [(self._trace, [x], []) for x in first]
+        for k in best:
+            _, a, b, g = steps[k]
+            ab, o, c = [a, b], opened[k], traced[k]
+            plan.append((self._gate(g, _SIDES[o], _SIDES[c]), ab[_LEFT[o]], ab[_LEFT[c]]))
+        return plan + [(self._open, [], [x]) for x in end]
 
     def _run(self, plan, legs, T, targets):
         """The state of a sweep after its plan, from T on `legs` (axes legs...,

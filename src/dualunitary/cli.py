@@ -399,6 +399,9 @@ def _load_circuit(path):
     if unknown:
         raise ValidationError(f"unknown circuit config keys {unknown}; allowed {list(CIRCUIT_KEYS)}")
     q, L = _positive_int(raw, "q"), _positive_int(raw, "L")
+    if "t_max" not in raw and L < 2:
+        raise ValidationError(f"t_max must be an integer >= 1, got the default "
+                              f"t_max = L // 2 = {L // 2} for L = {L}; set t_max")
     t_max = _positive_int(raw, "t_max", L // 2)
     gate = raw["gate"]
     if isinstance(gate, str):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from dualunitary.channels import lightcone_correlation_prediction
 from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
 from dualunitary.haar_mc import sample_haar, substream
 from dualunitary.qubit_exact import cartan_gate
+from reference_plan import plan as reference_plan
 
 
 def test_weyl_basis_orthonormal_traceless_complete():
@@ -25,6 +27,34 @@ def test_weyl_basis_orthonormal_traceless_complete():
         rho = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         acc = sum(b @ rho @ b.conj().T for b in B) / q**2
         assert np.abs(acc - np.trace(rho) * np.eye(q) / q).max() < 1e-12
+
+
+def _weyl_basis_loop(q):
+    """The basis as q^2 Python-level products X^m @ Z^n, its former form."""
+    w = np.exp(2j * np.pi / q)
+    X = np.zeros((q, q), dtype=complex)
+    for k in range(q):
+        X[(k + 1) % q, k] = 1.0
+    Z = np.diag(w ** np.arange(q))
+    basis = []
+    Xm = np.eye(q, dtype=complex)
+    for _ in range(q):
+        Zn = np.eye(q, dtype=complex)
+        for _ in range(q):
+            basis.append(Xm @ Zn)
+            Zn = Zn @ Z
+        Xm = Xm @ X
+    return np.array(basis)
+
+
+def test_weyl_basis_keeps_the_bytes_of_its_loop_form():
+    # every real and imaginary part, the sign of each zero included
+    for q in range(2, 9):
+        new, old = cs.weyl_basis(q), _weyl_basis_loop(q)
+        assert new.shape == old.shape == (q * q, q, q)
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(new), part(old))
+            assert np.array_equal(np.signbit(part(new)), np.signbit(part(old)))
 
 
 def test_config_validation(monkeypatch):
@@ -481,3 +511,58 @@ def test_two_site_pairs_off_the_cone_share_one_state_equal_to_their_sweeps(monke
         if L <= 4:
             assert np.array_equal(table, _two_site_by_sweeps(sim, 1, 2, t))
             assert _oracle_worst(cfg, t, (), (), [(1, 2, 3, 1), (2, 0, 1, 2)]) < 1e-12
+
+
+def _plan_or_refusal(plan, *args):
+    try:
+        return plan(*args)
+    except to.ValidationError as exc:
+        return str(exc)
+
+
+def _plans_match_the_former_planner(sim, batches, pairs_from=2):
+    """Compare the planners on every t <= 2L + 1, initial legs [0], [1] and
+    [0, 1], and every single target, every pair too from `pairs_from` initial
+    legs on; return the number of cases."""
+    n, cases = sim.n_legs, 0
+    for legs in ([0], [1], [0, 1]):
+        targets = [(x,) for x in range(n)]
+        if len(legs) >= pairs_from:
+            targets += list(itertools.combinations(range(n), 2))
+        for t in range(n + 2):
+            steps = sim._steps(legs, t)
+            for tg, batch in itertools.product(targets, batches):
+                args = (steps, legs, tg, batch, t)
+                want = _plan_or_refusal(reference_plan, sim, *args)
+                got = _plan_or_refusal(sim._plan, *args)
+                cases += 1
+                if isinstance(want, str) or isinstance(got, str):
+                    assert got == want, (sim.q, sim.L, legs, t, tg, batch)
+                    continue
+                assert len(got) == len(want), (sim.q, sim.L, legs, t, tg)
+                for (W, ins, outs), (W0, ins0, outs0) in zip(got, want):
+                    assert W is W0 and ins == ins0 and outs == outs0, (sim.q, sim.L, legs, t, tg)
+    return cases
+
+
+def test_plan_matches_the_former_planner(monkeypatch):
+    # the one-pass planner gives the former planner's sweep: the same matrix
+    # objects, input and output legs and order, or the same budget refusal
+    rng = substream(9, "planner")
+    bonds = [sample_haar(4, rng) for _ in range(16)]
+    sims = {(2, L): cs.CircuitSimulator(cs.CircuitConfig(
+        q=2, L=L, gate=bonds[0], even_gates=bonds[:L], odd_gates=bonds[8:8 + L]))
+        for L in range(1, 9)}
+    cases = sum(_plans_match_the_former_planner(sim, (1,)) for sim in sims.values())
+    # q = 3: wrapped sweeps of 8 legs, and of 7 with a batch of 4, are refused
+    for L in range(1, 5):
+        sim = cs.CircuitSimulator(cs.CircuitConfig(q=3, L=L, gate=sample_haar(9, rng)))
+        cases += _plans_match_the_former_planner(sim, (1, 4))
+    assert cases == 10240
+    # budgets of 1 to 4 legs at q = 2: every largest state, the initial legs
+    # and the targets opened at the end included, sits on one side of a
+    # budget, also for target pairs from one initial leg
+    for legs in range(1, 5):
+        monkeypatch.setattr(cs, "SUPPORT_BUDGET", 16 * 4**legs)
+        for L in range(1, 5):
+            _plans_match_the_former_planner(sims[2, L], (1,), pairs_from=1)

@@ -670,6 +670,26 @@ def test_circuit_config_keys_and_t_max_are_checked(tmp_path, capsys):
     assert "UTF-8 JSON" in _validation_error(capsys)
 
 
+def test_circuit_refusal_names_the_default_t_max(tmp_path, capsys):
+    # L = 1 with no t_max: the default L // 2 = 0 is refused, and the message
+    # says it is the default; an explicit t_max = 0 keeps its own message
+    gate = tmp_path / "g.json"
+    main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
+    cfg = tmp_path / "cfg.json"
+    for extra, message in (({"L": 1}, "t_max must be an integer >= 1, got the default "
+                                      "t_max = L // 2 = 0 for L = 1; set t_max"),
+                           ({"L": 1, "t_max": 0}, "t_max must be an integer >= 1, got 0"),
+                           ({"L": 2, "t_max": 0}, "t_max must be an integer >= 1, got 0")):
+        cfg.write_text(json.dumps({"q": 2, "gate": str(gate), **extra}))
+        for cmd in ("corr", "verify"):
+            capsys.readouterr()
+            assert main(["circuit", cmd, str(cfg)]) == 3
+            assert _validation_error(capsys) == message
+    # L = 1 with an explicit t_max runs: the ring grid is exact at any t
+    cfg.write_text(json.dumps({"q": 2, "L": 1, "t_max": 1, "gate": str(gate)}))
+    assert main(["circuit", "corr", str(cfg), "-o", str(tmp_path / "c.csv")]) == 0
+
+
 _CSV_FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-17, 0.1, 1 / 3])
                | st.floats())
 
