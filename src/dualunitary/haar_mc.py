@@ -36,18 +36,27 @@ with the phase fold and one broadcast u x u* before its kernel, e.g. one
 stacked compression Yh (u x u*) X and one stacked m x m eigensolve.  BLOCK
 bounds the memory of one thread: a block holds BLOCK q^2 x q^2 complex
 matrices u x u* (1 MiB at q = 4) and its kernel's intermediates.  The
-stacked numpy calls still hand LAPACK/BLAS one matrix at a time, so every
-value equals the per-index recipe's bit for bit.
+stacked QR, the left products Yh (u x u*) and the eigensolve hand LAPACK/BLAS
+one matrix at a time; X, shared by the block, multiplies the row-stacked
+(BLOCK m) x q^2 matrix of left products in one call.  A one-column X (m = 1,
+the even-q cat map) keeps one product per index, because numpy sends an
+(n, q^2) @ (q^2, 1) product to a vector kernel whose rows round unlike the
+per-index product.  So every value equals the per-index recipe's bit for
+bit; the block-against-reference tests pin that on gates with m = 1 to 24.
 
 `_map_blocks` is the engine's one parallel loop.  It splits [lo, hi) into at
 most `workers` contiguous chunks (default: the usable CPUs; never more than
 the usable CPUs or the blocks) and walks each block by block: the first in
 the calling thread, every other one on a thread of a pool that lives for the
-one call.  The stacked LAPACK/BLAS calls release the GIL; a block's fixed
-Python cost (Philox set-up, the QR and eigvals wrappers) does not, which is
-why a block is BLOCK indices and not fewer.  Results are per index, so
-neither BLOCK nor the split changes an output.  A range of at most one block
-starts no thread.
+one call.  The LAPACK/BLAS calls release the GIL, but every OpenBLAS call
+also takes a buffer from its shared pool, so many tiny products contend:
+with two products per index, two threads ran the compression at
+0.45/0.62/0.69 times the rate of one (D3S/D2S/D4S; 2 CPUs, scipy-openblas
+0.3.31), and with X applied once per block at 0.54/0.91/0.86.  A block's
+fixed Python cost (Philox set-up, the QR and eigvals wrappers) holds the
+GIL, which is why a block is BLOCK indices and not fewer.  Results are per
+index, so neither BLOCK nor the split changes an output.  A range of at most
+one block starts no thread.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -179,30 +188,47 @@ def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
         with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
             rest = pool.map(lambda a: walk(a, min(a + chunk, hi)), starts[1:])
             parts = walk(lo, lo + chunk) + [p for run in rest for p in run]
-    return np.concatenate([np.empty(0)] + parts)  # lo == hi: an empty result
+    return np.concatenate(parts)
 
 
 def _radii(X, Yh, K):
     """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
     those of the m x m matrix Yh K X (Sylvester), real up to rounding because
     K preserves Hermiticity (`factored_channel`), so only its real part is
-    eigensolved."""
-    return np.abs(np.linalg.eigvals((Yh @ K @ X).real)).max(axis=-1)
+    eigensolved.  X multiplies the whole stack of Yh K as one row-stacked
+    product, except a one-column X, which numpy would send to a vector kernel
+    that rounds unlike the per-index product."""
+    YK = Yh @ K
+    if X.shape[1] == 1:
+        C = YK @ X
+    else:
+        C = (YK.reshape(-1, X.shape[0]) @ X).reshape(YK.shape[:-1] + X.shape[1:])
+    return np.abs(np.linalg.eigvals(C.real)).max(axis=-1)
 
 
 def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
     """|lambda_1| of the locally rotated deflated channel, one value per index.
 
     The indices run on at most `workers` threads (default: the usable CPUs;
-    see `_map_blocks`); the values do not depend on it.
+    see `_map_blocks`); the values do not depend on it.  n < 1 and
+    workers < 1 are refused, here and in every estimator.
     """
     U = np.asarray(U, dtype=complex)
     X, Yh = factored_channel(build_m_plus(U))
     return _factored_radii(X, Yh, local_dim(U), n, seed, workers, label)
 
 
+def _check_counts(n, workers=None):
+    """Refuse an empty sample set and a thread cap below one."""
+    if n < 1:
+        raise ValidationError(f"a Haar average needs N >= 1 samples, got N = {n}")
+    if workers is not None and workers < 1:
+        raise ValidationError(f"workers must be >= 1, got workers = {workers}")
+
+
 def _factored_radii(X, Yh, q, n, seed, workers, label):
     """spectral_radius_samples of the channel factored as Mt = X Yh."""
+    _check_counts(n, workers)
     if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
         return np.zeros(n)
     return _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, 0, n, workers)
@@ -296,6 +322,7 @@ def avg_norm_power(U, k, n, seed):
     """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
     if k < 2:
         raise ValidationError("k must be >= 2")
+    _check_counts(n)
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     Mt = deflate_trivial(build_m_plus(U))

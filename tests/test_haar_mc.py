@@ -189,6 +189,25 @@ def test_avg_norm_power_second_is_exact():
         hm.avg_norm_power(U, 1, 10, seed=0)
 
 
+@pytest.mark.parametrize("U", [cat_map(2), cat_map(3)], ids=["rank_one", "two_unitary"])
+def test_estimators_refuse_empty_sample_sets_and_no_workers(U):
+    calls = {
+        "spectral_radius_samples": lambda n, w: hm.spectral_radius_samples(U, n, 1, workers=w),
+        "avg_spectral_radius": lambda n, w: hm.avg_spectral_radius(U, n, 1, workers=w),
+        "avg_mixing_rate": lambda n, w: hm.avg_mixing_rate(U, n, 1),
+        "max_mixing_rate": lambda n, w: hm.max_mixing_rate(U, n, 1),
+        "avg_norm_power": lambda n, w: hm.avg_norm_power(U, 2, n, 1),
+    }
+    for call in calls.values():
+        for n in (0, -3):
+            with pytest.raises(to.ValidationError, match=f"got N = {n}$"):
+                call(n, None)
+    for name in ("spectral_radius_samples", "avg_spectral_radius"):
+        for w in (0, -1):
+            with pytest.raises(to.ValidationError, match=f"got workers = {w}$"):
+                calls[name](5, w)
+
+
 def test_monomial_identity_identity_inputs():
     q = 3
     rep = hm.haar_monomial_oracle(np.eye(q * q), np.eye(q * q), 200, seed=13)
@@ -273,9 +292,20 @@ def _reference_radii(U, n, seed, label="spectral-radius"):
                      for i in range(n)])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_block_radii_equal_per_index_reference(q):
-    U = _engine_gates()[q]
+def _compression_gates():
+    """The engine gates and gates that send the compression down every path
+    numpy has: a one-column X (m = 1) and m from 5 to 24."""
+    fx = fixtures()
+    return {**_engine_gates(),
+            "cat_q2": cat_map(2), "cat_q4": cat_map(4),
+            "ep8over9": fx["dual_q3_ep8over9"], "d2s": fx["dual_q3_d2s"],
+            "ep4over5": fx["dual_q4_ep4over5"],
+            "diag_q5": diagonal_dual_sample(5, 1.0, hm.substream(18, "gate"))}
+
+
+@pytest.mark.parametrize("gate", list(_compression_gates()))
+def test_block_radii_equal_per_index_reference(gate):
+    U = _compression_gates()[gate]
     ref = _reference_radii(U, N_BLOCKS, 19)
     serial = hm.spectral_radius_samples(U, N_BLOCKS, 19)
     split = hm.spectral_radius_samples(U, N_BLOCKS, 19, workers=3)
@@ -283,9 +313,10 @@ def test_block_radii_equal_per_index_reference(q):
     assert np.array_equal(split, ref)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_block_max_mixing_rate_equals_per_index_reference(q):
-    U = _engine_gates()[q]
+@pytest.mark.parametrize("gate", list(_compression_gates()))
+def test_block_max_mixing_rate_equals_per_index_reference(gate):
+    U = _compression_gates()[gate]
+    q = to.local_dim(U)
     X, Yh = _factored(U)
     best_r, best_u = np.inf, None
     for i in range(N_BLOCKS):
