@@ -104,20 +104,6 @@ def _sort_desc(vals):
     return vals[idx]
 
 
-def eigvals_companion(A):
-    """Cross-check path: characteristic polynomial by Faddeev-LeVerrier,
-    roots from the companion matrix.  Only sensible for small matrices."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    Mk = np.zeros_like(A)
-    for k in range(1, n + 1):
-        Mk = A @ Mk + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(A @ Mk) / k
-    return np.roots(coeffs)
-
-
 def decay_rates(mods):
     """mu = -ln|lambda| of each modulus; a zero mode (|lambda| < ZERO_TOL)
     decays at an infinite rate, never at a large finite one, and a modulus

@@ -20,7 +20,10 @@ whose largest state is smaller: inside the window t <= L/2 a single-site
 sweep carries at most t + 1 legs, 16 q^(2(t+1)) bytes per batch entry, where
 the whole evolved operator covers 4t legs.  The plan is the geometry alone,
 so every output byte follows from the inputs, and its state is checked
-against the budget before anything is allocated.  Beyond the window the
+against the budget before anything is allocated.  A correlator is computed
+when it is asked for: a point query is one sweep, and a table of them, or a
+`circuit corr` grid of tables, checks its own bytes against the same budget
+before its first sweep; the simulator keeps no result.  Beyond the window the
 cones wrap around the ring: the sweep stays exact, and only its state grows.
 The correlators are infinite-temperature traces, so no state sampling enters
 and the results are exact.
@@ -44,8 +47,8 @@ from .tensor_ops import ValidationError, local_dim, require_unitary
 from .tolerances import SITE_TOL
 
 # bytes a simulator may spend on each of: the state of one sweep (16 q^(2 legs)
-# per batch entry; a gate step holds about three at once), and all the
-# correlator tables it keeps, together
+# per batch entry; a gate step holds about three at once), one correlator
+# table, and the tables of a `circuit corr` grid together
 SUPPORT_BUDGET = 2**28
 # the sides (0 for a gate's first leg, 1 for its second) in a bit mask, and the
 # slice of [first leg, second leg] that the mask leaves
@@ -109,7 +112,7 @@ class CircuitSimulator:
 
     A sweep's state has one axis of q^2 per live leg, the leg's operator read
     row-major as (output, input), then a last axis for a batch of initial
-    operators.  Correlator tables are kept per initial operator and time.
+    operators.  Nothing a call computes outlives it but the gate matrices.
     """
 
     def __init__(self, cfg):
@@ -124,9 +127,6 @@ class CircuitSimulator:
         # C[j] = tr[a_j rho] / q from the state rho of one leg
         self._read = B.transpose(0, 2, 1).reshape(q * q, q * q).T / q
         self._gates = {}  # (gate id, opened, traced) -> the gate's matrix in a sweep
-        self._single = {}
-        self._two = {}
-        self._kept = 0  # bytes of the kept tables
 
     def site_leg(self, x):
         leg = int(round(2 * x))
@@ -268,14 +268,6 @@ class CircuitSimulator:
             T = T.reshape((qq,) * (len(axes) - 1) + (batch,))
         return T.transpose([axes.index(x) for x in (*targets, -1)])
 
-    def _off_cone(self, legs, T, opened):
-        """The state (axes opened legs..., batch) of every sweep from T on `legs`
-        to `opened` target legs off their forward cone: T traced out, then the
-        identity opened, as `_plan` gives such a sweep, which keeps no gate."""
-        targets = [("open", k) for k in range(opened)]
-        plan = [(self._trace, [x], []) for x in legs] + [(self._open, [], [x]) for x in targets]
-        return self._run(plan, legs, T, targets)
-
     def _sweeps(self, steps, legs, T, targets, t):
         """The states of the sweeps from T on `legs` (axes legs..., batch) through
         `steps`, their t-period cone, to each tuple of target legs.  Every sweep
@@ -283,77 +275,91 @@ class CircuitSimulator:
         plans = [self._plan(steps, legs, tg, T.shape[-1], t) for tg in targets]
         return (self._run(plan, legs, T, tg) for plan, tg in zip(plans, targets))
 
+    def _target_states(self, legs, T, targets, t):
+        """(keys, states): states[keys[n]] is the state (axes target legs...,
+        batch) of the sweep from T on `legs` (axes legs..., batch) to the n-th
+        tuple of `targets` after t periods.  A tuple with a leg in the forward
+        cone of `legs` is its own key and sweep; the tuples off the cone share
+        one state per length, their key: T traced out, then the identity
+        opened, as `_plan` gives such a sweep, which keeps no gate."""
+        steps = self._steps(legs, t)
+        cone = set(legs).union(*(step[1:3] for step in steps))
+        keys = [len(tg) if cone.isdisjoint(tg) else tg for tg in targets]
+        on = [k for k in keys if type(k) is tuple]
+        states = dict(zip(on, self._sweeps(steps, legs, T, on, t)))
+        for k in set(keys) - states.keys():
+            opened = [("open", m) for m in range(k)]
+            plan = [(self._trace, [x], []) for x in legs] + [(self._open, [], [x]) for x in opened]
+            states[k] = self._run(plan, legs, T, opened)
+        return keys, states
+
     def _rows(self, i, leg, xs, t):
-        """C[x, ..., j] at each leg x of xs: the a_i travel as the batch.  Legs off
-        the forward cone of `leg` share one row: the a_i traced, the identity opened."""
+        """C[x, ..., j] at each leg x of xs: the a_i travel as the batch."""
         T = self.basis[np.asarray(i)].reshape(-1, self.q**2).T
-        steps = self._steps([leg], t)
-        cone = {leg}.union(*(step[1:3] for step in steps))
-        on = [x for x in xs if x in cone]
-        states = self._sweeps(steps, [leg], T, [(x,) for x in on], t)
-        rows = {x: S.T @ self._read for x, S in zip(on, states)}
-        off = self._off_cone([leg], T, 1).T @ self._read if len(on) < len(xs) else None
-        return np.array([rows.get(x, off) for x in xs]).reshape(len(xs), *np.shape(i), -1)
+        keys, states = self._target_states([leg], T, zip(xs), t)
+        rows = {k: S.T @ self._read for k, S in states.items()}
+        return np.array([rows[k] for k in keys]).reshape(len(xs), *np.shape(i), -1)
 
     def correlations(self, i, y, x, t):
         """C[..., j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every basis index j,
         by one sweep; i is a basis index, or a list of them for a leading axis."""
         return self._rows(i, self.site_leg(y), [self.site_leg(x)], t)[0]
 
-    def _table(self, store, key, entries, build):
-        """store[key], built by build() on first use.  The tables a simulator
-        keeps count against the budget together, checked before one is built."""
-        if key not in store:
-            _require_budget(self._kept + 16 * entries, "the kept correlator tables")
-            table = build()
-            table.setflags(write=False)
-            store[key] = table
-            self._kept += table.nbytes
-        return store[key]
-
     def single_site_table(self, i, y, t):
         """C[x, ..., j] = tr[a_j^x U^-t a_i^y U^t] / q^(2L) for every leg x and
         basis index j, one sweep per x in the forward cone of y; i is a basis
-        index, or a tuple of them for the axis after x."""
+        index, or a tuple of them for the axis after x.  The table is checked
+        against the budget before any sweep."""
+        _require_budget(self._table_bytes(i), f"a correlator table on {self.n_legs} legs")
+        return self._rows(i, self.site_leg(y), range(self.n_legs), t)
+
+    def single_site_grid(self, i, y, t_max):
+        """{t: single_site_table(i, y, t)} for t = 1, ..., t_max.  The grid, and
+        so each of its tables, is checked against the budget before any sweep,
+        and the t_max table, whose sweeps carry the largest states, is built
+        first."""
+        _require_budget(t_max * self._table_bytes(i),
+                        f"t = 1..{t_max} correlator tables on {self.n_legs} legs")
         leg = self.site_leg(y)
-        return self._table(self._single, (i, leg, t), self.n_legs * np.size(i) * self.q**2,
-                           lambda: self._rows(i, leg, range(self.n_legs), t))
+        return {t: self._rows(i, leg, range(self.n_legs), t) for t in (t_max, *range(1, t_max))}
+
+    def _table_bytes(self, i):
+        return 16 * self.n_legs * np.size(i) * self.q**2
+
+    def _pair_blocks(self, i, j, pairs, t):
+        """C[k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L) for
+        each pair of legs x1 <= x2 in `pairs`: one sweep per pair with a leg in
+        the forward cone of {0, 1}; the pairs off it share the trace-then-open
+        state."""
+        nb, B = self.q**2, self.basis
+        # C[k, l] = tr[a_k a_l rho] / q from the state rho of one leg
+        products = np.einsum("kim,lmo->oikl", B, B).reshape(nb, -1) / self.q
+        T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
+        targets = ((x1,) if x1 == x2 else (x1, x2) for x1, x2 in pairs)
+        keys, states = self._target_states([0, 1], T, targets, t)
+        blocks = {k: (S[:, 0] @ products).reshape(nb, nb) if S.ndim == 2
+                  else self._read.T @ S[..., 0] @ self._read for k, S in states.items()}
+        return [blocks[k] for k in keys]
 
     def _two_site_table(self, i, j, t):
         """C[x1, x2, k, l] = tr[a_k^{x1} a_l^{x2} U^-t a_i^0 a_j^{1/2} U^t] / q^(2L)
-        for every pair of legs and basis indices, one sweep per pair {x1, x2}
-        with a leg in the forward cone of {0, 1}; the pairs off it share the
-        trace-then-open state.  On two legs a_k^{x1} and a_l^{x2} commute."""
-        n, nb, B = self.n_legs, self.q**2, self.basis
-
-        def build():
-            # C[k, l] = tr[a_k a_l rho] / q from the state rho of one leg
-            products = np.einsum("kim,lmo->oikl", B, B).reshape(nb, -1) / self.q
-            T = np.multiply.outer(B[i].reshape(nb), B[j].reshape(nb))[..., None]
-            steps = self._steps([0, 1], t)
-            cone = {0, 1}.union(*(step[1:3] for step in steps))
-            pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
-            on = [p for p in pairs if cone.intersection(p)]
-            targets = [(x1,) if x1 == x2 else (x1, x2) for x1, x2 in on]
-            states = dict(zip(on, self._sweeps(steps, [0, 1], T, targets, t)))
-            off = {k: self._off_cone([0, 1], T, k) for k in (1, 2)}
-            table = np.empty((n, n, nb, nb), dtype=complex)
-            for x1, x2 in pairs:
-                S = states.get((x1, x2), off[len({x1, x2})])
-                if x1 == x2:
-                    table[x1, x1] = (S[:, 0] @ products).reshape(nb, nb)
-                else:
-                    table[x1, x2] = self._read.T @ S[..., 0] @ self._read
-                    table[x2, x1] = table[x1, x2].T
-            return table
-
-        return self._table(self._two, (i, j, t), (n * nb) ** 2, build)
+        for every pair of legs and basis indices, checked against the budget
+        before any sweep.  On two legs a_k^{x1} and a_l^{x2} commute."""
+        n, nb = self.n_legs, self.q**2
+        _require_budget(16 * (n * nb) ** 2, f"a two-site correlator table on {n} legs")
+        pairs = [(x1, x2) for x1 in range(n) for x2 in range(x1, n)]
+        table = np.empty((n, n, nb, nb), dtype=complex)
+        for (x1, x2), C in zip(pairs, self._pair_blocks(i, j, pairs, t)):
+            table[x1, x2] = C
+            if x1 != x2:
+                table[x2, x1] = C.T
+        return table
 
     def correlation_single(self, i, j, x, y, t):
         """D^{ij}(x, y, t) = tr[a_j^x U^-t a_i^y U^t] / q^(2L), i, j > 0."""
         if i <= 0 or j <= 0:
             raise ValidationError("basis indices must be nontrivial (> 0)")
-        return complex(self.single_site_table(i, y, t)[self.site_leg(x), j])
+        return complex(self.correlations(i, y, x, t)[j])
 
     def c_plus(self, i, j, x, t):
         return self.correlation_single(i, j, x, 0.0, t)
@@ -362,6 +368,7 @@ class CircuitSimulator:
         return self.correlation_single(i, j, x + 0.5, 0.5, t)
 
     def correlation_two_site(self, i, j, k, l, x1, x2, t):
-        """tr[a_k^{x1} a_l^{x2} U^-t a_i^{0} a_j^{1/2} U^t] / q^(2L)."""
-        table = self._two_site_table(i, j, t)
-        return complex(table[self.site_leg(x1), self.site_leg(x2), k, l])
+        """tr[a_k^{x1} a_l^{x2} U^-t a_i^{0} a_j^{1/2} U^t] / q^(2L), by one sweep."""
+        a, b = self.site_leg(x1), self.site_leg(x2)
+        C = self._pair_blocks(i, j, [(min(a, b), max(a, b))], t)[0]
+        return complex(C[k, l] if a <= b else C[l, k])

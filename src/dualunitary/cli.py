@@ -72,7 +72,7 @@ from .haar_mc import (
     substream,
 )
 from .invariants import entangling_power, invariants_report
-from .qubit_exact import cartan_gate
+from .qubit_exact import cartan_gate, mu_prime, nu_plus_exact, nu_prime
 from .tensor_ops import (
     ValidationError,
     _parse_json,
@@ -348,8 +348,6 @@ def cmd_sweep_haar(args):
 def cmd_sweep_family(args):
     rows = []
     if args.family == "cartan":
-        from .qubit_exact import mu_prime, nu_plus_exact, nu_prime
-
         if args.q != 2:
             raise ValidationError(f"sweep family cartan is a qubit family: -q must be 2, "
                                   f"got {args.q}")
@@ -434,31 +432,39 @@ def _pairs_or_default(pairs, q):
     return [(i, j) for i in range(1, nb) for j in range(1, nb)]
 
 
+# legs of `circuit corr` rows formatted at once: the text held in memory stays
+# a small part of the tables it is written from
+CORR_CHUNK_LEGS = 4096
+
+
 def _corr_csv(tables, batch, pairs):
     """The `circuit corr` CSV of the tables C[x, batch index, j] at t = 1, 2,
     ...: a row (x, t, i, j, re, im) per t, leg and pair, as `_fmt` writes it
-    (repr of a Python float is its shortest round-trip text)."""
+    (repr of a Python float is its shortest round-trip text), yielded in
+    chunks of at most CORR_CHUNK_LEGS legs."""
     k, j = [batch.index(i) for i, _ in pairs], [j for _, j in pairs]
     labels = [f"{i},{j}" for i, j in pairs]
-    lines = ["x,t,i,j,value_re,value_im\n"]
+    yield "x,t,i,j,value_re,value_im\n"
     for t in range(1, len(tables) + 1):
-        c = tables[t][:, k, j]
-        for n, (res, ims) in enumerate(zip(c.real.tolist(), c.imag.tolist())):
-            head = f"{0.5 * n!r},{t},"
-            lines += [f"{head}{ij},{re!r},{im!r}\n" for ij, re, im in zip(labels, res, ims)]
-    return "".join(lines)
+        for start in range(0, len(tables[t]), CORR_CHUNK_LEGS):
+            c = tables[t][start:start + CORR_CHUNK_LEGS, k, j]
+            lines = []
+            for n, (res, ims) in enumerate(zip(c.real.tolist(), c.imag.tolist()), start):
+                head = f"{0.5 * n!r},{t},"
+                lines += [f"{head}{ij},{re!r},{im!r}\n" for ij, re, im in zip(labels, res, ims)]
+            yield "".join(lines)
 
 
 def cmd_circuit_corr(args):
     cfg, t_max, pairs = _load_circuit(args.config)
     sim = CircuitSimulator(cfg)
     pairs = _pairs_or_default(pairs, cfg.q)
-    # every table before the first row, t_max's first: a grid over the budget
-    # is refused before any other work, and no output is half written; the
-    # configured a_i travel as one batch, so each (t, x) is one sweep
+    # every table before the first row: a grid over the budget is refused
+    # before any sweep, and no output is half written; the configured a_i
+    # travel as one batch, so each (t, x) is one sweep
     batch = tuple(sorted({i for i, _ in pairs}))
-    tables = {t: sim.single_site_table(batch, 0.0, t) for t in (t_max, *range(1, t_max))}
-    return [_write_text(args.output, [_corr_csv(tables, batch, pairs)])]
+    tables = sim.single_site_grid(batch, 0.0, t_max)
+    return [_write_text(args.output, _corr_csv(tables, batch, pairs))]
 
 
 def cmd_circuit_verify(args):

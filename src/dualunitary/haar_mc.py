@@ -49,10 +49,8 @@ most `workers` contiguous chunks (default: the usable CPUs; never more than
 the usable CPUs or the blocks) and walks each block by block: the first in
 the calling thread, every other one on a thread of a pool that lives for the
 one call.  The LAPACK/BLAS calls release the GIL, but every OpenBLAS call
-also takes a buffer from its shared pool, so many tiny products contend:
-with two products per index, two threads ran the compression at
-0.45/0.62/0.69 times the rate of one (D3S/D2S/D4S; 2 CPUs, scipy-openblas
-0.3.31), and with X applied once per block at 0.54/0.91/0.86.  A block's
+also takes a buffer from its shared pool, so many tiny products contend,
+which is why X multiplies a whole block in one call.  A block's
 fixed Python cost (Philox set-up, the QR and eigvals wrappers) holds the
 GIL, which is why a block is BLOCK indices and not fewer.  Results are per
 index, so neither BLOCK nor the split changes an output.  A range of at most

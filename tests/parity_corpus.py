@@ -101,6 +101,8 @@ def _inputs():
                                      "gate": _gate("cartan_0.2")},
         "cone_l9": {"q": 2, "L": 9, "gate": _gate("cartan_0.2")},
         "cfg_inline": {"q": 2, "L": 2, "gate": good},
+        # 8192 legs: a CSV of more than one leg chunk
+        "cone_chunks": {"q": 2, "L": 4096, "t_max": 1, "gate": _gate("cartan_0.2")},
     }
     texts.update({f"{name}.json": json.dumps(cfg) for name, cfg in configs.items()})
     return texts
@@ -154,6 +156,7 @@ def _argvs():
         out.append(["circuit", kind, "{dir}/cone_pairs.json"])
         out.append(["circuit", kind, "{dir}/cfg_inline.json"])
     out.append(["circuit", "verify", "{dir}/cone_l9.json"])
+    out.append(["circuit", "corr", "{dir}/cone_chunks.json"])
     out.append(["circuit", "corr", "{dir}/cfg_budget.json"])  # q = 3, L = 6: once over budget
 
     out.append(["perm", "enumerate", "-q", "2"])

@@ -118,7 +118,7 @@ def test_window_guard():
     # a negative t stays that refusal after a large t is refused for its size
     big = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=24, gate=cartan_gate(0.2)))
     with pytest.raises(ValueError, match="budget"):
-        big.c_plus(1, 1, 12.0, 12)
+        big.c_plus(1, 1, 0.0, 12)
     with pytest.raises(ValueError, match="nonnegative"):
         big.c_plus(1, 1, 1.0, -1)
 
@@ -297,21 +297,22 @@ def test_engine_matches_dense_oracle():
         assert _oracle_worst(cfg, t_max, i_set, y_set, two_site) < 1e-12
 
 
-def test_support_budget_refuses_before_allocating(monkeypatch):
+def test_support_budget_refuses_before_allocating():
     # q = 2, L = 24: at t = 12 the centre sweep carries 13 legs, a 1 GiB state,
     # and so does the two-site sweep back to the initial legs
     sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=24, gate=cartan_gate(0.3)))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="13 legs .* budget"):
-            sim.c_plus(1, 1, 12.0, 12)
+            sim.c_plus(1, 1, 0.0, 12)
         with pytest.raises(ValueError, match="budget"):
             sim.correlation_two_site(1, 1, 1, 1, 0.0, 0.5, 12)
-        # a ring of 6e6 legs costs nothing to set up, and its first correlator
-        # table alone (384 MiB) is refused
+        # a ring of 6e6 legs costs nothing to set up, a point query on it is
+        # one sweep, and its correlator table alone (366 MiB) is refused
         ring = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=3 * 10**6, gate=cartan_gate(0.3)))
-        with pytest.raises(ValueError, match="budget"):
-            ring.c_plus(1, 1, 1.0, 1)
+        assert abs(ring.c_plus(1, 1, 1.0, 1)) > 1e-3
+        with pytest.raises(ValueError, match="correlator table on 6000000 legs: 366 MiB"):
+            ring.single_site_table(1, 0.0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,15 +321,6 @@ def test_support_budget_refuses_before_allocating(monkeypatch):
     # centre sweep carries 9 legs, 4 MiB
     small = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=16, gate=cartan_gate(0.3)))
     assert abs(small.correlations(1, 0.0, 0.0, 8)[1]) < 1e-10
-    # the kept tables count together: 512 B each on 8 legs at q = 2, and a
-    # t = 1 sweep's state of at most 2 legs takes 256 B of the 4 KiB
-    monkeypatch.setattr(cs, "SUPPORT_BUDGET", 8 * 512)
-    sim = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=cartan_gate(0.3)))
-    for k in range(8):
-        sim.single_site_table(1 + k % 3, 0.5 * (k // 3), 1)
-    with pytest.raises(ValueError, match="kept correlator tables"):
-        sim.single_site_table(3, 1.0, 1)
-    sim.single_site_table(1, 0.0, 1)  # a kept table is read without a new charge
 
 
 def test_sweeps_match_dense_oracle_without_tensordot_or_moveaxis(monkeypatch):
@@ -382,8 +374,8 @@ def test_sweeps_carry_at_most_t_plus_one_legs_in_the_window():
 
 
 def test_tables_do_not_depend_on_build_order():
-    # the kept tables never change a table's bytes: two build orders give
-    # identical tables
+    # the gate matrices a simulator keeps in its `_gates` cache never change a
+    # table's bytes: two build orders give identical tables
     rng = substream(8, "order")
     for q, L in ((2, 4), (3, 3)):
         bonds = [sample_haar(q * q, rng) for _ in range(2 * L)]
@@ -401,28 +393,50 @@ def test_tables_do_not_depend_on_build_order():
                 assert np.array_equal(a[key], b[key]), (q, L, key)
 
 
-def test_kept_bytes_count_every_table(monkeypatch):
-    def build(sim):
-        tables = [sim._two_site_table(1, 2, 1), sim.single_site_table((1, 3), 0.0, 2)]
-        tables += [sim.single_site_table(i, y, t)
-                   for t in (1, 2) for y in (0.0, 0.5) for i in (1, 2, 3)]
-        return tables
-
+def test_batched_tables_are_checked_one_at_a_time(monkeypatch):
     cfg = cs.CircuitConfig(q=2, L=4, gate=cartan_gate(0.3))
     sim = cs.CircuitSimulator(cfg)
-    tables = build(sim)
-    assert tables[1].shape == (sim.n_legs, 2, 4)
-    assert sim._kept == sum(T.nbytes for T in tables)
-    sim.correlations([1, 2, 3], 0.0, 1.0, 2)  # a sweep's state is not kept
-    assert sim._kept == sum(T.nbytes for T in tables)
-    # with room for exactly these tables, the next one is refused before it is built
-    monkeypatch.setattr(cs, "SUPPORT_BUDGET", sim._kept)
+    batched = sim.single_site_table((1, 3), 0.0, 2)
+    assert batched.shape == (sim.n_legs, 2, 4)
+    # with room for one batched table, one after another is built, bit for bit
+    # as without the bound; a larger table is refused before any sweep
+    monkeypatch.setattr(cs, "SUPPORT_BUDGET", batched.nbytes)
     tight = cs.CircuitSimulator(cfg)
-    assert all(np.array_equal(a, b) for a, b in zip(tables, build(tight), strict=True))
-    assert tight._kept == cs.SUPPORT_BUDGET
-    with pytest.raises(ValueError, match="kept correlator tables"):
-        tight.single_site_table(1, 1.0, 1)
-    assert tight._kept == cs.SUPPORT_BUDGET
+    for i, y in (((1, 3), 0.0), ((2, 1), 0.5), ((3, 2), 1.5)):
+        assert np.array_equal(tight.single_site_table(i, y, 1), sim.single_site_table(i, y, 1))
+    monkeypatch.setattr(cs.CircuitSimulator, "_run", None)
+    with pytest.raises(ValueError, match="correlator table on 8 legs"):
+        tight.single_site_table((1, 2, 3), 0.0, 1)
+
+
+def _point_query_configs():
+    rng = substream(13, "point queries")
+    for q, L in ((2, 4), (3, 2), (3, 3)):
+        bonds = [sample_haar(q * q, rng) for _ in range(2 * L)]
+        yield cs.CircuitConfig(q=q, L=L, gate=bonds[0])
+        yield cs.CircuitConfig(q=q, L=L, gate=bonds[0], even_gates=bonds[:L], odd_gates=bonds[L:])
+
+
+@pytest.mark.parametrize("cfg", _point_query_configs(),
+                         ids=lambda c: f"q{c.q}_L{c.L}_{'bonds' if c.even_gates else 'uniform'}")
+def test_point_queries_equal_their_table_entries(cfg):
+    # each point query runs its own sweep, or the shared off-cone state, and
+    # gives the bytes of its table entry; x1 > x2 reads the transposed pair
+    sim = cs.CircuitSimulator(cfg)
+    n, nb = sim.n_legs, cfg.q**2
+    for t in range(cfg.L + 1):
+        for i, y in itertools.product((1, 2), (0.0, 0.5)):
+            table = sim.single_site_table(i, y, t)
+            for x in range(n):
+                assert sim.correlations(i, y, 0.5 * x, t).tobytes() == table[x].tobytes()
+                j = 1 + x % (nb - 1)
+                got = sim.correlation_single(i, j, 0.5 * x, y, t)
+                assert np.complex128(got).tobytes() == table[x, j].tobytes()
+        table = sim._two_site_table(1, 2, t)
+        for x1, x2 in itertools.product(range(n), repeat=2):
+            k, l = divmod((x1 * n + x2) % nb**2, nb)
+            got = sim.correlation_two_site(1, 2, k, l, 0.5 * x1, 0.5 * x2, t)
+            assert np.complex128(got).tobytes() == table[x1, x2, k, l].tobytes()
 
 
 @pytest.mark.parametrize("q, L, t", [(3, 6, 3), (2, 12, 6)])

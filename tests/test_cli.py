@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dualunitary
+from dualunitary import circuit_sim as cs
 from dualunitary import cli
 from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
@@ -714,11 +716,53 @@ def _corr_tables(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(case=_corr_tables())
 def test_circuit_corr_rows_keep_the_text_of_fmt(case):
-    # one pass over the table arrays writes each row as ",".join(map(_fmt, row))
+    # one pass over the table arrays writes each row as ",".join(map(_fmt, row)),
+    # the same text in chunks of any number of legs
     tables, batch, pairs = case
     header = ("x", "t", "i", "j", "value_re", "value_im")
     rows = ((0.5 * n, t, i, j, c.real, c.imag)
             for t in range(1, len(tables) + 1) for n in range(len(tables[1]))
             for i, j in pairs for c in [tables[t][n, batch.index(i), j]])
     want = "".join(",".join(map(cli._fmt, row)) + "\n" for row in itertools.chain([header], rows))
-    assert cli._corr_csv(tables, batch, pairs) == want
+    for legs in (1, 5, cli.CORR_CHUNK_LEGS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CORR_CHUNK_LEGS", legs)
+            chunks = list(cli._corr_csv(tables, batch, pairs))
+        assert "".join(chunks) == want
+        assert len(chunks) == 1 + len(tables) * -(-len(tables[1]) // legs)
+
+
+def test_circuit_corr_grid_over_budget_is_refused_before_any_sweep(tmp_path, capsys,
+                                                                    monkeypatch):
+    # q = 2, L = 16: a table of the three default a_i takes 6 KiB and a t <= 2
+    # sweep at most 3 KiB, so a budget of 8 KiB holds the t_max = 1 grid and
+    # refuses the t_max = 2 grid (12 KiB) before its first sweep
+    gate, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    monkeypatch.setattr(cs, "SUPPORT_BUDGET", 8 * 2**10)
+    runs, run = [], CircuitSimulator._run
+    monkeypatch.setattr(CircuitSimulator, "_run",
+                        lambda self, *args: runs.append(args) or run(self, *args))
+    for t_max, code in ((1, 0), (2, 3)):
+        cfg.write_text(json.dumps({"q": 2, "L": 16, "t_max": t_max, "gate": str(gate)}))
+        runs.clear()
+        capsys.readouterr()
+        assert main(["circuit", "corr", str(cfg), "-o", os.devnull]) == code
+    assert runs == []
+    assert _validation_error(capsys).startswith("t = 1..2 correlator tables on 32 legs: ")
+
+
+def test_circuit_corr_memory_follows_its_tables(tmp_path):
+    # q = 2, L = 80000, t_max = 1: the table of the three default a_i takes
+    # 29.3 MiB, and the CSV is written in chunks, never held whole
+    gate, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    cfg.write_text(json.dumps({"q": 2, "L": 80000, "t_max": 1, "gate": str(gate)}))
+    tracemalloc.start()
+    try:
+        assert main(["circuit", "corr", str(cfg), "-o", str(tmp_path / "grid.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 16 * 160000 * 3 * 4
+    assert peak <= 1.5 * table, peak / table
