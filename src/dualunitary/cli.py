@@ -253,9 +253,12 @@ def _make_gate(args):
     if fam == "cartan":
         return cartan_gate(_finite(args.J, "--J"))
     if fam == "mr" or fam == "mrt":
+        # E(S) - E(U) >= 0 up to rounding: a flow with tol <= 0 stops only by chance
+        if not _finite(args.tol, "--tol") > 0:
+            raise ValidationError(f"--tol must be positive, got {args.tol}")
         U0 = sample_haar(args.q * args.q, rng)
         it = mr_iterate if fam == "mr" else mrt_iterate
-        U, trace = it(U0, max_iter=args.max_iter, tol=_finite(args.tol, "--tol"))
+        U, trace = it(U0, max_iter=args.max_iter, tol=args.tol)
         if not trace.converged:
             raise NonConvergence(
                 f"{fam} did not converge in {args.max_iter} iterations "

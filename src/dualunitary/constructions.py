@@ -17,11 +17,13 @@ Families and their entangling-power ranges:
     e_p = (q^2-2)/(q^2-1) (the tight mixing threshold) for even q.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import build_m_plus, channel_spectrum
 from .invariants import (
@@ -198,15 +200,18 @@ class MRTrace:
     rank_deficient_steps: int = 0
 
 
-def nearest_unitary(X):
-    """Polar factor of X: the unitary closest to X in any invariant norm.
+def _svd_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
-    Returns (V, rank_deficient).  When a singular value is below
-    POLAR_RANK_TOL the polar factor is not unique; the phase on that subspace
-    comes from the LAPACK basis completion, deterministic for a given input.
-    """
-    P, sigma, Qh = np.linalg.svd(X)
-    return P @ Qh, bool(sigma.min() < POLAR_RANK_TOL)
+
+# The gufunc np.linalg.svd runs for a full SVD of a complex matrix (numpy >= 2),
+# bound once: (P, sigma, Qh) with sigma descending, the same bytes as
+# np.linalg.svd, without its per-call checks.  It reports a LAPACK failure
+# through the "invalid" floating-point flag, so call it only inside
+# _SVD_ERRSTATE, the error state np.linalg.svd sets around it.
+_svd = functools.partial(_umath_linalg.svd_f, signature="D->DdD")
+_SVD_ERRSTATE = dict(call=_svd_did_not_converge, invalid="call", over="ignore",
+                     divide="ignore", under="ignore")
 
 
 def _iterate(U0, max_iter, tol, two_unitary=False):
@@ -215,29 +220,42 @@ def _iterate(U0, max_iter, tol, two_unitary=False):
     gamma_j = sigma_j^2: E(U) = 1 - sum sigma^4/q^4, S_1/2 = 2(sum sigma/q - 1)
     and the rank flag sigma_min < POLAR_RANK_TOL.  Each step ends with the new
     iterate's SVD, so entry k describes iterate k; two_unitary inserts the
-    partial-transpose polar step before it and also stops on E(S) - E(US)."""
+    partial-transpose polar step before it and also stops on E(S) - E(US).
+    Where a sigma_j < POLAR_RANK_TOL the polar factor is not unique; its phase
+    on that subspace comes from the LAPACK basis completion, deterministic for
+    a given input.
+
+    Each step is one LAPACK call per SVD and little else: the reshuffles are
+    gathers U.take(idx) by flat indices made once per flow (the reshuffle
+    applied to arange(q^4)), the SVD is the bound gufunc `_svd`, and one
+    np.errstate around the whole loop turns a LAPACK failure into
+    LinAlgError("SVD did not converge"), as np.linalg.svd does per call."""
     U = np.asarray(U0, dtype=complex)
     q = local_dim(U)
     es = swap_entanglement(q)
-    P, sigma, Qh = np.linalg.svd(realign_r2(U))
+    flat = np.arange(q**4).reshape(q * q, q * q)
+    r2, t2 = realign_r2(flat), partial_transpose_t2(flat)
     s_hist = []
     rank_flags = 0
     converged = False
     n = 0
-    for n in range(1, max_iter + 1):
-        U = P @ Qh
-        rank_flags += bool(sigma.min() < POLAR_RANK_TOL)
-        if two_unitary:
-            U, flag = nearest_unitary(partial_transpose_t2(U))
-            rank_flags += flag
-        P, sigma, Qh = np.linalg.svd(realign_r2(U))
-        s_hist.append(2.0 * (sigma.sum() / q - 1.0))
-        deficit = es - (1.0 - (sigma**4).sum() / q**4)
-        if two_unitary and deficit < tol:  # E(US) can only delay convergence
-            deficit = max(deficit, es - operator_entanglement_swapped(U))
-        if deficit < tol:
-            converged = True
-            break
+    with np.errstate(**_SVD_ERRSTATE):
+        P, sigma, Qh = _svd(U.take(r2))
+        for n in range(1, max_iter + 1):
+            U = P @ Qh
+            rank_flags += bool(sigma[-1] < POLAR_RANK_TOL)
+            if two_unitary:
+                P, sigma, Qh = _svd(U.take(t2))
+                U = P @ Qh
+                rank_flags += bool(sigma[-1] < POLAR_RANK_TOL)
+            P, sigma, Qh = _svd(U.take(r2))
+            s_hist.append(2.0 * (sigma.sum() / q - 1.0))
+            deficit = es - (1.0 - (sigma**4).sum() / q**4)
+            if two_unitary and deficit < tol:  # E(US) can only delay convergence
+                deficit = max(deficit, es - operator_entanglement_swapped(U))
+            if deficit < tol:
+                converged = True
+                break
     dc = classify_duality(U)
     trace = MRTrace(
         n_iter=n,

@@ -393,10 +393,12 @@ def test_non_finite_gate_file_is_a_validation_error(tmp_path, capsys):
     # a file that cannot be read, a directory say, is exit 3 too
     assert main(["gate", "classify", str(tmp_path)]) == 3
     assert _strict_json(capsys.readouterr().err.splitlines()[0])["error"] == "validation"
-    # non-finite gate parameters are refused before any gate is built
+    # non-finite gate parameters and a flow --tol <= 0 are refused before any gate is built
     for argv, flag in ((["cat", "--b", "nan"], "--b"), (["cat", "-q", "2", "--b", "inf"], "--b"),
                        (["cartan", "--J", "nan"], "--J"), (["cartan", "--J=-inf"], "--J"),
-                       (["mrt", "--tol", "nan", "--max-iter", "5"], "--tol")):
+                       (["mrt", "--tol", "nan", "--max-iter", "5"], "--tol"),
+                       (["mr", "--tol", "-1", "--max-iter", "5"], "--tol"),
+                       (["mr", "--tol", "0", "--max-iter", "5"], "--tol")):
         assert main(["gate", "make", *argv]) == 3
         err = _strict_json(capsys.readouterr().err.splitlines()[0])
         assert err["error"] == "validation" and flag in err["message"]

@@ -86,9 +86,13 @@ def test_block_channel_forms_uniform_sd():
 
 
 def test_mr_fixed_point_and_trace():
+    def polar(X):
+        P, _, Qh = np.linalg.svd(X)
+        return P @ Qh
+
     U = co.fixtures()["dual_q3_ep8over9"]
-    V1, _ = co.nearest_unitary(to.realign_r2(U))
-    V2, _ = co.nearest_unitary(to.realign_r2(V1))
+    V1 = polar(to.realign_r2(U))
+    V2 = polar(to.realign_r2(V1))
     assert np.abs(V2 - U).max() < 1e-12
     U0 = sample_haar(9, substream(5, "mr"))
     U1, trace = co.mr_iterate(U0, max_iter=800, tol=1e-13)
@@ -111,14 +115,42 @@ def test_flow_history_describes_the_returned_gate(flow, seed):
 
 def test_flow_takes_one_svd_per_realign_step(monkeypatch):
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda X: calls.append(1) or svd(X))
+    svd = co._svd
+    monkeypatch.setattr(co, "_svd", lambda X: calls.append(1) or svd(X))
+    monkeypatch.setattr(np.linalg, "svd", None)  # every SVD goes through the one binding
     monkeypatch.setattr(np.linalg, "eigvalsh", None)  # no second spectrum per step
     U0 = sample_haar(9, substream(8, "flow-svd-count"))
     for flow, per_step in ((co.mr_iterate, 1), (co.mrt_iterate, 2)):
         calls.clear()
         _, trace = flow(U0, max_iter=25, tol=1e-10)
         assert len(calls) == per_step * trace.n_iter + 1  # + the seed's SVD
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_bound_svd_matches_numpy_svd_on_flow_iterates(monkeypatch, q):
+    # the flow's SVD binding returns the bytes np.linalg.svd does, on the
+    # realigned and partially transposed iterates the flows feed it
+    inputs = []
+    svd = co._svd
+    monkeypatch.setattr(co, "_svd", lambda X: inputs.append(X) or svd(X))
+    U0 = sample_haar(q * q, substream(q, "bound-svd"))
+    co.mr_iterate(U0, max_iter=10, tol=1e-13)
+    co.mrt_iterate(U0, max_iter=10, tol=1e-13)
+    assert len(inputs) > 20
+    for X in inputs:
+        with np.errstate(**co._SVD_ERRSTATE):
+            got = svd(X)
+        for a, b in zip(got, np.linalg.svd(X)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("flow", [co.mr_iterate, co.mrt_iterate])
+def test_flow_raises_on_a_nan_seed(flow):
+    U0 = sample_haar(9, substream(9, "nan-seed"))
+    U0[4, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        flow(U0, max_iter=5)
 
 
 def test_mrt_takes_the_swapped_purity_only_below_tol(monkeypatch):
