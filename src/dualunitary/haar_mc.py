@@ -47,14 +47,24 @@ bit; the block-against-reference tests pin that on gates with m = 1 to 24.
 `_map_blocks` is the engine's one parallel loop.  It splits [lo, hi) into at
 most `workers` contiguous chunks (default: the usable CPUs; never more than
 the usable CPUs or the blocks) and walks each block by block: the first in
-the calling thread, every other one on a thread of a pool that lives for the
-one call.  The LAPACK/BLAS calls release the GIL, but every OpenBLAS call
-also takes a buffer from its shared pool, so many tiny products contend,
-which is why X multiplies a whole block in one call.  A block's
-fixed Python cost (Philox set-up, the QR and eigvals wrappers) holds the
-GIL, which is why a block is BLOCK indices and not fewer.  Results are per
-index, so neither BLOCK nor the split changes an output.  A range of at most
-one block starts no thread.
+the calling thread, every other one on a plain thread that the call starts
+and joins.  An exception raised in a helper's block is re-raised in the
+caller after the join, so no partial result is returned.  The LAPACK/BLAS
+calls release the GIL, but every OpenBLAS call also takes a buffer from one
+pool shared by all threads, so many tiny products contend: two threads ran
+the n per-index left products Yh (u x u*) at 0.47-0.63x the rate of
+one.  So the threads take turns at that one stage (`_radii`): one lock is
+held around a block's left products and nothing else, which keeps each
+product the same BLAS call on the same operands.  The turns serialize the
+left product's share of the work; the QR, the X product and the eigensolve
+still overlap.  The threads reach their first left products together, so one
+waits one block's products per call: up to 3% at q = 5-7 with few blocks.
+This was measured on 2 CPUs only.  X multiplies a whole
+block in one call for the same reason.  A block's fixed Python cost
+(Philox set-up, the QR and eigvals wrappers) holds the GIL, which is why a
+block is BLOCK indices and not fewer.  Results are per index, so neither
+BLOCK nor the split changes an output.  A range of at most one block starts
+no thread.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -77,6 +87,7 @@ plus a Monte-Carlo oracle for the degree-2 Haar monomial identity
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +101,8 @@ from .tensor_ops import (ValidationError, expi_hermitian, haar_from_ginibre, loc
 BLOCK = 256
 # the Haar-stream layout, recorded in every run manifest
 STREAM_SCHEME = 2
+# held by the one thread at a time that runs its block's left products (`_radii`)
+_LEFT_PRODUCT_TURN = threading.Lock()
 
 
 @dataclass
@@ -165,38 +178,48 @@ def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
     """kernel(K) of every BLOCK of indices in [lo, hi), concatenated; K is the
     `_kron_block` stack of the block.  The range runs as at most `workers`
     contiguous chunks (default: the usable CPUs), the first in the calling
-    thread and each other one on a thread of a pool made for this call;
-    results do not depend on the split."""
+    thread and each other one on a `threading.Thread` started and joined
+    here; an exception from any chunk is re-raised here after every thread
+    has been joined.  Results do not depend on the split."""
     block = BLOCK  # read per call: tests rebind it
-
-    def walk(a, b):
-        # no block's stack outlives its kernel call, so a thread holds one at a time
-        return [kernel(_kron_block(q, seed, label, s, min(s + block, b)))
-                for s in range(a, b, block)]
-
     cpus = _usable_cpus()
     threads = min(workers or cpus, cpus, -(-(hi - lo) // block))
-    if threads <= 1:
-        parts = walk(lo, hi)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    chunk = -(-(hi - lo) // threads)
+    starts = range(lo, hi, chunk)
+    parts, errors = [None] * len(starts), []
 
-        chunk = -(-(hi - lo) // threads)
-        starts = range(lo, hi, chunk)
-        with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
-            rest = pool.map(lambda a: walk(a, min(a + chunk, hi)), starts[1:])
-            parts = walk(lo, lo + chunk) + [p for run in rest for p in run]
-    return np.concatenate(parts)
+    def run(i):
+        end = min(starts[i] + chunk, hi)
+        try:
+            # no block's stack outlives its kernel call, so a thread holds one at a time
+            parts[i] = [kernel(_kron_block(q, seed, label, s, min(s + block, end)))
+                        for s in range(starts[i], end, block)]
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(starts))]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate([p for chunk_parts in parts for p in chunk_parts])
 
 
 def _radii(X, Yh, K):
     """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
     those of the m x m matrix Yh K X (Sylvester), real up to rounding because
     K preserves Hermiticity (`factored_channel`), so only its real part is
-    eigensolved.  X multiplies the whole stack of Yh K as one row-stacked
-    product, except a one-column X, which numpy would send to a vector kernel
-    that rounds unlike the per-index product."""
-    YK = Yh @ K
+    eigensolved.  The left products Yh K are one tiny BLAS call per index;
+    they contend for OpenBLAS's shared buffer pool, so the threads of
+    `_map_blocks` take turns at them under one lock.  X multiplies the whole
+    stack of Yh K as one row-stacked product, except a one-column X, which
+    numpy would send to a vector kernel that rounds unlike the per-index
+    product."""
+    with _LEFT_PRODUCT_TURN:
+        YK = Yh @ K
     if X.shape[1] == 1:
         C = YK @ X
     else:

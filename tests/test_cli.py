@@ -521,7 +521,7 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # neither the imports nor any command (mrt: 5 steps, unconverged) load
     # scipy, and no command starts a process pool: the Haar engine's one
-    # parallel loop is a thread pool (tests/test_parallelism_policy.py)
+    # parallel loop runs on plain threads (tests/test_parallelism_policy.py)
     assert json.loads(proc.stdout) == [False, [4, False], [0, False], [0, False], [0, False],
                                        [0, False], [0, False], False]
 
@@ -754,17 +754,19 @@ def test_circuit_corr_grid_over_budget_is_refused_before_any_sweep(tmp_path, cap
     assert _validation_error(capsys).startswith("t = 1..2 correlator tables on 32 legs: ")
 
 
-def test_circuit_corr_memory_follows_its_tables(tmp_path):
-    # q = 2, L = 80000, t_max = 1: the table of the three default a_i takes
-    # 29.3 MiB, and the CSV is written in chunks, never held whole
+def test_circuit_corr_memory_follows_its_tables(tmp_path, monkeypatch):
+    # q = 2, L = 8000, t_max = 1: the table of the three default a_i takes
+    # 2.9 MiB, and the CSV is written in chunks of 256 legs (63 per table),
+    # never held whole
+    monkeypatch.setattr(cli, "CORR_CHUNK_LEGS", 256)
     gate, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
     assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
-    cfg.write_text(json.dumps({"q": 2, "L": 80000, "t_max": 1, "gate": str(gate)}))
+    cfg.write_text(json.dumps({"q": 2, "L": 8000, "t_max": 1, "gate": str(gate)}))
     tracemalloc.start()
     try:
         assert main(["circuit", "corr", str(cfg), "-o", str(tmp_path / "grid.csv")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = 16 * 160000 * 3 * 4
+    table = 16 * 16000 * 3 * 4
     assert peak <= 1.5 * table, peak / table

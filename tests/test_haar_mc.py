@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -95,47 +95,91 @@ def test_worker_split_reproduces_serial():
     assert np.array_equal(a, b)
 
 
-class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-    """A real thread pool that records the size of every one made."""
-    sizes = []
+class RecordingThread(threading.Thread):
+    """A real thread that records every start."""
+    started = []
 
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
+    def start(self):
+        RecordingThread.started.append(self)
+        super().start()
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    return RecordingPool.sizes
+def helpers(monkeypatch):
+    monkeypatch.setattr(RecordingThread, "started", [])
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return RecordingThread.started
 
 
-# the calling thread walks the first chunk, so a pool has one thread fewer
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+# the calling thread walks the first chunk, so one thread fewer is started
 @pytest.mark.parametrize("cpus, workers, blocks, threads", [
     (2, 100_000, 5, 2),        # never more threads than usable CPUs
     (64, 100_000, 3, 3),       # never more threads than blocks
     (64, 3, 5, 3),             # at most `workers`
-    (64, 1, 5, 1),             # one worker: the calling thread, no pool
+    (64, 1, 5, 1),             # one worker: the calling thread, no helper
 ])
-def test_worker_pool_is_capped_by_blocks_and_cpus(monkeypatch, pools, cpus, workers, blocks,
+def test_worker_pool_is_capped_by_blocks_and_cpus(monkeypatch, helpers, cpus, workers, blocks,
                                                   threads):
     monkeypatch.setattr(hm, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(hm, "BLOCK", 4)
     n = 4 * blocks - 1  # the last block is partial
     b = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=workers)
-    assert pools == ([threads - 1] if threads > 1 else [])
+    assert len(helpers) == threads - 1
+    assert not any(t.is_alive() for t in helpers)  # every helper was joined
     assert np.array_equal(b, _reference_radii(cartan_gate(0.2), n, 7))
 
 
-def test_unset_workers_use_the_usable_cpus_and_one_block_starts_no_thread(monkeypatch, pools):
+def test_unset_workers_use_the_usable_cpus_and_one_block_starts_no_thread(monkeypatch, helpers):
     monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("DUALUNITARY_WORKERS", "1")  # the library does not read it
     U = cartan_gate(0.2)
     r = hm.spectral_radius_samples(U, 3 * hm.BLOCK, seed=7)
-    assert pools == [2]  # and the calling thread
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # any pool would fail
+    assert len(helpers) == 2  # and the calling thread
+    monkeypatch.setattr(threading, "Thread", _no_thread)
     assert np.array_equal(hm.spectral_radius_samples(U, hm.BLOCK, seed=7), r[: hm.BLOCK])
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_kernel_error_on_any_thread_reaches_the_caller(monkeypatch, where):
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
+    caller = threading.get_ident()
+    done = []
+
+    def kernel(K):
+        if (threading.get_ident() == caller) == (where == "caller"):
+            raise ZeroDivisionError(f"block on the {where}")
+        done.append(len(K))
+        return np.zeros(len(K))
+
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match=f"block on the {where}$"):
+        hm._map_blocks(kernel, 2, 1, "error", 0, 3 * hm.BLOCK, workers=3)
+    assert threading.active_count() == before  # no helper outlives the call
+    assert done == [hm.BLOCK] * (2 if where == "caller" else 1)
+
+
+def test_concurrent_callers_get_the_bytes_of_sequential_calls(monkeypatch):
+    monkeypatch.setattr(hm, "_usable_cpus", lambda: 2)
+    gates = [fixtures()["dual_q3_d3s"], _engine_gates()[2]]
+    n = 3 * hm.BLOCK + 5
+    expect = [hm.spectral_radius_samples(U, n, 31, workers=2) for U in gates]
+    start, got = threading.Barrier(len(gates)), [None] * len(gates)
+
+    def call(i):
+        start.wait()
+        got[i] = hm.spectral_radius_samples(gates[i], n, 31, workers=2)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(gates))]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join()
+    for r, e in zip(got, expect):
+        assert r is not None and r.tobytes() == e.tobytes()
 
 
 def test_avg_spectral_radius_two_unitary_is_zero():

@@ -1,4 +1,4 @@
-"""The Haar engine's thread pool is the package's one parallel mechanism."""
+"""The Haar engine's threads are the package's one parallel mechanism."""
 
 import ast
 import pathlib
