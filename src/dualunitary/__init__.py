@@ -42,7 +42,6 @@ from .haar_mc import (
     avg_spectral_radius,
     haar_monomial_oracle,
     max_mixing_rate,
-    sample_haar,
     substream,
 )
 from .invariants import (
@@ -77,6 +76,7 @@ from .tensor_ops import (
     partial_transpose_t2,
     realign_r1,
     realign_r2,
+    sample_haar,
     sandwich_locals,
     swap_operator,
     unitarity_defect,

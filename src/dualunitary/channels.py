@@ -23,7 +23,6 @@ import numpy as np
 
 from .invariants import classify_duality, entangling_power
 from .tensor_ops import (
-    devectorize,
     local_dim,
     max_entangled_vector,
     partial_transpose_t2,
@@ -31,15 +30,15 @@ from .tensor_ops import (
     realign_r2,
     ValidationError,
     require_unitary,
-    vectorize,
 )
 from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, UNIT_BOUNDARY_TOL, UNIT_TOL,
                          UNITALITY_TOL, ZERO_TOL, channel_rank_tol)
 
 @dataclass
 class ChannelSpectrum:
+    """The nontrivial spectrum of one channel; which channel (M_plus or
+    M_minus) it is, the caller knows."""
     q: int
-    side: str
     eigenvalues: np.ndarray   # the q^2-1 nontrivial eigenvalues, |.| descending
     rates: np.ndarray         # mu_k = -ln|lambda_k|, inf for zero modes
 
@@ -70,11 +69,6 @@ def build_m_minus(U):
     q = local_dim(U)
     T = partial_transpose_t2(U)
     return realign_r2(T.conj().T @ T) / q
-
-
-def apply_channel(M, rho):
-    """Action of a vectorized channel on a density matrix."""
-    return devectorize(np.asarray(M) @ vectorize(rho))
 
 
 def unitality_residual(M):
@@ -154,8 +148,9 @@ def factored_channel(M):
     return T @ (W[:, :m] * s[:m]), Yh[:m] @ T.conj().T
 
 
-def channel_spectrum(M, side="plus"):
-    """Nontrivial spectrum of a unital channel, sorted, with decay rates.
+def channel_spectrum(M):
+    """Nontrivial spectrum of a unital channel M, sorted, with decay rates;
+    M_plus and M_minus alike, so the result does not name its side.
 
     The trivial mode is deflated first, so the leading eigenvalue is never
     contaminated by it, even when the spectrum is degenerate at 1.  The
@@ -167,7 +162,7 @@ def channel_spectrum(M, side="plus"):
     X, Yh = factored_channel(M)
     zeros = np.zeros(q * q - 1 - Yh.shape[0], dtype=complex)
     vals = _sort_desc(np.concatenate([np.linalg.eigvals((Yh @ X).real), zeros]))
-    return ChannelSpectrum(q=q, side=side, eigenvalues=vals, rates=decay_rates(np.abs(vals)))
+    return ChannelSpectrum(q=q, eigenvalues=vals, rates=decay_rates(np.abs(vals)))
 
 
 def classify_ergodicity(spec_plus, spec_minus):
@@ -199,8 +194,8 @@ def classify_ergodicity(spec_plus, spec_minus):
 
 def classify_gate(U):
     """Ergodic class of the circuit built from U, a unitary to GATE_UNITARY_TOL."""
-    sp = channel_spectrum(build_m_plus(U), side="plus")
-    sm = channel_spectrum(build_m_minus(U), side="minus")
+    sp = channel_spectrum(build_m_plus(U))
+    sm = channel_spectrum(build_m_minus(U))
     return classify_ergodicity(sp, sm)
 
 
@@ -235,7 +230,6 @@ def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
         "norm_residual": abs(norm_sq - expected),
         "slack": slack,
         "min_slack": float(slack.min()),
-        "smallest_eig_slack": float(np.sqrt(max(1.0 - ep, 0.0)) - mods[-1]),
         "ok": bool(slack.min() >= -BOUND_SLACK_TOL),
     }
 

@@ -21,7 +21,7 @@ or written), 4 non-convergence; every failure writes a one-line JSON error
 record as the first line on stderr.  A circuit config's "gate" is a gate file
 path or an inline gate object; `channel spectrum --locals` takes seed:<int>.
 Every command emits a run manifest next to its output file (or on stderr when
-the output is stdout or not a regular file); it records the sha256 of each
+the output is stdout or not a regular file); it records the sha256 of the
 output's bytes as written, the Haar-stream layout (`stream_scheme`, see
 haar_mc) and, for the sweeps, the thread cap `workers` the run used.
 """
@@ -67,7 +67,6 @@ from .haar_mc import (
     max_rate,
     mixing_rate_estimate,
     radius_estimate,
-    sample_haar,
     spectral_radius_samples,
     substream,
 )
@@ -79,6 +78,7 @@ from .tensor_ops import (
     gate_from_json,
     gate_to_json,
     local_dim,
+    sample_haar,
     verify_reshuffle_identities,
 )
 from .tolerances import CONE_TOL, FLOW_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
@@ -143,10 +143,10 @@ def _read_gate(path):
     return gate_from_json(_read_json(path))
 
 
-def _emit_manifest(args, outputs, t0):
-    """The run manifest: beside the first output that is a regular file, with
-    the digests `_write_text` took of the outputs, else on stderr."""
-    files = dict(out for out in outputs if out and os.path.isfile(out[0]))
+def _emit_manifest(args, output, t0):
+    """The run manifest: beside the command's one output when that is a
+    regular file, with the digest `_write_text` took of it, else on stderr."""
+    files = dict([output]) if output and os.path.isfile(output[0]) else {}
     manifest = {
         "command": " ".join(args._command_path),
         "argv": args._raw_argv,
@@ -240,6 +240,9 @@ def _make_gate(args):
                  else [args.q] * args.q)
         if any(s % args.q for s in sizes):
             raise ValidationError(f"block sizes {sizes} must be positive multiples of q={args.q}")
+        if min(sizes) < 1 or sum(sizes) != args.q ** 2:
+            raise ValidationError(f"--sizes {args.sizes}: the block sizes must be positive "
+                                  f"and sum to q^2={args.q ** 2}")
         return random_block_gate(args.q, [s // args.q for s in sizes], rng, side=args.side)
     if fam == "diag":
         return diagonal_dual_sample(args.q, args.epsilon, rng)
@@ -265,19 +268,18 @@ def _make_gate(args):
                 f"(defects {trace.final_defects})"
             )
         return U
-    if fam == "fixture":
-        bank = fixtures()
-        if args.name not in bank:
-            raise ValidationError(
-                f"unknown fixture {args.name!r}; have {sorted(bank)}"
-            )
-        return bank[args.name]
-    raise ValidationError(f"unknown family {fam!r}")
+    # fam == "fixture": argparse's choices admit no other family
+    bank = fixtures()
+    if args.name not in bank:
+        raise ValidationError(
+            f"unknown fixture {args.name!r}; have {sorted(bank)}"
+        )
+    return bank[args.name]
 
 
 def cmd_gate_make(args):
     U = _make_gate(args)
-    return [_write_text(args.output, [_json(gate_to_json(U))])]
+    return _write_text(args.output, [_json(gate_to_json(U))])
 
 
 def cmd_gate_classify(args):
@@ -291,7 +293,7 @@ def cmd_gate_classify(args):
         "zero": erg.zero_count,
         "boundary": erg.boundary,
     }
-    return [_write_json(args.output, rep)]
+    return _write_json(args.output, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +309,21 @@ def cmd_channel_spectrum(args):
         u = sample_haar(q, substream(_int(seed, "--locals seed"), "channel-locals"))
         U = U @ np.kron(np.eye(q), u)
     M = (build_m_plus if args.side == "plus" else build_m_minus)(U)
-    spec = channel_spectrum(M, side=args.side)
+    spec = channel_spectrum(M)
     rows = [
         (lam.real, lam.imag, abs(lam), rate)
         for lam, rate in zip(spec.eigenvalues, spec.rates)
     ]
     if args.format == "json":
         # a zero mode's infinite rate is the string "inf", as in the CSV
-        out = _write_json(args.output, {
+        return _write_json(args.output, {
             "q": spec.q,
-            "side": spec.side,
+            "side": args.side,
             "eigenvalues": [{"re": r, "im": i, "modulus": m,
                              "rate": "inf" if math.isinf(rate) else rate}
                             for r, i, m, rate in rows],
         })
-    else:
-        out = _write_csv(args.output, ("re", "im", "modulus", "rate"), rows)
-    return [out]
+    return _write_csv(args.output, ("re", "im", "modulus", "rate"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,7 @@ SWEEP_HEADER = ("e_p", "mean_lambda1", "stderr", "mu_plus", "nu_plus", "infinite
 
 def cmd_sweep_haar(args):
     rows = [_sweep_row(_read_gate(g), args.n, args.seed, args.workers) for g in args.gates]
-    out = _write_csv(args.output, SWEEP_HEADER, rows)
-    return [out]
+    return _write_csv(args.output, SWEEP_HEADER, rows)
 
 
 def cmd_sweep_family(args):
@@ -365,17 +364,14 @@ def cmd_sweep_family(args):
                 + _sweep_row(cartan_gate(J), args.n, args.seed, args.workers)
                 + (nu_prime(J), mu_prime(J), nu_plus_exact(J))
             )
-    elif args.family == "diag":
+    else:  # "diag"
         header = ("param",) + SWEEP_HEADER
         for k in range(args.points):
             eps = (k + 1) / args.points * (1.0 if args.epsilon is None else args.epsilon)
             rng = substream(args.seed, "sweep-family-diag", k)
             U = diagonal_dual_sample(args.q, eps, rng)
             rows.append((float(eps),) + _sweep_row(U, args.n, args.seed, args.workers))
-    else:
-        raise ValidationError(f"unknown family {args.family!r}")
-    out = _write_csv(args.output, header, rows)
-    return [out]
+    return _write_csv(args.output, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +463,7 @@ def cmd_circuit_corr(args):
     # travel as one batch, so each (t, x) is one sweep
     batch = tuple(sorted({i for i, _ in pairs}))
     tables = sim.single_site_grid(batch, 0.0, t_max)
-    return [_write_text(args.output, _corr_csv(tables, batch, pairs))]
+    return _write_text(args.output, _corr_csv(tables, batch, pairs))
 
 
 def cmd_circuit_verify(args):
@@ -506,7 +502,7 @@ def cmd_circuit_verify(args):
     out = _write_json(args.output, report)
     if not report["ok"]:
         raise ValidationError(f"cone residual {worst_cone:.3e} above {CONE_TOL:.1e}")
-    return [out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +524,7 @@ def cmd_oracle_haar_identity(args):
     })
     if not rep["z_score"] <= ORACLE_SIGMAS:
         raise ValidationError(f"MC estimate {rep['z_score']:.2f} sigma from closed form")
-    return [out]
+    return out
 
 
 def cmd_oracle_reshuffle_identities(args):
@@ -540,15 +536,14 @@ def cmd_oracle_reshuffle_identities(args):
     worst = max(res.values())
     if not worst <= RESHUFFLE_TOL:
         raise ValidationError(f"identity residual {worst:.3e} above {RESHUFFLE_TOL:.0e}")
-    return [out]
+    return out
 
 
 def cmd_perm_enumerate(args):
     rows = []
     for rec in enumerate_dual_permutations(args.q):
         rows.append((rec["perm_id"], rec["e_p"], rec["lambda1_mod"], rec["lambda2_mod"]))
-    out = _write_csv(args.output, ("perm_id", "e_p", "lambda1_mod", "lambda2_mod"), rows)
-    return [out]
+    return _write_csv(args.output, ("perm_id", "e_p", "lambda1_mod", "lambda2_mod"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +662,7 @@ def main(argv=None):
         _resolve_defaults(args)
         # looked up at call time, so a rebound cmd_* function takes effect
         command = "_".join(["cmd", *args._command_path]).replace("-", "_")
-        outputs = globals()[command](args)
-        _emit_manifest(args, outputs, t0)
+        _emit_manifest(args, globals()[command](args), t0)
     except (ValidationError, OSError) as exc:
         sys.stderr.write(_json({"error": "validation", "message": str(exc)}))
         return EXIT_VALIDATION

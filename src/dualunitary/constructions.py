@@ -170,7 +170,6 @@ def block_channel_forms(q, blocks, side="ds"):
     report = {
         "q": q,
         "side": side,
-        "channel": direct,
         "assembly_residual": float(np.abs(direct - assembled).max()),
     }
     uniform = all(b.shape[0] == q for b in blocks)
@@ -348,7 +347,6 @@ def classify_permutation(K, L):
         is_dual=is_dual,
         is_t_dual=is_t_dual,
         is_two_unitary=is_dual and is_t_dual,
-        residuals={"combinatorial": True},
     )
 
 
@@ -462,7 +460,12 @@ def cat_family(q, b):
     """One-parameter dual family (1/q) e^{2 pi i [b jb' + kb' + ja']/q}.
 
     Locally equivalent to a swap-diagonal gate; e_p peaks at q/(q+1) for b=1.
+    The family has period q in b (b multiplies an integer), so a finite b
+    beyond q is reduced by the exact fmod first: b * jb' would lose the phase
+    to rounding.
     """
+    if q < abs(b) < math.inf:
+        b = math.fmod(b, q)
     k, a, jj, bb = np.ogrid[0:q, 0:q, 0:q, 0:q]
     fixed = (k * bb + jj * a) % q
     U = np.exp(2j * math.pi * (b * (jj * bb) + fixed) / q) / q
@@ -689,12 +692,11 @@ def unistochastic_reduction(u):
     spectrum_residual = _matched_residual(np.linalg.eigvals(M),
                                           np.concatenate([eigs, np.zeros(q * q - q)]))
     # the trivial eigenvalue 1 sits exactly on a cusp of the curve
-    inside = _deltoid_contains(eigs * (1.0 - DELTOID_SHRINK)).tolist()
+    inside = _deltoid_contains(eigs * (1.0 - DELTOID_SHRINK))
     return {
         "restriction_residual": float(np.abs(restricted - B).max()),
         "spectrum_residual": spectrum_residual,
         "bistochastic_spectrum": eigs,
-        "deltoid_inside": inside,
         "deltoid_fraction": float(np.mean(inside)),
         "ok": spectrum_residual <= UNISTOCHASTIC_TOL,
     }

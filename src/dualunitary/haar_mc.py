@@ -51,20 +51,19 @@ the calling thread, every other one on a plain thread that the call starts
 and joins.  An exception raised in a helper's block is re-raised in the
 caller after the join, so no partial result is returned.  The LAPACK/BLAS
 calls release the GIL, but every OpenBLAS call also takes a buffer from one
-pool shared by all threads, so many tiny products contend: two threads ran
-the n per-index left products Yh (u x u*) at 0.47-0.63x the rate of
-one.  So the threads take turns at that one stage (`_radii`): one lock is
-held around a block's left products and nothing else, which keeps each
-product the same BLAS call on the same operands.  The turns serialize the
-left product's share of the work; the QR, the X product and the eigensolve
-still overlap.  The threads reach their first left products together, so one
-waits one block's products per call: up to 3% at q = 5-7 with few blocks.
-This was measured on 2 CPUs only.  X multiplies a whole
-block in one call for the same reason.  A block's fixed Python cost
-(Philox set-up, the QR and eigvals wrappers) holds the GIL, which is why a
-block is BLOCK indices and not fewer.  Results are per index, so neither
-BLOCK nor the split changes an output.  A range of at most one block starts
-no thread.
+pool shared by all threads, so many tiny products contend; X multiplies a
+whole block in one call for that reason.  Two threads ran the n per-index
+left products Yh (u x u*) at 0.47-0.63x the rate of one, so the threads take
+turns at that one stage (`_radii`): one lock is held around a block's left
+products and nothing else, which keeps each product the same BLAS call on
+the same operands.  The turns serialize the left product's share of the
+work; the QR, the X product and the eigensolve still overlap.  The threads
+reach their first left products together, so one waits one block's products
+per call: up to 3% at q = 5-7 with few blocks.  This was measured on 2 CPUs
+only.  A block's fixed Python cost (Philox set-up, the QR and eigvals
+wrappers) holds the GIL, which is why a block is BLOCK indices and not
+fewer.  Results are per index, so neither BLOCK nor the split changes an
+output.  A range of at most one block starts no thread.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -95,7 +94,7 @@ import numpy as np
 from .channels import build_m_plus, decay_rates, deflate_trivial, factored_channel
 from .invariants import entangling_power
 from .tensor_ops import (ValidationError, expi_hermitian, haar_from_ginibre, local_dim,
-                         realign_r2, sample_haar)
+                         realign_r2)
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 256
@@ -267,12 +266,9 @@ def _estimate(values, seed, extras=None):
 # estimators below and `dualu sweep` both read their numbers through these.
 
 def radius_estimate(r, seed, ep):
-    """E|lambda_1| and its stderr, with the e_p comparison in extras."""
-    ref = math.sqrt(max(1.0 - ep, 0.0))
+    """E|lambda_1| and its stderr; extras hold e_p and E|lambda_1|^2 with its stderr."""
     sq = _estimate(r**2, seed)
-    extras = {"e_p": ep, "sqrt_one_minus_ep": ref,
-              "fudge_factor": float(r.mean() / ref) if ref > 0 else float("inf"),
-              "mean_sq": sq.mean, "stderr_sq": sq.stderr}
+    extras = {"e_p": ep, "mean_sq": sq.mean, "stderr_sq": sq.stderr}
     return _estimate(r, seed, extras)
 
 

@@ -125,7 +125,6 @@ def threshold_report(q, ep):
         "e_p": float(ep),
         "guaranteed_mixing_modes": guaranteed,
         "boundary": boundary,
-        "thresholds": ladder,
     }
 
 

@@ -42,12 +42,6 @@ def cartan_gate(J):
     return swap_operator(2) @ cartan_diagonal(J)
 
 
-def cartan_channel_diag(J):
-    """Bare channel of U(J): diag(1, sin 2J, sin 2J, 1)."""
-    s = math.sin(2 * J)
-    return np.diag([1.0, s, s, 1.0]).astype(complex)
-
-
 def ep_cartan(J):
     """e_p(U(J)) = (2/3) cos^2(2J)."""
     return (2.0 / 3.0) * math.cos(2 * J) ** 2

@@ -81,23 +81,6 @@ def max_entangled_vector(q):
     return v
 
 
-def vectorize(rho):
-    """Row-vectorize: component (j,l) of the vector is <j|rho|l>."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("vectorize expects a square matrix")
-    return rho.reshape(-1).copy()
-
-
-def devectorize(v):
-    """Inverse of vectorize."""
-    v = np.asarray(v)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValidationError("vector length is not a perfect square")
-    return v.reshape(d, d).copy()
-
-
 def sandwich_locals(U, u1, u2, v1, v2):
     """(u1 (x) u2) U (v1 (x) v2) for single-particle unitaries u_i, v_i."""
     q = local_dim(U)

@@ -42,7 +42,7 @@ def test_criterion_01_reshuffle_algebra():
         for k in range(100):
             rng = hm.substream(SEED, f"c1-{q}", k)
             X = rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
-            locs = [hm.sample_haar(q, hm.substream(SEED, f"c1l-{q}-{k}", i)) for i in range(4)]
+            locs = [to.sample_haar(q, hm.substream(SEED, f"c1l-{q}-{k}", i)) for i in range(4)]
             worst = max(worst, max(to.verify_reshuffle_identities(X, locals_=locs).values()))
     _report(1, worst <= 1e-12, f"reshuffle identities, 100 matrices per q in 2..6: max residual {worst:.2e}")
 
@@ -100,7 +100,7 @@ def _criterion4_bank():
     for b in np.linspace(0.1, 2.0, 20):
         add("catfam2", co.cat_family(2, b))
     for k in range(10):
-        locs = [hm.sample_haar(2, hm.substream(SEED, "c4-lu2", 4 * k + i)) for i in range(4)]
+        locs = [to.sample_haar(2, hm.substream(SEED, "c4-lu2", 4 * k + i)) for i in range(4)]
         add("cartan-lu", to.sandwich_locals(qe.cartan_gate(0.2 + 0.03 * k), *locs))
 
     # q = 3 (180)
@@ -113,7 +113,7 @@ def _criterion4_bank():
     n_mr3 = 0
     k = 0
     while n_mr3 < 15 and k < 40:
-        U0 = hm.sample_haar(9, hm.substream(SEED, "c4-mr3", k))
+        U0 = to.sample_haar(9, hm.substream(SEED, "c4-mr3", k))
         U, tr = co.mr_iterate(U0, max_iter=30_000, tol=5e-12)
         k += 1
         if tr.converged:
@@ -144,7 +144,7 @@ def _criterion4_bank():
     n_mr4 = 0
     k = 0
     while n_mr4 < 10 and k < 30:
-        U0 = hm.sample_haar(16, hm.substream(SEED, "c4-mr4", k))
+        U0 = to.sample_haar(16, hm.substream(SEED, "c4-mr4", k))
         U, tr = co.mr_iterate(U0, max_iter=30_000, tol=1e-11)
         k += 1
         if tr.converged:
@@ -183,7 +183,7 @@ def test_criterion_05_haar_second_moment():
             if k < 5:
                 U = co.diagonal_dual_sample(q, 1.0, hm.substream(SEED, f"c5-diag{q}", k))
             else:
-                U0 = hm.sample_haar(q * q, hm.substream(SEED, f"c5-mr{q}", k))
+                U0 = to.sample_haar(q * q, hm.substream(SEED, f"c5-mr{q}", k))
                 U, _ = co.mr_iterate(U0, max_iter=5000, tol=1e-9)
             est = hm.avg_norm_power(U, 2, 10_000, seed=SEED + k)
             se = max(est.stderr, 1e-15)
@@ -200,7 +200,7 @@ def test_criterion_06_averaged_radius_trend():
     for k in range(50):
         gates.append(co.diagonal_dual_sample(3, 1.0, hm.substream(SEED, "c6-diag3", k)))
     for k in range(25):
-        U0 = hm.sample_haar(9, hm.substream(SEED, "c6-mr3", k))
+        U0 = to.sample_haar(9, hm.substream(SEED, "c6-mr3", k))
         U, _ = co.mr_iterate(U0, max_iter=4000, tol=1e-9)
         gates.append(U)
     for k in range(25):
@@ -317,7 +317,7 @@ def test_criterion_09_mr_map():
     converged = 0
     monotone = True
     for k in range(100):
-        U0 = hm.sample_haar(9, hm.substream(SEED, "c9-mr", k))
+        U0 = to.sample_haar(9, hm.substream(SEED, "c9-mr", k))
         U, tr = co.mr_iterate(U0, max_iter=1000, tol=1e-6)
         converged += tr.converged
         if np.any(np.diff(tr.s_half_history) < -1e-10):
@@ -394,7 +394,7 @@ def test_criterion_11_circuit_cross_validation():
                     abs(sim3.correlation_two_site(i, j, k, l, 0.5 * n1, 0.5 * n2, 1)),
                 )
 
-    U_ctrl = hm.sample_haar(4, hm.substream(SEED, "c11-ctrl"))
+    U_ctrl = to.sample_haar(4, hm.substream(SEED, "c11-ctrl"))
     simc = cs.CircuitSimulator(cs.CircuitConfig(q=2, L=4, gate=U_ctrl))
     ctrl = max(
         abs(simc.c_plus(i, j, x, 2))
@@ -412,7 +412,7 @@ def test_criterion_12_unistochastic_reduction_and_lu_inequivalence():
     worst = 0.0
     deltoid_frac = []
     for k in range(1000):
-        u = hm.sample_haar(3, hm.substream(SEED, "c12-u", k))
+        u = to.sample_haar(3, hm.substream(SEED, "c12-u", k))
         rep = co.unistochastic_reduction(u)
         worst = max(worst, rep["spectrum_residual"])
         deltoid_frac.append(rep["deltoid_fraction"])

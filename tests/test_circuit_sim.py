@@ -10,8 +10,9 @@ from dualunitary import circuit_sim as cs
 from dualunitary import tensor_ops as to
 from dualunitary.channels import lightcone_correlation_prediction
 from dualunitary.constructions import cat_map, diagonal_dual_sample, fixtures
-from dualunitary.haar_mc import sample_haar, substream
+from dualunitary.haar_mc import substream
 from dualunitary.qubit_exact import cartan_gate
+from dualunitary.tensor_ops import sample_haar
 from reference_plan import plan as reference_plan
 
 

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,32 @@ def test_gate_make_and_classify_cat(tmp_path, capsys):
     assert rep["duality"]["two_unitary"] is True
     assert abs(rep["e_p"] - 1.0) < 1e-12
     assert rep["ergodic_class"] == "Bernoulli"
+
+
+def test_gate_make_cat_keeps_a_large_b_unitary(tmp_path, capsys):
+    # b far beyond the period q: no overflow warning, and a gate every
+    # consumer accepts (its unitarity defect is within GATE_UNITARY_TOL)
+    for b in ("1e15", "1e308"):
+        gate = tmp_path / f"cat{b}.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gate", "make", "cat", "-q", "3", "--b", b, "-o", str(gate)]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+        assert main(["gate", "classify", str(gate)]) == 0
+        assert _strict_json(capsys.readouterr().out)["duality"]["dual"] is True
+
+
+def test_gate_make_block_refuses_sizes_by_the_option(tmp_path, capsys):
+    # sizes that are multiples of q but not positive or not summing to q^2 are
+    # refused in the terms of --sizes, not of the library's multipliers
+    out = tmp_path / "g.json"
+    for sizes in ("0,9", "3,3", "-3,12"):
+        capsys.readouterr()
+        assert main(["gate", "make", "block", "-q", "3", f"--sizes={sizes}", "-o", str(out)]) == 3
+        message = _validation_error(capsys)
+        assert message.startswith(f"--sizes {sizes}:") and "multipliers" not in message
+        assert not out.exists()
 
 
 def test_gate_make_cartan_ep(tmp_path, capsys):
@@ -530,11 +557,11 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
 # Hermitian generator or match two spectra, then prints whether scipy was loaded.
 LIBRARY_PROBE = """
 import sys
-from dualunitary import constructions as co, haar_mc as hm
+from dualunitary import constructions as co, haar_mc as hm, tensor_ops as to
 co.perturbed_two_unitary(co.two_unitary_permutation(3), 0.05, hm.substream(1, "probe"))
 hm.max_mixing_rate(co.cat_family(3, 1), 20, seed=2, refine_steps=5)
-co.block_channel_forms(3, [hm.sample_haar(3, hm.substream(3, "probe", k)) for k in range(3)])
-co.unistochastic_reduction(hm.sample_haar(3, hm.substream(4, "probe")))
+co.block_channel_forms(3, [to.sample_haar(3, hm.substream(3, "probe", k)) for k in range(3)])
+co.unistochastic_reduction(to.sample_haar(3, hm.substream(4, "probe")))
 print("scipy" in sys.modules)
 """
 

@@ -7,7 +7,8 @@ from dualunitary import constructions as co
 from dualunitary import invariants as iv
 from dualunitary import tensor_ops as to
 from dualunitary.channels import build_m_plus, channel_spectrum, classify_gate
-from dualunitary.haar_mc import sample_haar, substream
+from dualunitary.haar_mc import substream
+from dualunitary.tensor_ops import sample_haar
 from dualunitary.tolerances import DELTOID_SHRINK
 
 
@@ -283,6 +284,15 @@ def test_cat_family_duality_and_factorization():
             D[j * q + be, j * q + be] = np.exp(2j * np.pi * b * (j * be) / q)
     rhs = np.kron(F, F) @ to.swap_operator(q) @ D
     assert np.abs(co.cat_family(q, b) - rhs).max() < 1e-13
+
+
+def test_cat_family_has_period_q_in_b():
+    # b + 2^40 q is exact in floating point, and so is its reduction mod q
+    for q in (2, 3, 4, 5):
+        for b in (0.5, -0.5):
+            far = b + math.copysign(2**40 * q, b)
+            assert np.array_equal(co.cat_family(q, far), co.cat_family(q, b))
+        assert to.unitarity_defect(co.cat_family(q, 1e308)) < 1e-14
 
 
 def test_cat_fourier_local_lambda1():

@@ -37,7 +37,7 @@ def test_eigenphase_spacing_matches_cue():
     spacings = []
     for i in range(n):
         rng = hm.substream(2, "spacing", i)
-        u = hm.sample_haar(2, rng)
+        u = to.sample_haar(2, rng)
         ang = np.angle(np.linalg.eigvals(u))
         if rng.integers(2):
             ang = ang[::-1]
@@ -201,7 +201,7 @@ def test_single_u_and_four_local_averages_agree():
     b = np.empty(1500)
     for i in range(1500):
         rng = hm.substream(5, "four-locals", i)
-        V = to.sandwich_locals(U, *(hm.sample_haar(3, rng) for _ in range(4)))
+        V = to.sandwich_locals(U, *(to.sample_haar(3, rng) for _ in range(4)))
         b[i] = np.abs(np.linalg.eigvals(deflate_trivial(build_m_plus(V)))).max()
     b_stderr = b.std(ddof=1) / math.sqrt(b.size)
     assert abs(a.mean - b.mean()) < 3 * (a.stderr + b_stderr)
@@ -317,8 +317,8 @@ def _locals_at(q, seed, label, i, four_locals):
     """(L, R) with L Mt R the rotated channel of index i (R = identity: None)."""
     if four_locals:
         rng = hm.substream(seed, label, i)
-        u1 = hm.sample_haar(q, rng)
-        v2 = hm.sample_haar(q, rng)
+        u1 = to.sample_haar(q, rng)
+        v2 = to.sample_haar(q, rng)
         return np.kron(v2.conj().T, v2.T), np.kron(u1.conj().T, u1.T)
     u = hm.haar_sample_at(q, seed, label, i)
     return np.kron(u, u.conj()), None

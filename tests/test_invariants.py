@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dualunitary import invariants as iv
 from dualunitary import tensor_ops as to
 from dualunitary.constructions import cat_map, fixtures
-from dualunitary.haar_mc import sample_haar, substream
+from dualunitary.haar_mc import substream
 from dualunitary.qubit_exact import cartan_gate, ep_cartan
+from dualunitary.tensor_ops import sample_haar
 from dualunitary.tolerances import DUALITY_TOL
 
 DCNOT = to.swap_operator(2) @ np.array(
