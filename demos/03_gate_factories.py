@@ -21,6 +21,7 @@ from dualunitary import (
     entangling_power,
     mr_iterate,
     mrt_iterate,
+    ols_pair,
     permutation_gate,
     sample_haar,
     substream,
@@ -28,7 +29,6 @@ from dualunitary import (
 )
 from dualunitary.constructions import (
     PERM_DUAL_EXAMPLE_Q3,
-    PERM_OLS_EXAMPLE_Q3,
     perturbed_two_unitary,
     random_block_gate,
 )
@@ -88,9 +88,9 @@ for tag, seed_gate in (
 print("\n=== Permutations: Latin-square logic vs matrix algebra ===")
 dc = classify_permutation(*PERM_DUAL_EXAMPLE_Q3)
 print(f"  worked example: dual {dc.is_dual}, T-dual {dc.is_t_dual}")
-dc2 = classify_permutation(*PERM_OLS_EXAMPLE_Q3)
+dc2 = classify_permutation(*ols_pair(3))
 print(f"  orthogonal Latin squares: 2-unitary {dc2.is_two_unitary}, "
-      f"e_p = {entangling_power(permutation_gate(*PERM_OLS_EXAMPLE_Q3)):.1f}")
+      f"e_p = {entangling_power(permutation_gate(*ols_pair(3))):.1f}")
 print(f"  OLS 2-unitaries exist at q = 3, 4, 5, 7: "
       f"{[entangling_power(two_unitary_permutation(q)) for q in (3, 4, 5, 7)]}")
 

@@ -253,6 +253,8 @@ def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):
     a_i and a_j are q x q operators, or paired stacks of them (k x q x q),
     which give a list of one value per pair.  The channel is built and raised
     to the power 2t once per call (`channel_power_traces`)."""
+    if side not in ("plus", "minus"):
+        raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
     M = build_m_plus(U) if side == "plus" else build_m_minus(U)
     values = channel_power_traces(np.linalg.matrix_power(M, 2 * t), a_i, a_j)
     return values if np.ndim(a_i) == 3 else values[0]

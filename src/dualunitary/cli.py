@@ -236,8 +236,8 @@ def _make_gate(args):
     rng = substream(args.seed, f"gate-make-{args.family}")
     fam = args.family
     if fam == "block":
-        sizes = ([_int(s, "--sizes entry") for s in args.sizes.split(",")] if args.sizes
-                 else [args.q] * args.q)
+        sizes = ([_int(s, "--sizes entry") for s in args.sizes.split(",")]
+                 if args.sizes is not None else [args.q] * args.q)
         if any(s % args.q for s in sizes):
             raise ValidationError(f"block sizes {sizes} must be positive multiples of q={args.q}")
         if min(sizes) < 1 or sum(sizes) != args.q ** 2:

@@ -374,15 +374,11 @@ def perm_spec_to_json(K, L, theta=None):
     return out
 
 
-# worked q=3 examples (0-indexed): a dual-but-not-T-dual permutation and an
-# orthogonal-Latin-square 2-unitary
+# a worked q=3 example (0-indexed): a dual-but-not-T-dual permutation; the
+# orthogonal-Latin-square 2-unitary of the same order is `ols_pair(3)`
 PERM_DUAL_EXAMPLE_Q3 = (
     np.array([[0, 1, 2], [2, 1, 0], [2, 0, 1]]),
     np.array([[0, 2, 0], [1, 0, 2], [2, 1, 1]]),
-)
-PERM_OLS_EXAMPLE_Q3 = (
-    np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
-    np.array([[0, 2, 1], [1, 0, 2], [2, 1, 0]]),
 )
 
 _GF4_MUL = np.array(
@@ -462,9 +458,11 @@ def cat_family(q, b):
     Locally equivalent to a swap-diagonal gate; e_p peaks at q/(q+1) for b=1.
     The family has period q in b (b multiplies an integer), so a finite b
     beyond q is reduced by the exact fmod first: b * jb' would lose the phase
-    to rounding.
+    to rounding.  A non-finite b is refused.
     """
-    if q < abs(b) < math.inf:
+    if not math.isfinite(b):
+        raise ValidationError(f"b must be finite, got {b}")
+    if abs(b) > q:
         b = math.fmod(b, q)
     k, a, jj, bb = np.ogrid[0:q, 0:q, 0:q, 0:q]
     fixed = (k * bb + jj * a) % q
@@ -568,49 +566,13 @@ _DUAL_Q3_EP3OVER4 = np.array(
     ]
 )
 
-_D3_Q3 = np.array(
-    [
-        [1, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 0, 0, 1, 0, 0],
-    ]
-)
-
 # rotation parameter tuned so that e_p(D2.S) matches e_p(D3.S) = 3/4
 D2_ROTATION_PARAMETER = 0.315167
 
 
-def _d2_q3(a=D2_ROTATION_PARAMETER):
-    c, s = math.cos(a * math.pi), math.sin(a * math.pi)
-    return np.array(
-        [
-            [1, 0, 0, 0, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 1, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, c, s],
-            [0, 0, 0, 0, 0, 0, 0, -s, c],
-        ]
-    )
-
-
-def _d4_q4():
-    blocks = [
-        np.eye(4),
-        np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
-        np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
-        np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]),
-    ]
-    return block_diagonal_matrix(4, blocks)
+def _shift_powers(q):
+    """The powers C_q^k, k = 0..q-1, of the cyclic shift C_q|j> = |j+1 mod q>."""
+    return [np.roll(np.eye(q), k, axis=0) for k in range(q)]
 
 
 def _dual_q4_ep4over5():
@@ -636,20 +598,25 @@ def _dual_q4_ep4over5():
 
 def fixtures():
     """The named reference gates: explicit duals and 2-unitaries plus the
-    block matrices behind the locally inequivalent e_p = 3/4 and 4/5 pairs."""
-    S3, S4 = swap_operator(3), swap_operator(4)
-    D2 = _d2_q3()
-    D4 = _d4_q4()
+    block matrices behind the locally inequivalent e_p = 3/4 and 4/5 pairs.
+
+    d3_q3 and d4_q4 are `block_diagonal_matrix` instances with the shift
+    powers C_q^k on the diagonal; d2_q3 is a 6 x 6 permutation block plus
+    1 (+) a rotation by D2_ROTATION_PARAMETER pi.  Each dual_q*_d*s is the
+    `block_diagonal_gate` D.S of the same blocks."""
+    c, s = math.cos(D2_ROTATION_PARAMETER * math.pi), math.sin(D2_ROTATION_PARAMETER * math.pi)
+    d2 = [np.eye(6)[[0, 1, 5, 4, 3, 2]], np.array([[1, 0, 0], [0, c, s], [0, -s, c]])]
+    d3, d4 = _shift_powers(3), _shift_powers(4)
     return {
         "dual_q3_ep8over9": _DUAL_Q3_EP8OVER9.astype(complex),
         "two_unitary_q3": _TWO_UNITARY_Q3.astype(complex),
         "dual_q3_ep3over4": _DUAL_Q3_EP3OVER4.astype(complex),
-        "d3_q3": _D3_Q3.astype(complex),
-        "d2_q3": D2.astype(complex),
-        "d4_q4": D4.astype(complex),
-        "dual_q3_d3s": (_D3_Q3 @ S3).astype(complex),
-        "dual_q3_d2s": (D2 @ S3).astype(complex),
-        "dual_q4_d4s": (D4 @ S4).astype(complex),
+        "d3_q3": block_diagonal_matrix(3, d3),
+        "d2_q3": block_diagonal_matrix(3, d2),
+        "d4_q4": block_diagonal_matrix(4, d4),
+        "dual_q3_d3s": block_diagonal_gate(3, d3),
+        "dual_q3_d2s": block_diagonal_gate(3, d2),
+        "dual_q4_d4s": block_diagonal_gate(4, d4),
         "dual_q4_ep4over5": _dual_q4_ep4over5().astype(complex),
     }
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from dualunitary.cli import main
-from dualunitary.constructions import PERM_OLS_EXAMPLE_Q3, fixtures, perm_spec_to_json
+from dualunitary.constructions import fixtures, ols_pair, perm_spec_to_json
 from dualunitary.tensor_ops import gate_to_json
 
 DATA = pathlib.Path(__file__).with_name("parity_corpus.json")
@@ -72,7 +72,7 @@ def _inputs():
                   for d in DEFECTS})
     texts["bad_utf8.json"] = '{"q": 2, "re": "\udcff"}'
     texts["bad_syntax.json"] = "{not json"
-    K, L = PERM_OLS_EXAMPLE_Q3
+    K, L = ols_pair(3)
     texts["perm_ols_q3.json"] = json.dumps(perm_spec_to_json(K, L))
     texts["perm_bad_theta.json"] = json.dumps(perm_spec_to_json(K, L, np.zeros((2, 2))))
     texts["perm_bad_k.json"] = json.dumps({**perm_spec_to_json(K, L), "K": [[1, 2, 3], [1]]})
@@ -181,6 +181,7 @@ def _argvs():
     out.append(["gate", "make", "fixture", "--name", "nope"])
     out.append(["gate", "make", "block", "-q", "3", "--sizes", "4,5"])
     out.append(["gate", "make", "block", "--sizes", "3,x"])
+    out.append(["gate", "make", "block", "-q", "3", "--sizes", ""])
     out.append(["gate", "make", "diag", "-q", "-2"])
     out.append(["gate", "make", "cat", "--b", "nan"])
     out.append(["gate", "make", "cartan", "--J=-inf"])

@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from dualunitary import channels as ch
@@ -119,7 +120,7 @@ def _criterion4_bank():
         if tr.converged:
             add("dualcue3", U)
             n_mr3 += 1
-    K3, L3 = co.PERM_OLS_EXAMPLE_Q3
+    K3, L3 = co.ols_pair(3)
     for k in range(20):
         theta = hm.substream(SEED, "c4-enph3", k).uniform(-math.pi, math.pi, size=(3, 3))
         add("enph3", co.permutation_gate(K3, L3, phases=theta))
@@ -164,6 +165,7 @@ def _criterion4_bank():
     return gates[:500]
 
 
+@pytest.mark.slow
 def test_criterion_04_norm_and_bounds_ledger():
     gates = _criterion4_bank()
     worst_norm, worst_slack = 0.0, math.inf
@@ -220,6 +222,7 @@ def test_criterion_06_averaged_radius_trend():
                    f"f = {f_q:.3f} in [1.0, 1.2]")
 
 
+@pytest.mark.slow
 def test_criterion_06b_near_one_factor():
     """Faithful check of the 'factor -> 1 within 0.05 near e_p = 1' clause.
 
@@ -408,6 +411,7 @@ def test_criterion_11_circuit_cross_validation():
                     f"{worst_two:.1e} (<=1e-9); non-dual control {ctrl:.2e} (>1e-3)")
 
 
+@pytest.mark.slow
 def test_criterion_12_unistochastic_reduction_and_lu_inequivalence():
     worst = 0.0
     deltoid_frac = []

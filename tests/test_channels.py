@@ -283,6 +283,13 @@ def test_lightcone_prediction_sides_differ_for_chiral_gate():
     assert gap > 1e-6
 
 
+def test_lightcone_prediction_refuses_an_unknown_side():
+    sz = np.diag([1.0, -1.0])
+    for side in ("bogus", "Plus", None):
+        with pytest.raises(ValidationError, match="'plus' or 'minus'"):
+            ch.lightcone_correlation_prediction(cartan_gate(0.3), sz, sz, 1, side=side)
+
+
 # ---------------------------------------------------------------------------
 # the real Hermitian-basis factorisation
 

@@ -278,6 +278,7 @@ def _oracle_worst(cfg, t_max, i_set, y_set, two_site):
     return worst
 
 
+@pytest.mark.slow
 def test_engine_matches_dense_oracle():
     rng = substream(5, "oracle")
     haar2 = sample_haar(4, rng)
@@ -560,6 +561,7 @@ def _plans_match_the_former_planner(sim, batches, pairs_from=2):
     return cases
 
 
+@pytest.mark.slow
 def test_plan_matches_the_former_planner(monkeypatch):
     # the one-pass planner gives the former planner's sweep: the same matrix
     # objects, input and output legs and order, or the same budget refusal

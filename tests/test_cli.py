@@ -19,7 +19,7 @@ from dualunitary import circuit_sim as cs
 from dualunitary import cli
 from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
-from dualunitary.constructions import perm_spec_to_json, PERM_OLS_EXAMPLE_Q3
+from dualunitary.constructions import ols_pair, perm_spec_to_json
 from dualunitary.tensor_ops import gate_to_json
 from parity_corpus import defective_gate
 
@@ -72,6 +72,14 @@ def test_gate_make_block_refuses_sizes_by_the_option(tmp_path, capsys):
         message = _validation_error(capsys)
         assert message.startswith(f"--sizes {sizes}:") and "multipliers" not in message
         assert not out.exists()
+
+
+def test_gate_make_block_refuses_an_empty_sizes_list(tmp_path, capsys):
+    # --sizes "" is an empty size list, not the uniform default of no --sizes
+    out = tmp_path / "g.json"
+    assert main(["gate", "make", "block", "-q", "3", "--sizes", "", "-o", str(out)]) == 3
+    assert "--sizes" in _validation_error(capsys)
+    assert not out.exists()
 
 
 def test_gate_make_cartan_ep(tmp_path, capsys):
@@ -128,7 +136,7 @@ def test_gate_make_refuses_options_its_family_ignores(tmp_path, capsys, monkeypa
 
 def test_gate_make_perm_spec(tmp_path):
     spec = tmp_path / "perm.json"
-    spec.write_text(json.dumps(perm_spec_to_json(*PERM_OLS_EXAMPLE_Q3)))
+    spec.write_text(json.dumps(perm_spec_to_json(*ols_pair(3))))
     gate = tmp_path / "perm_gate.json"
     assert main(["gate", "make", "perm", "--spec", str(spec), "-o", str(gate)]) == 0
     payload = _strict_json(gate.read_text())
@@ -621,7 +629,7 @@ def test_fewer_than_one_worker_is_a_validation_error(tmp_path, capsys):
 def test_gate_make_perm_rejects_theta_of_the_wrong_shape(tmp_path, capsys):
     spec = tmp_path / "perm.json"
     for theta in (np.zeros((2, 2)), np.zeros((4, 4)), np.full((3, 3), np.nan)):
-        spec.write_text(json.dumps(perm_spec_to_json(*PERM_OLS_EXAMPLE_Q3, theta)))
+        spec.write_text(json.dumps(perm_spec_to_json(*ols_pair(3), theta)))
         capsys.readouterr()
         assert main(["gate", "make", "perm", "--spec", str(spec)]) == 3
         assert "theta" in _validation_error(capsys)
@@ -661,7 +669,7 @@ def test_fewer_than_one_sample_is_a_validation_error(tmp_path, capsys):
 ])
 def test_gate_make_perm_rejects_non_integer_spec_entries(tmp_path, capsys, key, value):
     spec = tmp_path / "perm.json"
-    spec.write_text(json.dumps({**perm_spec_to_json(*PERM_OLS_EXAMPLE_Q3), key: value}))
+    spec.write_text(json.dumps({**perm_spec_to_json(*ols_pair(3)), key: value}))
     assert main(["gate", "make", "perm", "--spec", str(spec)]) == 3
     assert key in _validation_error(capsys)
 

@@ -190,7 +190,7 @@ def test_permutation_gate_validation_and_phases():
     L = np.zeros((2, 2), dtype=int)
     with pytest.raises(ValueError):
         co.permutation_gate(K, L)
-    K2, L2 = co.PERM_OLS_EXAMPLE_Q3
+    K2, L2 = co.ols_pair(3)
     theta = substream(7, "phases").uniform(-math.pi, math.pi, size=(3, 3))
     P = co.permutation_gate(K2, L2, phases=theta)
     assert to.unitarity_defect(P) < 1e-14
@@ -204,7 +204,7 @@ def test_worked_permutation_examples():
     assert dc.is_dual and not dc.is_t_dual
     m = iv.classify_duality(co.permutation_gate(K, L))
     assert m.is_dual == dc.is_dual and m.is_t_dual == dc.is_t_dual
-    K2, L2 = co.PERM_OLS_EXAMPLE_Q3
+    K2, L2 = co.ols_pair(3)
     assert co.classify_permutation(K2, L2).is_two_unitary
     assert iv.entangling_power(co.permutation_gate(K2, L2)) > 1 - 1e-12
 
@@ -238,7 +238,7 @@ def test_ols_pairs():
 
 
 def test_perm_spec_json_round_trip():
-    K, L = co.PERM_OLS_EXAMPLE_Q3
+    K, L = co.ols_pair(3)
     obj = co.perm_spec_to_json(K, L)
     assert np.asarray(obj["K"]).min() == 1  # 1-indexed on the wire
     K2, L2, theta = co.perm_spec_from_json(obj)
@@ -293,6 +293,12 @@ def test_cat_family_has_period_q_in_b():
             far = b + math.copysign(2**40 * q, b)
             assert np.array_equal(co.cat_family(q, far), co.cat_family(q, b))
         assert to.unitarity_defect(co.cat_family(q, 1e308)) < 1e-14
+
+
+def test_cat_family_refuses_a_non_finite_b():
+    for b in (math.inf, -math.inf, math.nan):
+        with pytest.raises(to.ValidationError, match="b must be finite"):
+            co.cat_family(3, b)
 
 
 def test_cat_fourier_local_lambda1():
