@@ -29,6 +29,7 @@ from .tensor_ops import (
     realign_r1,
     realign_r2,
     ValidationError,
+    require_int,
     require_unitary,
 )
 from .tolerances import (BOUND_SLACK_TOL, DUALITY_TOL, UNIT_BOUNDARY_TOL, UNIT_TOL,
@@ -255,6 +256,7 @@ def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):
     to the power 2t once per call (`channel_power_traces`)."""
     if side not in ("plus", "minus"):
         raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
+    require_int(t, "t", 0)
     M = build_m_plus(U) if side == "plus" else build_m_minus(U)
     values = channel_power_traces(np.linalg.matrix_power(M, 2 * t), a_i, a_j)
     return values if np.ndim(a_i) == 3 else values[0]

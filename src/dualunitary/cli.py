@@ -16,10 +16,16 @@ Determinism: all randomness flows from one --seed (env DUALUNITARY_SEED as
 default); subsystems derive substreams by labeled hashing, so reruns are
 byte-identical.  CSV floats are written with shortest round-trip formatting,
 '.' decimal, ',' separator and LF line ends.  Exit codes: 0 ok, 1 internal
-error, 2 usage, 3 validation (a refused input, or a file that cannot be read
-or written), 4 non-convergence; every failure writes a one-line JSON error
-record as the first line on stderr.  A circuit config's "gate" is a gate file
-path or an inline gate object; `channel spectrum --locals` takes seed:<int>.
+error, 2 usage, 3 validation (an argument the command does not take, a
+refused value, or a file that cannot be read or written), 4 non-convergence.
+Exits 1, 3 and 4 write a one-line JSON error record as the first line on
+stderr; exit 2 is argparse's usage message alone (an unknown command or
+family, a value argparse cannot convert, or an option placed before the
+family, as in `gate make -q 3 cat`).  Each gate family and each `sweep
+family` is its own subparser that declares only the options it reads, so
+`dualu gate make <family> --help` lists exactly those.  A circuit config's
+"gate" is a gate file path or an inline gate object; `channel spectrum
+--locals` takes seed:<int>.
 Every command emits a run manifest next to its output file (or on stderr when
 the output is stdout or not a regular file); it records the sha256 of the
 output's bytes as written, the Haar-stream layout (`stream_scheme`, see
@@ -78,6 +84,7 @@ from .tensor_ops import (
     gate_from_json,
     gate_to_json,
     local_dim,
+    require_int,
     sample_haar,
     verify_reshuffle_identities,
 )
@@ -184,40 +191,9 @@ OPTION_FLOORS = (("workers", "--workers", 1), ("n", "-N", 1), ("points", "--poin
                  ("q", "-q", 2), ("max_iter", "--max-iter", 1))
 
 
-# the options each `gate make` family reads, and their defaults; a family
-# refuses any other option it is given
-GATE_OPTIONS = {"q": 3, "side": "ds", "sizes": None, "epsilon": 1.0, "spec": None,
-                "b": None, "J": 0.0, "max_iter": 10_000, "tol": FLOW_TOL, "name": None,
-                "seed": None}
-FAMILY_OPTIONS = {
-    "block": ("q", "side", "sizes", "seed"),
-    "diag": ("q", "epsilon", "seed"),
-    "perm": ("spec",),
-    "cat": ("q", "b"),
-    "cartan": ("J",),
-    "mr": ("q", "max_iter", "tol", "seed"),
-    "mrt": ("q", "max_iter", "tol", "seed"),
-    "fixture": ("name",),
-}
-
-
-def _gate_options(args):
-    """Refuse a `gate make` option the family ignores; default the others."""
-    for attr, default in GATE_OPTIONS.items():
-        if attr in FAMILY_OPTIONS[args.family]:
-            if getattr(args, attr) is None:
-                setattr(args, attr, default)
-        elif getattr(args, attr) is not None:
-            flag = "-q" if attr == "q" else "--" + attr.replace("_", "-")
-            raise ValidationError(f"gate make {args.family} takes no {flag}")
-
-
 def _resolve_defaults(args):
-    """Check the options of `gate make` against its family, fill --seed and
-    --workers from the environment (--workers: else the usable CPUs) and check
-    the integer options."""
-    if args._command_path == ["gate", "make"]:
-        _gate_options(args)
+    """Fill --seed and --workers from the environment (--workers: else the
+    usable CPUs) and check the integer options."""
     if getattr(args, "seed", 0) is None:
         args.seed = _int(os.environ.get("DUALUNITARY_SEED", 0), "DUALUNITARY_SEED")
     if getattr(args, "workers", 1) is None:
@@ -233,8 +209,9 @@ def _resolve_defaults(args):
 # gate make / classify
 
 def _make_gate(args):
-    rng = substream(args.seed, f"gate-make-{args.family}")
     fam = args.family
+    # block, diag, mr and mrt take a --seed; the other families draw nothing
+    rng = substream(args.seed, f"gate-make-{fam}") if "seed" in args else None
     if fam == "block":
         sizes = ([_int(s, "--sizes entry") for s in args.sizes.split(",")]
                  if args.sizes is not None else [args.q] * args.q)
@@ -350,12 +327,6 @@ def cmd_sweep_haar(args):
 def cmd_sweep_family(args):
     rows = []
     if args.family == "cartan":
-        if args.q != 2:
-            raise ValidationError(f"sweep family cartan is a qubit family: -q must be 2, "
-                                  f"got {args.q}")
-        if args.epsilon is not None:
-            raise ValidationError("sweep family cartan takes no --epsilon")
-
         grid = np.linspace(0.0, math.pi / 4, args.points)
         header = ("param",) + SWEEP_HEADER + ("nu_prime", "mu_prime", "nu_exact")
         for J in grid:
@@ -367,7 +338,7 @@ def cmd_sweep_family(args):
     else:  # "diag"
         header = ("param",) + SWEEP_HEADER
         for k in range(args.points):
-            eps = (k + 1) / args.points * (1.0 if args.epsilon is None else args.epsilon)
+            eps = (k + 1) / args.points * args.epsilon
             rng = substream(args.seed, "sweep-family-diag", k)
             U = diagonal_dual_sample(args.q, eps, rng)
             rows.append((float(eps),) + _sweep_row(U, args.n, args.seed, args.workers))
@@ -380,13 +351,6 @@ def cmd_sweep_family(args):
 CIRCUIT_KEYS = ("q", "L", "gate", "t_max", "basis_pairs")
 
 
-def _positive_int(raw, key, default=None):
-    value = raw.get(key, default)
-    if type(value) is not int or value < 1:
-        raise ValidationError(f"{key} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def _load_circuit(path):
     """The circuit config, its t_max (default L // 2) and its basis pairs."""
     raw = _read_json(path)
@@ -395,11 +359,11 @@ def _load_circuit(path):
     unknown = sorted(raw.keys() - set(CIRCUIT_KEYS))
     if unknown:
         raise ValidationError(f"unknown circuit config keys {unknown}; allowed {list(CIRCUIT_KEYS)}")
-    q, L = _positive_int(raw, "q"), _positive_int(raw, "L")
+    q, L = (require_int(raw.get(key), key, 1) for key in ("q", "L"))
     if "t_max" not in raw and L < 2:
         raise ValidationError(f"t_max must be an integer >= 1, got the default "
                               f"t_max = L // 2 = {L // 2} for L = {L}; set t_max")
-    t_max = _positive_int(raw, "t_max", L // 2)
+    t_max = require_int(raw.get("t_max", L // 2), "t_max", 1)
     gate = raw["gate"]
     if isinstance(gate, str):
         gate = _read_gate(gate)
@@ -566,23 +530,34 @@ def build_parser():
                         "$DUALUNITARY_WORKERS, else the usable CPUs); the output does "
                         "not depend on it")
 
-    # gate
+    # gate: each family is a subparser with only the options it reads
     gate = sub.add_parser("gate").add_subparsers(dest="sub", required=True)
-    gm = gate.add_parser("make")
-    # each family reads only its own options (FAMILY_OPTIONS; defaults in GATE_OPTIONS)
-    gm.add_argument("family", choices=list(FAMILY_OPTIONS))
-    gm.add_argument("-q", type=int)
-    gm.add_argument("--side", choices=["ds", "sd"])
-    gm.add_argument("--sizes", help="comma-separated block sizes (multiples of q)")
-    gm.add_argument("--epsilon", type=float)
-    gm.add_argument("--spec", help="permutation spec JSON (1-indexed K, L, optional theta)")
-    gm.add_argument("--b", type=float, help="cat-family parameter")
-    gm.add_argument("--J", type=float)
-    gm.add_argument("--max-iter", type=int)
-    gm.add_argument("--tol", type=float)
-    gm.add_argument("--name", help="fixture name")
-    gm.add_argument("-o", "--output", default="-")
-    add_seed(gm)
+    families = gate.add_parser("make").add_subparsers(dest="family", required=True)
+
+    def family(name, q=None):
+        sp = families.add_parser(name)
+        if q is not None:
+            sp.add_argument("-q", type=int, default=q)
+        sp.add_argument("-o", "--output", default="-")
+        return sp
+
+    block = family("block", q=3)
+    block.add_argument("--side", choices=["ds", "sd"], default="ds")
+    block.add_argument("--sizes", help="comma-separated block sizes (multiples of q)")
+    add_seed(block)
+    diag = family("diag", q=3)
+    diag.add_argument("--epsilon", type=float, default=1.0)
+    add_seed(diag)
+    family("perm").add_argument(
+        "--spec", help="permutation spec JSON (1-indexed K, L, optional theta)")
+    family("cat", q=3).add_argument("--b", type=float, help="cat-family parameter")
+    family("cartan").add_argument("--J", type=float, default=0.0)
+    for name in ("mr", "mrt"):
+        flow = family(name, q=3)
+        flow.add_argument("--max-iter", type=int, default=10_000)
+        flow.add_argument("--tol", type=float, default=FLOW_TOL)
+        add_seed(flow)
+    family("fixture").add_argument("--name", help="fixture name")
 
     gc = gate.add_parser("classify")
     gc.add_argument("gate")
@@ -609,15 +584,17 @@ def build_parser():
     sh.add_argument("-o", "--output", default="-")
     add_seed(sh)
 
-    sf = sweep.add_parser("family")
-    sf.add_argument("family", choices=["cartan", "diag"])
-    sf.add_argument("-q", type=int, default=2)
-    sf.add_argument("--points", type=int, default=10)
-    sf.add_argument("--epsilon", type=float, default=None, help="diag only (default 1.0)")
-    sf.add_argument("-N", "--n", type=int, default=2000)
-    add_workers(sf)
-    sf.add_argument("-o", "--output", default="-")
-    add_seed(sf)
+    sweep_families = sweep.add_parser("family").add_subparsers(dest="family", required=True)
+    for name in ("cartan", "diag"):
+        sf = sweep_families.add_parser(name)
+        if name == "diag":  # cartan is a qubit family of J alone
+            sf.add_argument("-q", type=int, default=2)
+            sf.add_argument("--epsilon", type=float, default=1.0)
+        sf.add_argument("--points", type=int, default=10)
+        sf.add_argument("-N", "--n", type=int, default=2000)
+        add_workers(sf)
+        sf.add_argument("-o", "--output", default="-")
+        add_seed(sf)
 
     # circuit
     circ = sub.add_parser("circuit").add_subparsers(dest="sub", required=True)
@@ -652,13 +629,16 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return exc.code
     args._raw_argv = argv
-    args._command_path = [args.group, getattr(args, "sub", "")]
+    args._command_path = [args.group, args.sub]
     t0 = time.time()
     try:
+        if extra:  # the leftovers of every parser level, in argv order
+            where = " ".join([*args._command_path, *([args.family] if "family" in args else [])])
+            raise ValidationError(f"{where} takes no {extra[0].partition('=')[0]}")
         _resolve_defaults(args)
         # looked up at call time, so a rebound cmd_* function takes effect
         command = "_".join(["cmd", *args._command_path]).replace("-", "_")

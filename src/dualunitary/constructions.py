@@ -43,6 +43,7 @@ from .tensor_ops import (
     partial_transpose_t2,
     realign_r1,
     realign_r2,
+    require_int,
     sample_haar,
     swap_operator,
 )
@@ -229,6 +230,9 @@ def _iterate(U0, max_iter, tol, two_unitary=False):
     applied to arange(q^4)), the SVD is the bound gufunc `_svd`, and one
     np.errstate around the whole loop turns a LAPACK failure into
     LinAlgError("SVD did not converge"), as np.linalg.svd does per call."""
+    require_int(max_iter, "max_iter", 1)
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be a finite positive number, got {tol!r}")
     U = np.asarray(U0, dtype=complex)
     q = local_dim(U)
     es = swap_entanglement(q)
@@ -388,6 +392,7 @@ _GF4_MUL = np.array(
 
 def ols_pair(q):
     """Orthogonal Latin squares of order q (odd q, or q = 4 via GF(4))."""
+    require_int(q, "q", 2)
     idx = np.arange(q)
     if q % 2 == 1:
         K = (idx[:, None] + idx[None, :]) % q
@@ -446,6 +451,7 @@ def cat_map(q):
     exactly on the mixing threshold e_p = (q^2-2)/(q^2-1).  Phases are exact
     integer multiples of 2 pi/q, reduced mod q before exponentiation.
     """
+    require_int(q, "q", 2)
     k, a, j, b = np.ogrid[0:q, 0:q, 0:q, 0:q]
     expo = (k * a + 2 * j * b - k * b - j * a) % q
     U = np.exp(-2j * math.pi * expo / q) / q
@@ -458,8 +464,9 @@ def cat_family(q, b):
     Locally equivalent to a swap-diagonal gate; e_p peaks at q/(q+1) for b=1.
     The family has period q in b (b multiplies an integer), so a finite b
     beyond q is reduced by the exact fmod first: b * jb' would lose the phase
-    to rounding.  A non-finite b is refused.
+    to rounding.  A q that is not an integer >= 2 or a non-finite b is refused.
     """
+    require_int(q, "q", 2)
     if not math.isfinite(b):
         raise ValidationError(f"b must be finite, got {b}")
     if abs(b) > q:

@@ -16,6 +16,7 @@ transpose, a reshape back), so they are bit-exact and involutive.
 
 import json
 import math
+import numbers
 import reprlib
 
 import numpy as np
@@ -25,6 +26,14 @@ from .tolerances import GATE_UNITARY_TOL
 
 class ValidationError(ValueError):
     """Input the library refuses: a malformed gate, spec, config or argument."""
+
+
+def require_int(value, what, least):
+    """value, if it is an integer >= least; anything else, a bool, a float
+    with an integer value and a NaN among them, is refused naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def local_dim(X):
@@ -229,10 +238,7 @@ def _json_object(obj, what, keys):
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValidationError(f"{what} lacks the keys {missing}")
-    q = int(_json_array(obj["q"], "q", ()))
-    if q < 2:
-        raise ValidationError(f"q must be an integer >= 2, got {q}")
-    return q
+    return require_int(int(_json_array(obj["q"], "q", ())), "q", 2)
 
 
 def gate_from_json(obj):

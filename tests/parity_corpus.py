@@ -197,6 +197,9 @@ def _argvs():
     out.append(["sweep", "family", "cartan", "--points", "0", "-N", "10"])
     out.append(["sweep", "family", "cartan", "-q", "5", "--points", "2", "-N", "10"])
     out.append(["sweep", "family", "cartan", "--epsilon", "0.1", "--points", "2", "-N", "10"])
+    # an argument the command does not take, another family's option among them
+    out.append(["sweep", "haar", _gate("cartan_0.2"), "-N", "10", "--bogus", "1"])
+    out.append(["sweep", "family", "diag", "--J", "0.1", "--points", "2", "-N", "10"])
     out.append(["oracle", "haar-identity", "-q", "2", "-N", "1"])
     out.append(["perm", "enumerate", "-q", "1"])
     for name in ("cfg_t_max_zero", "cfg_unknown_key", "cfg_bad_pairs", "cfg_empty_pairs",

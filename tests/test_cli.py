@@ -1,3 +1,4 @@
+import argparse
 import ast
 import itertools
 import json
@@ -21,6 +22,7 @@ from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
 from dualunitary.constructions import ols_pair, perm_spec_to_json
 from dualunitary.tensor_ops import gate_to_json
+from dualunitary.tolerances import FLOW_TOL
 from parity_corpus import defective_gate
 
 
@@ -132,6 +134,83 @@ def test_gate_make_refuses_options_its_family_ignores(tmp_path, capsys, monkeypa
     # a default seed from the environment is no option given
     monkeypatch.setenv("DUALUNITARY_SEED", "9")
     assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(out)]) == 0
+
+
+def _choices(parser):
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _subparser(*path):
+    parser = cli.build_parser()
+    for name in path:
+        parser = _choices(parser)[name]
+    return parser
+
+
+def test_each_family_declares_only_its_own_options():
+    # (command path, the options it declares besides -h and -o, its defaults)
+    seeded = {"seed": None}
+    for path, defaults in (
+            (("gate", "make", "block"), {"q": 3, "side": "ds", "sizes": None, **seeded}),
+            (("gate", "make", "diag"), {"q": 3, "epsilon": 1.0, **seeded}),
+            (("gate", "make", "perm"), {"spec": None}),
+            (("gate", "make", "cat"), {"q": 3, "b": None}),
+            (("gate", "make", "cartan"), {"J": 0.0}),
+            (("gate", "make", "mr"), {"q": 3, "max_iter": 10_000, "tol": FLOW_TOL, **seeded}),
+            (("gate", "make", "mrt"), {"q": 3, "max_iter": 10_000, "tol": FLOW_TOL, **seeded}),
+            (("gate", "make", "fixture"), {"name": None}),
+            (("sweep", "family", "cartan"), {"points": 10, "n": 2000, "workers": None,
+                                             **seeded}),
+            (("sweep", "family", "diag"), {"q": 2, "epsilon": 1.0, "points": 10, "n": 2000,
+                                           "workers": None, **seeded})):
+        options = {a.dest: a.default for a in _subparser(*path)._actions if a.option_strings}
+        assert options == {"help": argparse.SUPPRESS, "output": "-", **defaults}, path
+    assert list(_choices(_subparser("gate", "make"))) == [
+        "block", "diag", "perm", "cat", "cartan", "mr", "mrt", "fixture"]
+    assert list(_choices(_subparser("sweep", "family"))) == ["cartan", "diag"]
+
+
+def test_every_command_refuses_an_argument_it_does_not_take(tmp_path, capsys):
+    # exit 3 with the JSON line, naming the first such argument as typed
+    gate, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate)}))
+    out = tmp_path / "out"
+    for argv in (["gate", "classify", str(gate)], ["channel", "spectrum", str(gate)],
+                 ["sweep", "haar", str(gate), "-N", "10"], ["circuit", "corr", str(cfg)],
+                 ["circuit", "verify", str(cfg)], ["oracle", "haar-identity", "-N", "10"],
+                 ["oracle", "reshuffle-identities"], ["perm", "enumerate", "-q", "2"],
+                 ["gate", "make", "cat"], ["sweep", "family", "diag", "-N", "10"]):
+        command = " ".join(argv[:3] if argv[1] in ("make", "family") else argv[:2])
+        for extra in (["--bogus", "1"], ["--bogus=1", "--other"], ["stray"]):
+            capsys.readouterr()
+            assert main([*argv, *extra, "-o", str(out)]) == 3
+            name = extra[0].partition("=")[0]
+            assert _validation_error(capsys) == f"{command} takes no {name}"
+            assert not out.exists()
+
+
+def test_an_option_before_the_family_is_a_usage_error(capsys):
+    # argparse reads the option's value as the family: exit 2, no JSON line
+    for argv in (["gate", "make", "-q", "3", "cat"], ["sweep", "family", "-N", "10", "diag"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and not err.startswith("{")
+
+
+def test_unseeded_families_read_no_seed(tmp_path, monkeypatch):
+    # perm, cat, cartan and fixture draw nothing: the manifest records no seed,
+    # and a malformed environment seed is not theirs to refuse
+    spec = tmp_path / "perm.json"
+    spec.write_text(json.dumps(perm_spec_to_json(*ols_pair(3))))
+    monkeypatch.setenv("DUALUNITARY_SEED", "abc")
+    for k, extra in enumerate((["perm", "--spec", str(spec)], ["cat", "-q", "3"],
+                               ["cartan", "--J", "0.2"], ["fixture", "--name", "dual_q3_d3s"])):
+        out = tmp_path / f"g{k}.json"
+        assert main(["gate", "make", *extra, "-o", str(out)]) == 0
+        manifest = _strict_json((tmp_path / f"g{k}.json.manifest.json").read_text())
+        assert manifest["seed"] is None
 
 
 def test_gate_make_perm_spec(tmp_path):
@@ -386,13 +465,13 @@ def test_circuit_commands_refuse_a_non_unitary_gate_before_evolving(tmp_path, ca
 
 
 def test_sweep_family_cartan_refuses_the_options_it_ignores(tmp_path, capsys):
+    # cartan is a qubit family of J alone: it takes no -q, not even -q 2
     cartan = ["sweep", "family", "cartan", "--points", "2", "-N", "10"]
-    for extra, word in ((["-q", "5"], "-q"), (["-q", "3"], "-q"),
+    for extra, word in ((["-q", "5"], "-q"), (["-q", "3"], "-q"), (["-q", "2"], "-q"),
                         (["--epsilon", "0.1"], "--epsilon"), (["--epsilon", "1.0"], "--epsilon")):
         capsys.readouterr()
         assert main([*cartan, *extra]) == 3
-        assert word in _validation_error(capsys)
-    assert main([*cartan, "-q", "2"]) == 0
+        assert _validation_error(capsys) == f"sweep family cartan takes no {word}"
     # diag still sweeps epsilon up to 1.0 by default
     runs = [(tmp_path / f"diag{k}.csv", extra) for k, extra in enumerate(([], ["--epsilon", "1"]))]
     for out, extra in runs:

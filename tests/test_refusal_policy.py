@@ -1,10 +1,18 @@
 """The package refuses input with one exception type, ValidationError."""
 
 import ast
+import math
 import pathlib
+
+import numpy as np
+import pytest
 
 import dualunitary
 from dualunitary import ValidationError
+from dualunitary.channels import lightcone_correlation_prediction
+from dualunitary.circuit_sim import CircuitConfig
+from dualunitary.constructions import cat_family, cat_map, mr_iterate, mrt_iterate, ols_pair
+from dualunitary.qubit_exact import cartan_gate
 
 
 def test_no_module_raises_a_bare_value_error():
@@ -19,3 +27,29 @@ def test_no_module_raises_a_bare_value_error():
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+NAN = float("nan")
+SZ = np.diag([1.0, -1.0])
+# (parameter the message names, the call of that one scalar, its out-of-domain values)
+OUT_OF_DOMAIN = [
+    ("q", cat_map, (0, 1, -2, 2.5, NAN, True)),
+    ("q", lambda q: cat_family(q, 1), (0, 1, -2, 2.5, NAN, True)),
+    ("q", ols_pair, (0, 1, -2, 2.5, NAN, True)),
+    ("L", lambda L: CircuitConfig(q=2, L=L, gate=cartan_gate(0.3)), (0, -2, 2.5, NAN, True)),
+    ("t", lambda t: lightcone_correlation_prediction(cartan_gate(0.3), SZ, SZ, t),
+     (-2, 2.5, NAN, True)),
+    ("max_iter", lambda n: mr_iterate(cartan_gate(0.3), max_iter=n), (0, -2, 2.5, NAN, True)),
+    ("max_iter", lambda n: mrt_iterate(cartan_gate(0.3), max_iter=n), (0, -2, 2.5, NAN, True)),
+    ("tol", lambda tol: mr_iterate(cartan_gate(0.3), tol=tol), (0, -2, NAN, math.inf, True)),
+    ("tol", lambda tol: mrt_iterate(cartan_gate(0.3), tol=tol), (0, -2, NAN, math.inf, True)),
+]
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{name}-{k}-{value!r}")
+    for k, (name, call, values) in enumerate(OUT_OF_DOMAIN) for value in values])
+def test_an_out_of_domain_scalar_is_a_validation_error(name, call, value):
+    # never a result, and never a bare TypeError, ValueError or ZeroDivisionError
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        call(value)
