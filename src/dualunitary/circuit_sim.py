@@ -95,6 +95,7 @@ def weyl_basis(q):
     a_{(m,n)} = X^m Z^n with X|k> = |k+1>, Z|k> = w^k |k>; every monomial is
     unitary, hence tr(a^dag a) = q, and traceless except (0,0).
     """
+    require_int(q, "q", 2)
     w = np.exp(2j * np.pi / q)
     X = np.zeros((q, q), dtype=complex)
     for k in range(q):

@@ -23,7 +23,8 @@ stderr; exit 2 is argparse's usage message alone (an unknown command or
 family, a value argparse cannot convert, or an option placed before the
 family, as in `gate make -q 3 cat`).  Each gate family and each `sweep
 family` is its own subparser that declares only the options it reads, so
-`dualu gate make <family> --help` lists exactly those.  A circuit config's
+`dualu gate make <family> --help` lists exactly those.  Options are spelled
+in full: no prefix stands for one.  A circuit config's
 "gate" is a gate file path or an inline gate object; `channel spectrum
 --locals` takes seed:<int>.
 Every command emits a run manifest next to its output file (or on stderr when
@@ -84,6 +85,7 @@ from .tensor_ops import (
     gate_from_json,
     gate_to_json,
     local_dim,
+    require_finite,
     require_int,
     sample_haar,
     verify_reshuffle_identities,
@@ -180,12 +182,6 @@ def _int(text, what):
         raise ValidationError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _finite(x, what):
-    if not math.isfinite(x):
-        raise ValidationError(f"{what} must be finite, got {x}")
-    return x
-
-
 # (option attribute, flag, least value) of every integer option with a floor
 OPTION_FLOORS = (("workers", "--workers", 1), ("n", "-N", 1), ("points", "--points", 1),
                  ("q", "-q", 2), ("max_iter", "--max-iter", 1))
@@ -229,12 +225,14 @@ def _make_gate(args):
         K, L, theta = perm_spec_from_json(_read_json(args.spec))
         return permutation_gate(K, L, phases=theta)
     if fam == "cat":
-        return cat_map(args.q) if args.b is None else cat_family(args.q, _finite(args.b, "--b"))
+        if args.b is None:
+            return cat_map(args.q)
+        return cat_family(args.q, require_finite(args.b, "--b"))
     if fam == "cartan":
-        return cartan_gate(_finite(args.J, "--J"))
+        return cartan_gate(require_finite(args.J, "--J"))
     if fam == "mr" or fam == "mrt":
         # E(S) - E(U) >= 0 up to rounding: a flow with tol <= 0 stops only by chance
-        if not _finite(args.tol, "--tol") > 0:
+        if not require_finite(args.tol, "--tol") > 0:
             raise ValidationError(f"--tol must be positive, got {args.tol}")
         U0 = sample_haar(args.q * args.q, rng)
         it = mr_iterate if fam == "mr" else mrt_iterate
@@ -513,11 +511,19 @@ def cmd_perm_enumerate(args):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so every subparser it adds, that takes options spelled in
+    full only: argparse would otherwise read `--s` as `--seed`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process.  A parsed command names
     its function only by its path: `gate make` runs cmd_gate_make."""
-    p = argparse.ArgumentParser(prog="dualu", description=__doc__.splitlines()[0])
+    p = _Parser(prog="dualu", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="group", required=True)
 
@@ -626,19 +632,34 @@ def build_parser():
     return p
 
 
+def _is_option(token):
+    return token.startswith("-") and token != "-"  # a lone "-" is stdin
+
+
+def _option_name(token):
+    """The name a leftover token is refused by, without an attached value:
+    `--max=5` names --max and `-q5` names -q."""
+    if token.startswith("--"):
+        return token.partition("=")[0]
+    return token[:2] if _is_option(token) else token
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, extra = build_parser().parse_known_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return exc.code
+    if "gates" in args:  # argparse ends the gate list at an option; later words are gates too
+        args.gates += [a for a in extra if not _is_option(a)]
+        extra = [a for a in extra if _is_option(a)]
     args._raw_argv = argv
     args._command_path = [args.group, args.sub]
     t0 = time.time()
     try:
         if extra:  # the leftovers of every parser level, in argv order
             where = " ".join([*args._command_path, *([args.family] if "family" in args else [])])
-            raise ValidationError(f"{where} takes no {extra[0].partition('=')[0]}")
+            raise ValidationError(f"{where} takes no {_option_name(extra[0])}")
         _resolve_defaults(args)
         # looked up at call time, so a rebound cmd_* function takes effect
         command = "_".join(["cmd", *args._command_path]).replace("-", "_")

@@ -43,6 +43,7 @@ from .tensor_ops import (
     partial_transpose_t2,
     realign_r1,
     realign_r2,
+    require_finite,
     require_int,
     sample_haar,
     swap_operator,
@@ -114,6 +115,7 @@ def diagonal_dual_sample(q, epsilon, rng):
     epsilon = 1 is the full diagonal ensemble; small epsilon stays near the
     swap and sweeps the small-e_p corner.
     """
+    require_int(q, "q", 2)
     if not 0 < epsilon <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
     phases = rng.uniform(-math.pi, math.pi, size=q * q)
@@ -419,7 +421,7 @@ def enumerate_dual_permutations(q):
     lexicographic order of the id.  q = 2 scans 24 cases, q = 3 all 9!, as
     one int8 stack filtered by the duality rule of `classify_permutation`.
     """
-    if q > 3:
+    if require_int(q, "q", 2) > 3:
         raise ValidationError("exhaustive enumeration is limited to q <= 3")
     n = q * q
     perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int8, n),
@@ -467,9 +469,7 @@ def cat_family(q, b):
     to rounding.  A q that is not an integer >= 2 or a non-finite b is refused.
     """
     require_int(q, "q", 2)
-    if not math.isfinite(b):
-        raise ValidationError(f"b must be finite, got {b}")
-    if abs(b) > q:
+    if abs(require_finite(b, "b")) > q:
         b = math.fmod(b, q)
     k, a, jj, bb = np.ogrid[0:q, 0:q, 0:q, 0:q]
     fixed = (k * bb + jj * a) % q

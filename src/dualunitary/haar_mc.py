@@ -5,12 +5,10 @@ from one Philox keyed by hash(seed, label) (stream scheme 2): index i reads
 the W = 4 ceil(2 q^2 / 4) 64-bit words at counter blocks [i W/4, (i+1) W/4),
 turns them into q^2 complex normals by Box-Muller (no rejection) and those
 into a Haar unitary by the QR with the phase fold (`_haar_block`,
-`haar_sample_at`).  Every index is addressable on its own, so results are
-bit-identical for a given (seed, N) however the index range is split across
-blocks or workers, and adding a new consumer label never perturbs existing
-streams.  `substream` gives one independent generator per (seed, label,
-index) for everything else: the gate factories, `channel spectrum --locals`
-and the oracles' inputs.
+`haar_sample_at`).  Every index is addressable on its own, and adding a
+new consumer label never perturbs existing streams.  `substream` gives one
+independent generator per (seed, label, index) for everything else: the
+gate factories, `channel spectrum --locals` and the oracles' inputs.
 
 The radius engine factors the deflated channel once per gate, Mt = X Yh
 (`channels.factored_channel`, the same factorisation `channel_spectrum`
@@ -29,41 +27,47 @@ whose nonzero spectrum is that of (u x u*) Mt with u = u1^dag v2^dag; u is
 Haar whenever u1 and v2 are independent Haar unitaries (invariance of the
 Haar measure).
 
-The estimators evaluate the indices in blocks of BLOCK (`_map_blocks`): each
-block reads its Philox words with one `random_raw` call from the counter of
-its first index, then runs one vectorised Box-Muller step, one stacked QR
-with the phase fold and one broadcast u x u* before its kernel, e.g. one
-stacked compression Yh (u x u*) X and one stacked m x m eigensolve.  BLOCK
-bounds the memory of one thread: a block holds BLOCK q^2 x q^2 complex
-matrices u x u* (1 MiB at q = 4) and its kernel's intermediates.  The
-stacked QR, the left products Yh (u x u*) and the eigensolve hand LAPACK/BLAS
-one matrix at a time; X, shared by the block, multiplies the row-stacked
-(BLOCK m) x q^2 matrix of left products in one call.  A one-column X (m = 1,
-the even-q cat map) keeps one product per index, because numpy sends an
-(n, q^2) @ (q^2, 1) product to a vector kernel whose rows round unlike the
-per-index product.  So every value equals the per-index recipe's bit for
-bit; the block-against-reference tests pin that on gates with m = 1 to 24.
+The estimators evaluate the indices on one fixed grid of blocks
+(`_map_blocks`): block k holds the indices [k BLOCK, (k + 1) BLOCK), the last
+one cut at N.  A block reads its Philox words with one `random_raw` call,
+then runs one vectorised Box-Muller step, one stacked QR with the phase fold
+and one broadcast u x u* before its kernel, e.g. one stacked compression
+Yh (u x u*) X and one stacked m x m eigensolve.  BLOCK bounds a thread's
+memory (BLOCK q^2 x q^2 complex u x u*, 1 MiB at q = 4), and a block's fixed
+Python cost (Philox set-up, the QR and eigvals wrappers) holds the GIL,
+which is why a block is not fewer indices.  The QR, the left products
+Yh (u x u*) and the eigensolve hand LAPACK/BLAS one matrix at a time; X
+multiplies the row-stacked (BLOCK m) x q^2 matrix of left products in one
+call, a short block zero-padded to that height, so index i always sits at
+place i mod BLOCK of a product of one shape.  A one-column X (m = 1, the
+even-q cat map) keeps one product per index: numpy sends an
+(n, q^2) @ (q^2, 1) product to a vector kernel that rounds unlike it.
 
-`_map_blocks` is the engine's one parallel loop.  It splits [lo, hi) into at
-most `workers` contiguous chunks (default: the usable CPUs; never more than
-the usable CPUs or the blocks) and walks each block by block: the first in
-the calling thread, every other one on a plain thread that the call starts
-and joins.  An exception raised in a helper's block is re-raised in the
-caller after the join, so no partial result is returned.  The LAPACK/BLAS
-calls release the GIL, but every OpenBLAS call also takes a buffer from one
-pool shared by all threads, so many tiny products contend; X multiplies a
-whole block in one call for that reason.  Two threads ran the n per-index
-left products Yh (u x u*) at 0.47-0.63x the rate of one, so the threads take
-turns at that one stage (`_radii`): one lock is held around a block's left
-products and nothing else, which keeps each product the same BLAS call on
-the same operands.  The turns serialize the left product's share of the
-work; the QR, the X product and the eigensolve still overlap.  The threads
-reach their first left products together, so one waits one block's products
-per call: up to 3% at q = 5-7 with few blocks.  This was measured on 2 CPUs
-only.  A block's fixed Python cost (Philox set-up, the QR and eigvals
-wrappers) holds the GIL, which is why a block is BLOCK indices and not
-fewer.  Results are per index, so neither BLOCK nor the split changes an
-output.  A range of at most one block starts no thread.
+So sample i of stream (seed, label) has one value whatever N and the thread
+count, on every OpenBLAS kernel, though some round a row by the product's
+height or the row's place in it.  The kernel test compares
+`spectral_radius_samples` on three q = 3-4 gates, at N from 17 to 1537 and
+1-3 threads, byte for byte with the prefix of the N = 1537 one-thread run
+under each of the SkylakeX, Haswell, Sandybridge and Prescott kernels the
+CPU can run.  The values differ per kernel: the CLI parity corpus and the
+block-against-per-index tests (each value equals the per-index recipe bit
+for bit, on gates with m = 1 to 24) hold on SkylakeX, the kernel they were
+made under, and fail under Haswell.
+
+`_map_blocks` is the engine's one parallel loop.  It deals the blocks
+round-robin to at most `workers` threads (default: the usable CPUs; never
+more than the usable CPUs or the blocks): thread i, the caller being thread
+0, takes the blocks k = i mod threads, each other thread a plain thread the
+call starts and joins.  An exception raised in a helper's block is
+re-raised in the caller after the join, so no partial result is returned;
+one block starts no thread.  The BLAS calls release the GIL, but every
+OpenBLAS call takes a buffer from one pool shared by all threads, so tiny
+products contend (hence X's one call per block).  Two
+threads ran the per-index left products at 0.47-0.63x the rate of one, so
+the threads take turns at that stage: one lock is held around a block's
+left products and nothing else (`_radii`), and the QR, the X product and
+the eigensolve still overlap.  One thread waits one block's left products
+per call: up to 3% at q = 5-7 with few blocks, measured on 2 CPUs.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -173,30 +177,25 @@ def _kron_block(q, seed, label, lo, hi):
     return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, q * q, q * q)
 
 
-def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
-    """kernel(K) of every BLOCK of indices in [lo, hi), concatenated; K is the
-    `_kron_block` stack of the block.  The range runs as at most `workers`
-    contiguous chunks (default: the usable CPUs), the first in the calling
-    thread and each other one on a `threading.Thread` started and joined
-    here; an exception from any chunk is re-raised here after every thread
-    has been joined.  Results do not depend on the split."""
+def _map_blocks(kernel, q, seed, label, n, workers=None):
+    """kernel(K) of every block of the fixed BLOCK grid on [0, n),
+    concatenated in index order; K is the `_kron_block` stack of the block.
+    The blocks are dealt round-robin to the threads (see the module doc)."""
     block = BLOCK  # read per call: tests rebind it
+    blocks = -(-n // block)
     cpus = _usable_cpus()
-    threads = min(workers or cpus, cpus, -(-(hi - lo) // block))
-    chunk = -(-(hi - lo) // threads)
-    starts = range(lo, hi, chunk)
-    parts, errors = [None] * len(starts), []
+    threads = min(workers or cpus, cpus, blocks)
+    results, errors = [None] * blocks, []
 
     def run(i):
-        end = min(starts[i] + chunk, hi)
         try:
             # no block's stack outlives its kernel call, so a thread holds one at a time
-            parts[i] = [kernel(_kron_block(q, seed, label, s, min(s + block, end)))
-                        for s in range(starts[i], end, block)]
+            for k in range(i, blocks, threads):
+                results[k] = kernel(_kron_block(q, seed, label, k * block, min((k + 1) * block, n)))
         except BaseException as exc:  # re-raised in the caller after the join
             errors.append(exc)
 
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(starts))]
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, threads)]
     for t in helpers:
         t.start()
     run(0)
@@ -204,25 +203,25 @@ def _map_blocks(kernel, q, seed, label, lo, hi, workers=None):
         t.join()
     if errors:
         raise errors[0]
-    return np.concatenate([p for chunk_parts in parts for p in chunk_parts])
+    return np.concatenate(results)
 
 
 def _radii(X, Yh, K):
     """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
-    those of the m x m matrix Yh K X (Sylvester), real up to rounding because
-    K preserves Hermiticity (`factored_channel`), so only its real part is
-    eigensolved.  The left products Yh K are one tiny BLAS call per index;
-    they contend for OpenBLAS's shared buffer pool, so the threads of
-    `_map_blocks` take turns at them under one lock.  X multiplies the whole
-    stack of Yh K as one row-stacked product, except a one-column X, which
-    numpy would send to a vector kernel that rounds unlike the per-index
-    product."""
+    those of the real part of the m x m matrix Yh K X (Sylvester; K preserves
+    Hermiticity).  The threads take turns at the per-index left products Yh K.
+    X multiplies them as one product of BLOCK stacked indices, a short stack
+    zero-padded, or per index if X has one column (see the module doc).  A
+    single K (not a stack) is one m-row product."""
     with _LEFT_PRODUCT_TURN:
         YK = Yh @ K
     if X.shape[1] == 1:
         C = YK @ X
     else:
-        C = (YK.reshape(-1, X.shape[0]) @ X).reshape(YK.shape[:-1] + X.shape[1:])
+        h = len(YK)
+        if YK.ndim == 3 and h < BLOCK:
+            YK = np.concatenate([YK, np.zeros((BLOCK - h,) + YK.shape[1:], YK.dtype)])
+        C = (YK.reshape(-1, X.shape[0]) @ X).reshape(YK.shape[:-1] + X.shape[1:])[:h]
     return np.abs(np.linalg.eigvals(C.real)).max(axis=-1)
 
 
@@ -251,7 +250,7 @@ def _factored_radii(X, Yh, q, n, seed, workers, label):
     _check_counts(n, workers)
     if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
         return np.zeros(n)
-    return _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, 0, n, workers)
+    return _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, n, workers)
 
 
 def _estimate(values, seed, extras=None):
@@ -347,7 +346,7 @@ def avg_norm_power(U, k, n, seed):
     def norm_powers(K):
         return [np.vdot(B, B).real for B in np.linalg.matrix_power(K @ Mt, k)]
 
-    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", 0, n)
+    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", n)
     ep = entangling_power(U)
     extras = {
         "e_p": ep,
@@ -384,7 +383,7 @@ def haar_monomial_oracle(X, Y, n, seed):
     def monomials(W):
         return np.trace(X @ W @ Y @ W.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
 
-    vals = _map_blocks(monomials, q, seed, "monomial", 0, n)
+    vals = _map_blocks(monomials, q, seed, "monomial", n)
     mean = vals.mean()
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     closed = haar_monomial_closed_form(X, Y)

@@ -23,6 +23,7 @@ from .tensor_ops import (
     local_dim,
     partial_transpose_t2,
     realign_r1,
+    require_int,
     unitarity_defect,
 )
 from .tolerances import DUALITY_TOL, THRESHOLD_BOUNDARY_TOL
@@ -53,6 +54,7 @@ def schmidt_spectrum(U):
 
 def swap_entanglement(q):
     """E(S) = 1 - 1/q^2, the maximal operator entanglement."""
+    require_int(q, "q", 2)
     return 1.0 - 1.0 / q**2
 
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tensor_ops import swap_operator
+from .tensor_ops import require_finite, swap_operator
 
 # the general-cubic minimum: a GRID x GRID scan of (theta, phi) over [0, pi]^2,
 # then REFINE coordinate-shrink steps from the best grid point
@@ -38,8 +38,9 @@ def cartan_diagonal(J):
 
 
 def cartan_gate(J):
-    """The dual two-qubit gate U(J) = S D(J); J = pi/4 is swap-like, J = 0 dcnot-like."""
-    return swap_operator(2) @ cartan_diagonal(J)
+    """The dual two-qubit gate U(J) = S D(J); J = pi/4 is swap-like, J = 0 dcnot-like.
+    A non-finite J is refused."""
+    return swap_operator(2) @ cartan_diagonal(require_finite(J, "J"))
 
 
 def ep_cartan(J):

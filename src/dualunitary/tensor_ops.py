@@ -36,6 +36,13 @@ def require_int(value, what, least):
     return value
 
 
+def require_finite(value, what):
+    """value, if it is a finite number; a NaN or an infinity is refused naming `what`."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return value
+
+
 def local_dim(X):
     """Local dimension q of a q^2 x q^2 matrix; validates squareness."""
     X = np.asarray(X)
@@ -76,6 +83,7 @@ def partial_transpose_t2(X):
 
 def swap_operator(q):
     """The swap S on C^q (x) C^q, S|xy> = |yx>.  Exact 0/1 matrix."""
+    require_int(q, "q", 2)
     S = np.zeros((q * q, q * q))
     for i in range(q):
         for a in range(q):
@@ -85,6 +93,7 @@ def swap_operator(q):
 
 def max_entangled_vector(q):
     """Row-vectorization of 1_q/sqrt(q): the maximally entangled |Phi+>."""
+    require_int(q, "q", 2)
     v = np.zeros(q * q, dtype=complex)
     v[:: q + 1] = 1.0 / math.sqrt(q)
     return v
@@ -111,6 +120,7 @@ def haar_from_ginibre(z):
 
 def sample_haar(d, rng):
     """One Haar-distributed d x d unitary drawn from the generator rng."""
+    require_int(d, "d", 1)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
     return haar_from_ginibre(z)
 

@@ -15,6 +15,7 @@ the other inputs (`INPUTS`) are written first.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -223,10 +224,23 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest() if data else None
 
 
+def openblas_kernel():
+    """The kernel (core name) numpy's bundled OpenBLAS runs, e.g. "SkylakeX";
+    None where that library or its core-name symbol is missing."""
+    for path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def versions():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_kernel": openblas_kernel()}
 
 
 def run_corpus(argvs, inputs, directory):

@@ -186,8 +186,40 @@ def test_every_command_refuses_an_argument_it_does_not_take(tmp_path, capsys):
             capsys.readouterr()
             assert main([*argv, *extra, "-o", str(out)]) == 3
             name = extra[0].partition("=")[0]
-            assert _validation_error(capsys) == f"{command} takes no {name}"
+            # sweep haar reads a word after its options as one more gate file
+            want = ("[Errno 2] No such file or directory: 'stray'" if command == "sweep haar"
+                    and name == "stray" else f"{command} takes no {name}")
+            assert _validation_error(capsys) == want
             assert not out.exists()
+
+
+def test_an_option_is_spelled_in_full_and_named_without_its_value(capsys):
+    # no prefix of an option stands for it, and a refused short option is
+    # named without a value attached to it
+    for argv, name in ((["diag", "--s", "4"], "--s"), (["diag", "--seed=4", "--eps", "1"], "--eps"),
+                       (["mr", "--max", "5", "--seed", "1"], "--max"),
+                       (["cartan", "-q5"], "-q"), (["cartan", "--J=0.1", "-q=5"], "-q")):
+        capsys.readouterr()
+        assert main(["gate", "make", *argv, "-o", "-"]) == 3
+        assert _validation_error(capsys) == f"gate make {argv[0]} takes no {name}"
+    capsys.readouterr()
+    assert main(["oracle", "haar-identity", "--see", "1", "-N", "10"]) == 3
+    assert _validation_error(capsys) == "oracle haar-identity takes no --see"
+
+
+def test_sweep_haar_reads_gate_files_before_and_after_its_options(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(a)]) == 0
+    assert main(["gate", "make", "cat", "-q", "3", "-o", str(b)]) == 0
+    orders = (["-N", "10", str(a), str(b)], [str(a), "-N", "10", str(b)],
+              [str(a), str(b), "-N", "10"], [str(a), "-N", "10", "--seed", "2", str(b)])
+    outs = []
+    for k, argv in enumerate(orders):
+        outs.append(tmp_path / f"s{k}.csv")
+        seed = [] if "--seed" in argv else ["--seed", "2"]
+        assert main(["sweep", "haar", *argv, *seed, "-o", str(outs[-1])]) == 0
+    assert len({out.read_bytes() for out in outs}) == 1
+    assert len(outs[0].read_text().splitlines()) == 3  # the header and one row per gate
 
 
 def test_an_option_before_the_family_is_a_usage_error(capsys):

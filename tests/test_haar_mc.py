@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -115,7 +119,7 @@ def _no_thread(*args, **kwargs):
     raise AssertionError("a thread was started")
 
 
-# the calling thread walks the first chunk, so one thread fewer is started
+# the calling thread takes the first block, so one thread fewer is started
 @pytest.mark.parametrize("cpus, workers, blocks, threads", [
     (2, 100_000, 5, 2),        # never more threads than usable CPUs
     (64, 100_000, 3, 3),       # never more threads than blocks
@@ -157,7 +161,7 @@ def test_a_kernel_error_on_any_thread_reaches_the_caller(monkeypatch, where):
 
     before = threading.active_count()
     with pytest.raises(ZeroDivisionError, match=f"block on the {where}$"):
-        hm._map_blocks(kernel, 2, 1, "error", 0, 3 * hm.BLOCK, workers=3)
+        hm._map_blocks(kernel, 2, 1, "error", 3 * hm.BLOCK, workers=3)
     assert threading.active_count() == before  # no helper outlives the call
     assert done == [hm.BLOCK] * (2 if where == "caller" else 1)
 
@@ -180,6 +184,47 @@ def test_concurrent_callers_get_the_bytes_of_sequential_calls(monkeypatch):
         t.join()
     for r, e in zip(got, expect):
         assert r is not None and r.tobytes() == e.tobytes()
+
+
+# OpenBLAS kernels (OPENBLAS_CORETYPE) and the CPU flag each one needs
+KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+# radii that differ from the prefix of the N = 1537 one-thread run
+MOVED_RADII = """
+import numpy as np
+from dualunitary import haar_mc as hm
+from dualunitary.constructions import fixtures
+from parity_corpus import openblas_kernel
+
+hm._usable_cpus = lambda: 3  # three threads on a smaller machine too
+moved = 0
+for name in ("dual_q3_ep8over9", "dual_q3_d2s", "dual_q4_ep4over5"):
+    full = hm.spectral_radius_samples(fixtures()[name], 1537, 29, workers=1)
+    for n in (17, 300, 600, 1000, 1537):
+        for workers in (1, 2, 3):
+            r = hm.spectral_radius_samples(fixtures()[name], n, 29, workers=workers)
+            moved += int((r != full[:n]).sum())
+print(openblas_kernel(), moved)
+"""
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_sample_depends_on_its_index_alone_on_every_blas_kernel(kernel):
+    # some kernels round a row of the X product by the product's height or
+    # the row's place in it; the fixed block grid and the padding fix both
+    cpuinfo = pathlib.Path("/proc/cpuinfo")
+    flags = set(cpuinfo.read_text().split()) if cpuinfo.is_file() else set()
+    if KERNELS[kernel] not in flags:
+        pytest.skip(f"the CPU lacks {KERNELS[kernel]}, which the {kernel} kernel needs")
+    here = pathlib.Path(__file__).resolve().parent
+    src = str(pathlib.Path(hm.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+        p for p in (src, str(here), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", MOVED_RADII], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    running, moved = proc.stdout.split()
+    assert moved == "0", (f"{moved} radii moved with N or the threads under "
+                          f"OPENBLAS_CORETYPE={kernel} (OpenBLAS reports {running})")
 
 
 def test_avg_spectral_radius_two_unitary_is_zero():

@@ -24,4 +24,6 @@ def test_the_corpus_lists_the_script_argvs_and_inputs():
 def test_cli_output_matches_the_corpus(entry, observed):
     want = {k: entry[k] for k in FIELDS}
     assert observed[pc.entry_id(entry["argv"])] == want, (
-        f"digests recorded with {CORPUS['versions']}, this run has {pc.versions()}")
+        f"digests recorded under the {CORPUS['versions']['blas_kernel']} OpenBLAS kernel, "
+        f"this run has the {pc.openblas_kernel()} kernel "
+        f"(versions then {CORPUS['versions']}, now {pc.versions()})")

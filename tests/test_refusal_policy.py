@@ -10,9 +10,13 @@ import pytest
 import dualunitary
 from dualunitary import ValidationError
 from dualunitary.channels import lightcone_correlation_prediction
-from dualunitary.circuit_sim import CircuitConfig
-from dualunitary.constructions import cat_family, cat_map, mr_iterate, mrt_iterate, ols_pair
+from dualunitary.circuit_sim import CircuitConfig, weyl_basis
+from dualunitary.constructions import (cat_family, cat_map, diagonal_dual_sample,
+                                       enumerate_dual_permutations, mr_iterate, mrt_iterate,
+                                       ols_pair)
+from dualunitary.invariants import swap_entanglement
 from dualunitary.qubit_exact import cartan_gate
+from dualunitary.tensor_ops import max_entangled_vector, sample_haar, swap_operator
 
 
 def test_no_module_raises_a_bare_value_error():
@@ -43,6 +47,15 @@ OUT_OF_DOMAIN = [
     ("max_iter", lambda n: mrt_iterate(cartan_gate(0.3), max_iter=n), (0, -2, 2.5, NAN, True)),
     ("tol", lambda tol: mr_iterate(cartan_gate(0.3), tol=tol), (0, -2, NAN, math.inf, True)),
     ("tol", lambda tol: mrt_iterate(cartan_gate(0.3), tol=tol), (0, -2, NAN, math.inf, True)),
+    ("q", swap_operator, (0, 1, -2, 2.5, NAN, True)),
+    ("q", max_entangled_vector, (0, 1, -2, 2.5, NAN, True)),
+    ("q", swap_entanglement, (0, 1, -2, 2.5, NAN, True)),
+    ("q", weyl_basis, (0, 1, -2, 2.5, NAN, True)),
+    ("q", lambda q: diagonal_dual_sample(q, 1.0, np.random.default_rng(0)),
+     (0, 1, -2, 2.5, NAN, True)),
+    ("q", lambda q: list(enumerate_dual_permutations(q)), (0, 1, -2, 2.5, NAN, True)),
+    ("d", lambda d: sample_haar(d, np.random.default_rng(0)), (0, -2, 2.5, NAN, True)),
+    ("J", cartan_gate, (NAN, math.inf, -math.inf)),
 ]
 
 
