@@ -30,7 +30,8 @@ in full: no prefix stands for one.  A circuit config's
 Every command emits a run manifest next to its output file (or on stderr when
 the output is stdout or not a regular file); it records the sha256 of the
 output's bytes as written, the Haar-stream layout (`stream_scheme`, see
-haar_mc) and, for the sweeps, the thread cap `workers` the run used.
+haar_mc), numpy's OpenBLAS kernel (`blas_kernel`, null if unknown) and, for
+the sweeps, the thread cap `workers` the run used.
 """
 
 import argparse
@@ -73,6 +74,7 @@ from .haar_mc import (
     haar_monomial_oracle,
     max_rate,
     mixing_rate_estimate,
+    openblas_kernel,
     radius_estimate,
     spectral_radius_samples,
     substream,
@@ -159,6 +161,7 @@ def _emit_manifest(args, output, t0):
     manifest = {
         "command": " ".join(args._command_path),
         "argv": args._raw_argv,
+        "blas_kernel": openblas_kernel(),
         "seed": getattr(args, "seed", None),
         "stream_scheme": STREAM_SCHEME,
         "version": __version__,

@@ -31,28 +31,19 @@ The estimators evaluate the indices on one fixed grid of blocks
 (`_map_blocks`): block k holds the indices [k BLOCK, (k + 1) BLOCK), the last
 one cut at N.  A block reads its Philox words with one `random_raw` call,
 then runs one vectorised Box-Muller step, one stacked QR with the phase fold
-and one broadcast u x u* before its kernel, e.g. one stacked compression
-Yh (u x u*) X and one stacked m x m eigensolve.  BLOCK bounds a thread's
+and one broadcast u x u* before its kernel, e.g. the stacked compressions
+(Yh (u x u*)) X and one stacked m x m eigensolve.  BLOCK bounds a thread's
 memory (BLOCK q^2 x q^2 complex u x u*, 1 MiB at q = 4), and a block's fixed
 Python cost (Philox set-up, the QR and eigvals wrappers) holds the GIL,
-which is why a block is not fewer indices.  The QR, the left products
-Yh (u x u*) and the eigensolve hand LAPACK/BLAS one matrix at a time; X
-multiplies the row-stacked (BLOCK m) x q^2 matrix of left products in one
-call, a short block zero-padded to that height, so index i always sits at
-place i mod BLOCK of a product of one shape.  A one-column X (m = 1, the
-even-q cat map) keeps one product per index: numpy sends an
-(n, q^2) @ (q^2, 1) product to a vector kernel that rounds unlike it.
+which is why a block is not fewer indices.  The QR, the compression's two
+products and the eigensolve hand LAPACK/BLAS one index at a time: the calls
+of the per-index recipe (`haar_sample_at`, then eig of (Yh (u x u*)) X).
 
-So sample i of stream (seed, label) has one value whatever N and the thread
-count, on every OpenBLAS kernel, though some round a row by the product's
-height or the row's place in it.  The kernel test compares
-`spectral_radius_samples` on three q = 3-4 gates, at N from 17 to 1537 and
-1-3 threads, byte for byte with the prefix of the N = 1537 one-thread run
-under each of the SkylakeX, Haswell, Sandybridge and Prescott kernels the
-CPU can run.  The values differ per kernel: the CLI parity corpus and the
-block-against-per-index tests (each value equals the per-index recipe bit
-for bit, on gates with m = 1 to 24) hold on SkylakeX, the kernel they were
-made under, and fail under Haswell.
+So sample i of stream (seed, label) is the recipe's value, whatever N, the
+block and the thread count, on every OpenBLAS kernel.  The kernel test
+checks it under each of the SkylakeX, Haswell, Sandybridge and Prescott
+kernels the CPU can run (`OPENBLAS_CORETYPE`).  The values round per
+kernel, so the CLI parity corpus holds on SkylakeX, where it was made.
 
 `_map_blocks` is the engine's one parallel loop.  It deals the blocks
 round-robin to at most `workers` threads (default: the usable CPUs; never
@@ -62,12 +53,9 @@ call starts and joins.  An exception raised in a helper's block is
 re-raised in the caller after the join, so no partial result is returned;
 one block starts no thread.  The BLAS calls release the GIL, but every
 OpenBLAS call takes a buffer from one pool shared by all threads, so tiny
-products contend (hence X's one call per block).  Two
-threads ran the per-index left products at 0.47-0.63x the rate of one, so
-the threads take turns at that stage: one lock is held around a block's
-left products and nothing else (`_radii`), and the QR, the X product and
-the eigensolve still overlap.  One thread waits one block's left products
-per call: up to 3% at q = 5-7 with few blocks, measured on 2 CPUs.
+products contend (two threads ran the per-index left products at 0.47-0.63x
+the rate of one): one lock is held around a block's compressions and nothing
+else (`_radii`), and the draw, the QR and the eigensolve still overlap.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -87,9 +75,12 @@ plus a Monte-Carlo oracle for the degree-2 Haar monomial identity
         - (tr X^R2 tr Y + tr X tr Y^R2)/(q(q^2-1)).
 """
 
+import ctypes
+import functools
 import hashlib
 import math
 import os
+import pathlib
 import threading
 from dataclasses import dataclass, field
 
@@ -98,14 +89,14 @@ import numpy as np
 from .channels import build_m_plus, decay_rates, deflate_trivial, factored_channel
 from .invariants import entangling_power
 from .tensor_ops import (ValidationError, expi_hermitian, haar_from_ginibre, local_dim,
-                         realign_r2)
+                         realign_r2, require_int)
 
 # indices evaluated as one stack; results do not depend on it
 BLOCK = 256
 # the Haar-stream layout, recorded in every run manifest
 STREAM_SCHEME = 2
-# held by the one thread at a time that runs its block's left products (`_radii`)
-_LEFT_PRODUCT_TURN = threading.Lock()
+# held by the one thread at a time that runs its block's compressions (`_radii`)
+_COMPRESSION_TURN = threading.Lock()
 
 
 @dataclass
@@ -164,6 +155,19 @@ def haar_sample_at(d, seed, label, index):
     return _haar_block(d, seed, label, index, index + 1)[0]
 
 
+@functools.cache
+def openblas_kernel():
+    """The kernel (core name) numpy's bundled OpenBLAS runs, e.g. "SkylakeX",
+    read once per process; None where that library or its symbol is missing."""
+    for path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -207,21 +211,11 @@ def _map_blocks(kernel, q, seed, label, n, workers=None):
 
 
 def _radii(X, Yh, K):
-    """|lambda_1| of every K X Yh in the stack K: its nonzero eigenvalues are
-    those of the real part of the m x m matrix Yh K X (Sylvester; K preserves
-    Hermiticity).  The threads take turns at the per-index left products Yh K.
-    X multiplies them as one product of BLOCK stacked indices, a short stack
-    zero-padded, or per index if X has one column (see the module doc).  A
-    single K (not a stack) is one m-row product."""
-    with _LEFT_PRODUCT_TURN:
-        YK = Yh @ K
-    if X.shape[1] == 1:
-        C = YK @ X
-    else:
-        h = len(YK)
-        if YK.ndim == 3 and h < BLOCK:
-            YK = np.concatenate([YK, np.zeros((BLOCK - h,) + YK.shape[1:], YK.dtype)])
-        C = (YK.reshape(-1, X.shape[0]) @ X).reshape(YK.shape[:-1] + X.shape[1:])[:h]
+    """|lambda_1| of K X Yh for each K of a stack, or for a single K: the
+    largest eigenvalue modulus of the real part of the m x m compression
+    (Yh K) X, taken in turns by the threads (see the module doc)."""
+    with _COMPRESSION_TURN:
+        C = (Yh @ K) @ X
     return np.abs(np.linalg.eigvals(C.real)).max(axis=-1)
 
 
@@ -229,8 +223,8 @@ def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
     """|lambda_1| of the locally rotated deflated channel, one value per index.
 
     The indices run on at most `workers` threads (default: the usable CPUs;
-    see `_map_blocks`); the values do not depend on it.  n < 1 and
-    workers < 1 are refused, here and in every estimator.
+    see `_map_blocks`); the values do not depend on it.  An n or workers
+    that is not an integer >= 1 is refused, here and in every estimator.
     """
     U = np.asarray(U, dtype=complex)
     X, Yh = factored_channel(build_m_plus(U))
@@ -238,11 +232,10 @@ def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
 
 
 def _check_counts(n, workers=None):
-    """Refuse an empty sample set and a thread cap below one."""
-    if n < 1:
-        raise ValidationError(f"a Haar average needs N >= 1 samples, got N = {n}")
-    if workers is not None and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got workers = {workers}")
+    """Refuse a sample count or a thread cap that is not an integer >= 1."""
+    require_int(n, "N", 1)
+    if workers is not None:
+        require_int(workers, "workers", 1)
 
 
 def _factored_radii(X, Yh, q, n, seed, workers, label):
@@ -305,6 +298,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     u <- u exp(i eps H) over random Hermitian directions with a shrinking
     step.  Returns the rate and the method record.
     """
+    require_int(refine_steps, "refine_steps", 0)
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
     X, Yh = factored_channel(build_m_plus(U))
@@ -336,8 +330,7 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
 
 def avg_norm_power(U, k, n, seed):
     """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
-    if k < 2:
-        raise ValidationError("k must be >= 2")
+    require_int(k, "k", 2)
     _check_counts(n)
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
@@ -373,6 +366,7 @@ def haar_monomial_oracle(X, Y, n, seed):
     """Monte-Carlo check of the Haar monomial identity; returns both sides.
 
     The z-score needs a finite standard error, so n >= 2 samples."""
+    _check_counts(n)
     if n < 2:
         raise ValidationError(f"the Haar-identity oracle needs N >= 2 samples for a "
                          f"standard error, got N = {n}")

@@ -45,7 +45,7 @@ def cartan_gate(J):
 
 def ep_cartan(J):
     """e_p(U(J)) = (2/3) cos^2(2J)."""
-    return (2.0 / 3.0) * math.cos(2 * J) ** 2
+    return (2.0 / 3.0) * math.cos(2 * require_finite(J, "J")) ** 2
 
 
 def su2_local(theta, phi, psi):
@@ -81,7 +81,7 @@ def restricted_w_spectrum(J, theta):
 
 def critical_theta(J):
     """Angle where the w-family eigenvalue pair coalesces and turns complex."""
-    s = math.sin(2 * J)
+    s = math.sin(2 * require_finite(J, "J"))
     return math.acos(2 * math.sqrt(s) / (1 + s))
 
 
@@ -92,19 +92,19 @@ def _neg_log(s):
 
 def nu_prime(J):
     """Maximal mixing rate over the w family: -1/2 ln sin 2J."""
-    return 0.5 * _neg_log(math.sin(2 * J))
+    return 0.5 * _neg_log(math.sin(2 * require_finite(J, "J")))
 
 
 def mu_prime(J):
     """Mean mixing rate over the w family with cos(theta) uniform."""
-    s = math.sin(2 * J)
+    s = math.sin(2 * require_finite(J, "J"))
     return (1 - s) / (1 + s)
 
 
 def nu_plus_exact(J):
     """Maximal mixing rate over the v family, -ln sin^{2/3}(2J); numerically
     the optimum over all single-qubit gates."""
-    return (2.0 / 3.0) * _neg_log(math.sin(2 * J))
+    return (2.0 / 3.0) * _neg_log(math.sin(2 * require_finite(J, "J")))
 
 
 def cubic_roots(a2, a1, a0):
@@ -141,8 +141,10 @@ def min_lambda1_general(J):
     """Smallest spectral radius over (theta, phi) from the general cubic.
 
     Coarse grid then coordinate shrink; the closed-form reference is
-    sin^{2/3}(2J).
+    sin^{2/3}(2J).  A non-finite J is refused.
     """
+    require_finite(J, "J")
+
     def radius(theta, phi):
         return np.abs(general_su2_cubic(J, theta, phi)).max(axis=-1)
 

@@ -15,7 +15,6 @@ the other inputs (`INPUTS`) are written first.
 """
 
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -28,6 +27,7 @@ import scipy
 
 from dualunitary.cli import main
 from dualunitary.constructions import fixtures, ols_pair, perm_spec_to_json
+from dualunitary.haar_mc import openblas_kernel
 from dualunitary.tensor_ops import gate_to_json
 
 DATA = pathlib.Path(__file__).with_name("parity_corpus.json")
@@ -222,18 +222,6 @@ def entry_id(argv):
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest() if data else None
-
-
-def openblas_kernel():
-    """The kernel (core name) numpy's bundled OpenBLAS runs, e.g. "SkylakeX";
-    None where that library or its core-name symbol is missing."""
-    for path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob(
-            "libscipy_openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return None
 
 
 def versions():

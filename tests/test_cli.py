@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 import dualunitary
 from dualunitary import circuit_sim as cs
 from dualunitary import cli
+from dualunitary import haar_mc as hm
 from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
 from dualunitary.constructions import ols_pair, perm_spec_to_json
@@ -313,6 +314,25 @@ def test_sweep_manifest_records_the_thread_cap(tmp_path, monkeypatch):
             assert man["workers"] == workers
     assert main(["gate", "classify", str(gate), "-o", str(out)]) == 0
     assert "workers" not in _strict_json((tmp_path / "s.csv.manifest.json").read_text())
+
+
+def test_manifest_records_the_blas_kernel(tmp_path, monkeypatch):
+    # the core name numpy's OpenBLAS reports, read once per process; null where
+    # the library is not found
+    def kernel_of_run(name):
+        assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(tmp_path / name)]) == 0
+        return _strict_json((tmp_path / f"{name}.manifest.json").read_text())["blas_kernel"]
+
+    hm.openblas_kernel.cache_clear()
+    assert kernel_of_run("a.json") == kernel_of_run("b.json") == hm.openblas_kernel()
+    assert hm.openblas_kernel.cache_info().misses == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        hm.openblas_kernel.cache_clear()
+        try:
+            assert kernel_of_run("c.json") is None
+        finally:
+            hm.openblas_kernel.cache_clear()
 
 
 def test_sweep_counts_the_zero_modes(tmp_path):

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from dualunitary import haar_mc as hm
 from dualunitary import tensor_ops as to
-from dualunitary.channels import build_m_plus, deflate_trivial, factored_channel, hermitian_basis
+from dualunitary.channels import build_m_plus, deflate_trivial, factored_channel
 from dualunitary.cli import _sweep_row, main as cli_main
 from dualunitary.constructions import (cat_map, cat_psi_vectors, diagonal_dual_sample, fixtures,
                                        two_unitary_permutation)
 from dualunitary.invariants import entangling_power
 from dualunitary.qubit_exact import cartan_gate
-from dualunitary.tolerances import ZERO_TOL, channel_rank_tol
+from dualunitary.tolerances import ZERO_TOL
+from haar_recipe import kron_at, reference_max_rate, reference_radii
 
 
 def test_samples_are_unitary():
@@ -134,7 +135,7 @@ def test_worker_pool_is_capped_by_blocks_and_cpus(monkeypatch, helpers, cpus, wo
     b = hm.spectral_radius_samples(cartan_gate(0.2), n, seed=7, workers=workers)
     assert len(helpers) == threads - 1
     assert not any(t.is_alive() for t in helpers)  # every helper was joined
-    assert np.array_equal(b, _reference_radii(cartan_gate(0.2), n, 7))
+    assert np.array_equal(b, reference_radii(cartan_gate(0.2), n, 7))
 
 
 def test_unset_workers_use_the_usable_cpus_and_one_block_starts_no_thread(monkeypatch, helpers):
@@ -188,29 +189,36 @@ def test_concurrent_callers_get_the_bytes_of_sequential_calls(monkeypatch):
 
 # OpenBLAS kernels (OPENBLAS_CORETYPE) and the CPU flag each one needs
 KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
-# radii that differ from the prefix of the N = 1537 one-thread run
+# radii that differ from the prefix of the N = 1537 one-thread run or from the
+# per-index recipe, and max_mixing_rate minima and locals that differ from it
 MOVED_RADII = """
 import numpy as np
 from dualunitary import haar_mc as hm
 from dualunitary.constructions import fixtures
-from parity_corpus import openblas_kernel
+from haar_recipe import reference_max_rate, reference_radii
 
 hm._usable_cpus = lambda: 3  # three threads on a smaller machine too
 moved = 0
 for name in ("dual_q3_ep8over9", "dual_q3_d2s", "dual_q4_ep4over5"):
-    full = hm.spectral_radius_samples(fixtures()[name], 1537, 29, workers=1)
+    U = fixtures()[name]
+    full = hm.spectral_radius_samples(U, 1537, 29, workers=1)
+    moved += int((full[:600] != reference_radii(U, 600, 29)).sum())
     for n in (17, 300, 600, 1000, 1537):
         for workers in (1, 2, 3):
-            r = hm.spectral_radius_samples(fixtures()[name], n, 29, workers=workers)
+            r = hm.spectral_radius_samples(U, n, 29, workers=workers)
             moved += int((r != full[:n]).sum())
-print(openblas_kernel(), moved)
+    rep = hm.max_mixing_rate(U, 600, 30)
+    best_r, best_u = reference_max_rate(U, 600, 30)
+    moved += int(rep["min_radius"] != best_r) + int(not np.array_equal(rep["local"], best_u))
+print(hm.openblas_kernel(), moved)
 """
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_a_sample_depends_on_its_index_alone_on_every_blas_kernel(kernel):
-    # some kernels round a row of the X product by the product's height or
-    # the row's place in it; the fixed block grid and the padding fix both
+    # the engine makes the recipe's BLAS and LAPACK calls one index at a time,
+    # so no kernel moves a radius with N, the threads or the block, nor off the
+    # recipe; at the row-stacked X product Haswell, Sandybridge and Prescott did
     cpuinfo = pathlib.Path("/proc/cpuinfo")
     flags = set(cpuinfo.read_text().split()) if cpuinfo.is_file() else set()
     if KERNELS[kernel] not in flags:
@@ -223,8 +231,8 @@ def test_a_sample_depends_on_its_index_alone_on_every_blas_kernel(kernel):
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     running, moved = proc.stdout.split()
-    assert moved == "0", (f"{moved} radii moved with N or the threads under "
-                          f"OPENBLAS_CORETYPE={kernel} (OpenBLAS reports {running})")
+    assert moved == "0", (f"{moved} values moved with N or the threads, or off the recipe, "
+                          f"under OPENBLAS_CORETYPE={kernel} (OpenBLAS reports {running})")
 
 
 def test_avg_spectral_radius_two_unitary_is_zero():
@@ -289,11 +297,12 @@ def test_estimators_refuse_empty_sample_sets_and_no_workers(U):
     }
     for call in calls.values():
         for n in (0, -3):
-            with pytest.raises(to.ValidationError, match=f"got N = {n}$"):
+            with pytest.raises(to.ValidationError, match=f"^N must be an integer >= 1, got {n}$"):
                 call(n, None)
     for name in ("spectral_radius_samples", "avg_spectral_radius"):
         for w in (0, -1):
-            with pytest.raises(to.ValidationError, match=f"got workers = {w}$"):
+            with pytest.raises(to.ValidationError,
+                               match=f"^workers must be an integer >= 1, got {w}$"):
                 calls[name](5, w)
 
 
@@ -348,16 +357,6 @@ def _engine_gates():
     }
 
 
-def _factored(U):
-    """Mt = X Yh from the real SVD of Mt in the Hermitian basis T, truncated
-    at the rank rule, computed here independently."""
-    q = to.local_dim(U)
-    T = hermitian_basis(q)
-    W, s, Vh = np.linalg.svd((T.conj().T @ deflate_trivial(build_m_plus(U)) @ T).real)
-    m = int((s > channel_rank_tol(q)).sum())
-    return T @ (W[:, :m] * s[:m]), Vh[:m] @ T.conj().T
-
-
 def _locals_at(q, seed, label, i, four_locals):
     """(L, R) with L Mt R the rotated channel of index i (R = identity: None)."""
     if four_locals:
@@ -365,20 +364,7 @@ def _locals_at(q, seed, label, i, four_locals):
         u1 = to.sample_haar(q, rng)
         v2 = to.sample_haar(q, rng)
         return np.kron(v2.conj().T, v2.T), np.kron(u1.conj().T, u1.T)
-    u = hm.haar_sample_at(q, seed, label, i)
-    return np.kron(u, u.conj()), None
-
-
-def _compressed_radius(X, Yh, L):
-    return np.abs(np.linalg.eigvals((Yh @ L @ X).real)).max()
-
-
-def _reference_radii(U, n, seed, label="spectral-radius"):
-    """The per-index recipe: eig of the real m x m compression Yh (u x u*) X."""
-    q = to.local_dim(U)
-    X, Yh = _factored(U)
-    return np.array([_compressed_radius(X, Yh, _locals_at(q, seed, label, i, False)[0])
-                     for i in range(n)])
+    return kron_at(q, seed, label, i), None
 
 
 def _compression_gates():
@@ -395,7 +381,7 @@ def _compression_gates():
 @pytest.mark.parametrize("gate", list(_compression_gates()))
 def test_block_radii_equal_per_index_reference(gate):
     U = _compression_gates()[gate]
-    ref = _reference_radii(U, N_BLOCKS, 19)
+    ref = reference_radii(U, N_BLOCKS, 19)
     serial = hm.spectral_radius_samples(U, N_BLOCKS, 19)
     split = hm.spectral_radius_samples(U, N_BLOCKS, 19, workers=3)
     assert np.array_equal(serial, ref)
@@ -405,14 +391,7 @@ def test_block_radii_equal_per_index_reference(gate):
 @pytest.mark.parametrize("gate", list(_compression_gates()))
 def test_block_max_mixing_rate_equals_per_index_reference(gate):
     U = _compression_gates()[gate]
-    q = to.local_dim(U)
-    X, Yh = _factored(U)
-    best_r, best_u = np.inf, None
-    for i in range(N_BLOCKS):
-        L, _ = _locals_at(q, 20, "max-rate", i, False)
-        r = _compressed_radius(X, Yh, L)
-        if r < best_r:
-            best_r, best_u = r, hm.haar_sample_at(q, 20, "max-rate", i)
+    best_r, best_u = reference_max_rate(U, N_BLOCKS, 20)
     rep = hm.max_mixing_rate(U, N_BLOCKS, 20)
     assert rep["min_radius"] == best_r
     assert np.array_equal(rep["local"], best_u)
@@ -504,8 +483,10 @@ def test_block_norm_power_and_monomial_equal_per_index_reference(q):
 # d4s.json -N 300 --seed 13`, the gate files from `dualu gate make fixture
 # --name dual_q3_d3s` and `--name dual_q4_d4s`; the whole output's bytes are a
 # corpus entry (tests/parity_corpus.json).  The values are those of stream
-# scheme 2 (the counter-indexed draw).  mu_plus and nu_plus are read off the
-# same samples as mean_lambda1 (checked against a per-index loop below)
+# scheme 2 (the counter-indexed draw), as OpenBLAS's SkylakeX kernel rounds
+# them: like the corpus, these are that kernel's bytes.  mu_plus and nu_plus
+# are read off the same samples as mean_lambda1 (checked against a per-index
+# loop below)
 SWEEP_GOLDEN_RADIUS_FIELDS = [
     ["0.7500000000000001", "0.4965751676090546", "0.01163798827317086"],
     ["0.8", "0.4832524380147142", "0.009282952031071282"],
@@ -532,7 +513,7 @@ def test_golden_sweep_keeps_the_radius_bytes_and_rates_follow_one_sample_set(tmp
     for row, radius_fields, name in zip(rows, SWEEP_GOLDEN_RADIUS_FIELDS,
                                         ("dual_q3_d3s", "dual_q4_d4s")):
         assert [row["e_p"], row["mean_lambda1"], row["stderr"]] == radius_fields
-        ref = _reference_radii(fx[name], 300, 13)
+        ref = reference_radii(fx[name], 300, 13)
         assert row["mean_lambda1"] == repr(float(ref.mean()))
         assert row["mu_plus"] == repr(float(np.mean(-np.log(ref))))
         assert row["nu_plus"] == repr(float(-np.log(ref.min())))

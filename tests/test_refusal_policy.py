@@ -14,8 +14,11 @@ from dualunitary.circuit_sim import CircuitConfig, weyl_basis
 from dualunitary.constructions import (cat_family, cat_map, diagonal_dual_sample,
                                        enumerate_dual_permutations, mr_iterate, mrt_iterate,
                                        ols_pair)
+from dualunitary.haar_mc import (avg_mixing_rate, avg_norm_power, avg_spectral_radius,
+                                 haar_monomial_oracle, max_mixing_rate, spectral_radius_samples)
 from dualunitary.invariants import swap_entanglement
-from dualunitary.qubit_exact import cartan_gate
+from dualunitary.qubit_exact import (cartan_gate, critical_theta, ep_cartan, min_lambda1_general,
+                                     mu_prime, nu_plus_exact, nu_prime)
 from dualunitary.tensor_ops import max_entangled_vector, sample_haar, swap_operator
 
 
@@ -56,6 +59,25 @@ OUT_OF_DOMAIN = [
     ("q", lambda q: list(enumerate_dual_permutations(q)), (0, 1, -2, 2.5, NAN, True)),
     ("d", lambda d: sample_haar(d, np.random.default_rng(0)), (0, -2, 2.5, NAN, True)),
     ("J", cartan_gate, (NAN, math.inf, -math.inf)),
+    ("N", lambda n: spectral_radius_samples(cartan_gate(0.3), n, 1), (0, -2, 2.5, NAN, True)),
+    ("N", lambda n: avg_spectral_radius(cartan_gate(0.3), n, 1), (0, -2, 2.5, NAN, True)),
+    ("N", lambda n: avg_mixing_rate(cartan_gate(0.3), n, 1), (0, -2, 2.5, NAN, True)),
+    ("N", lambda n: max_mixing_rate(cartan_gate(0.3), n, 1), (0, -2, 2.5, NAN, True)),
+    ("N", lambda n: avg_norm_power(cartan_gate(0.3), 2, n, 1), (0, -2, 2.5, NAN, True)),
+    ("N", lambda n: haar_monomial_oracle(np.eye(4), np.eye(4), n, 1), (0, -2, 2.5, NAN, True)),
+    ("workers", lambda w: spectral_radius_samples(cartan_gate(0.3), 5, 1, workers=w),
+     (0, -2, 1.5, NAN, True)),
+    ("workers", lambda w: avg_spectral_radius(cartan_gate(0.3), 5, 1, workers=w),
+     (0, -2, 1.5, NAN, True)),
+    ("k", lambda k: avg_norm_power(cartan_gate(0.3), k, 5, 1), (1, -2, 2.5, NAN, True)),
+    ("refine_steps", lambda s: max_mixing_rate(cartan_gate(0.3), 5, 1, refine_steps=s),
+     (-3, 2.5, NAN, True)),
+    ("J", ep_cartan, (NAN, math.inf, -math.inf)),
+    ("J", nu_prime, (NAN, math.inf, -math.inf)),
+    ("J", mu_prime, (NAN, math.inf, -math.inf)),
+    ("J", nu_plus_exact, (NAN, math.inf, -math.inf)),
+    ("J", critical_theta, (NAN, math.inf, -math.inf)),
+    ("J", min_lambda1_general, (NAN, math.inf, -math.inf)),
 ]
 
 
