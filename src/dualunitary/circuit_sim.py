@@ -64,10 +64,10 @@ def _require_budget(nbytes, what):
 
 @dataclass
 class CircuitConfig:
-    """A brickwork ring of 2L qudits of dimension q, L an integer >= 1.  The
-    gate and every per-bond gate are q^2 x q^2 and unitary to
-    GATE_UNITARY_TOL; anything else is refused here, before a simulator is
-    built."""
+    """A brickwork ring of 2L qudits of dimension q, q an integer >= 2 and L
+    an integer >= 1.  The gate and every per-bond gate are q^2 x q^2 and
+    unitary to GATE_UNITARY_TOL; anything else is refused here, before a
+    simulator is built."""
     q: int
     L: int
     gate: np.ndarray
@@ -75,6 +75,7 @@ class CircuitConfig:
     odd_gates: list = None    # ... and the (x+1/2, x+1) layer; L entries each
 
     def __post_init__(self):
+        require_int(self.q, "q", 2)
         require_int(self.L, "L", 1)
         self.gate = np.asarray(self.gate, dtype=complex)
         for name in ("even_gates", "odd_gates"):

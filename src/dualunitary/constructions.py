@@ -45,6 +45,7 @@ from .tensor_ops import (
     realign_r2,
     require_finite,
     require_int,
+    require_positive,
     sample_haar,
     swap_operator,
 )
@@ -57,6 +58,7 @@ from .tolerances import (CAT_CHECK_TOL, DELTOID_SHRINK, FLOW_TOL, POLAR_RANK_TOL
 
 def block_diagonal_matrix(q, blocks):
     """Direct sum of unitary blocks whose sizes are multiples of q summing to q^2."""
+    require_int(q, "q", 2)
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     sizes = [b.shape[0] for b in blocks]
     for b in blocks:
@@ -233,8 +235,7 @@ def _iterate(U0, max_iter, tol, two_unitary=False):
     np.errstate around the whole loop turns a LAPACK failure into
     LinAlgError("SVD did not converge"), as np.linalg.svd does per call."""
     require_int(max_iter, "max_iter", 1)
-    if isinstance(tol, bool) or not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be a finite positive number, got {tol!r}")
+    require_positive(tol, "tol")
     U = np.asarray(U0, dtype=complex)
     q = local_dim(U)
     es = swap_entanglement(q)
@@ -510,7 +511,7 @@ def cat_fourier_local_lambda1(q, phi1, phi2):
     """Leading nontrivial channel eigenvalue of the even-q cat under a phased
     DFT local: cos(pi phi2).  Computed as <Psibar|(u x u*)|Psi> and verified
     against the eigensolver to CAT_CHECK_TOL."""
-    if q % 2:
+    if require_int(q, "q", 2) % 2:
         raise ValidationError("defined for even q")
     u = phased_dft_local(q, phi1, phi2)
     psi, psibar = cat_psi_vectors(q)

@@ -51,11 +51,10 @@ more than the usable CPUs or the blocks): thread i, the caller being thread
 0, takes the blocks k = i mod threads, each other thread a plain thread the
 call starts and joins.  An exception raised in a helper's block is
 re-raised in the caller after the join, so no partial result is returned;
-one block starts no thread.  The BLAS calls release the GIL, but every
-OpenBLAS call takes a buffer from one pool shared by all threads, so tiny
-products contend (two threads ran the per-index left products at 0.47-0.63x
-the rate of one): one lock is held around a block's compressions and nothing
-else (`_radii`), and the draw, the QR and the eigensolve still overlap.
+one block starts no thread.  The threads share nothing but the result
+list: every BLAS and LAPACK call runs unsynchronised (numpy's OpenBLAS is
+thread-safe) and releases the GIL, so the draw, the QR, the compressions
+and the eigensolve of different blocks overlap.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -95,8 +94,6 @@ from .tensor_ops import (ValidationError, expi_hermitian, haar_from_ginibre, loc
 BLOCK = 256
 # the Haar-stream layout, recorded in every run manifest
 STREAM_SCHEME = 2
-# held by the one thread at a time that runs its block's compressions (`_radii`)
-_COMPRESSION_TURN = threading.Lock()
 
 
 @dataclass
@@ -213,10 +210,8 @@ def _map_blocks(kernel, q, seed, label, n, workers=None):
 def _radii(X, Yh, K):
     """|lambda_1| of K X Yh for each K of a stack, or for a single K: the
     largest eigenvalue modulus of the real part of the m x m compression
-    (Yh K) X, taken in turns by the threads (see the module doc)."""
-    with _COMPRESSION_TURN:
-        C = (Yh @ K) @ X
-    return np.abs(np.linalg.eigvals(C.real)).max(axis=-1)
+    (Yh K) X."""
+    return np.abs(np.linalg.eigvals(((Yh @ K) @ X).real)).max(axis=-1)
 
 
 def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):

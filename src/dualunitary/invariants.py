@@ -24,6 +24,7 @@ from .tensor_ops import (
     partial_transpose_t2,
     realign_r1,
     require_int,
+    require_positive,
     unitarity_defect,
 )
 from .tolerances import DUALITY_TOL, THRESHOLD_BOUNDARY_TOL
@@ -84,7 +85,9 @@ def entangling_power(U):
 
 
 def classify_duality(U, tol=DUALITY_TOL):
-    """Dual / T-dual / 2-unitary predicates with the raw unitarity defects."""
+    """Dual / T-dual / 2-unitary predicates with the raw unitarity defects,
+    each defect compared with tol, a finite positive number."""
+    require_positive(tol, "tol")
     U = np.asarray(U, dtype=complex)
     residuals = {
         "unitary": unitarity_defect(U),
@@ -106,7 +109,9 @@ def mixing_thresholds(q):
 
     e_p(U) > e*_{p,k} guarantees at least q^2-k mixing modes whatever the
     single-particle unitaries are; k = 1 is the full-mixing threshold e*_p.
+    A q that is not an integer >= 2 is refused.
     """
+    require_int(q, "q", 2)
     k = np.arange(1, q * q)
     return 1.0 - k / (q * q - 1.0)
 

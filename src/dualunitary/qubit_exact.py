@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tensor_ops import require_finite, swap_operator
+from .tensor_ops import ValidationError, require_finite, swap_operator
 
 # the general-cubic minimum: a GRID x GRID scan of (theta, phi) over [0, pi]^2,
 # then REFINE coordinate-shrink steps from the best grid point
@@ -71,7 +71,7 @@ def v_local(phi, psi=0.0):
 
 def restricted_w_spectrum(J, theta):
     """The three nontrivial channel eigenvalues for a w-family local."""
-    s = math.sin(2 * J)
+    s = math.sin(2 * require_finite(J, "J"))
     c = math.cos(theta)
     disc = cmath.sqrt((1 + s) ** 2 * c * c - 4 * s)
     lam1 = 0.5 * ((1 + s) * c + disc)
@@ -79,9 +79,19 @@ def restricted_w_spectrum(J, theta):
     return np.array([lam1, lam2, complex(s)])
 
 
+def _sin_2j(J):
+    """sin 2J, if J is finite and sin 2J >= 0, as on the family's [0, pi/4];
+    the closed forms below take its root or its logarithm, so anything else
+    is refused."""
+    s = math.sin(2 * require_finite(J, "J"))
+    if s < 0:
+        raise ValidationError(f"J must be a number with sin 2J >= 0, got J = {J} (sin 2J = {s})")
+    return s
+
+
 def critical_theta(J):
     """Angle where the w-family eigenvalue pair coalesces and turns complex."""
-    s = math.sin(2 * require_finite(J, "J"))
+    s = _sin_2j(J)
     return math.acos(2 * math.sqrt(s) / (1 + s))
 
 
@@ -92,19 +102,19 @@ def _neg_log(s):
 
 def nu_prime(J):
     """Maximal mixing rate over the w family: -1/2 ln sin 2J."""
-    return 0.5 * _neg_log(math.sin(2 * require_finite(J, "J")))
+    return 0.5 * _neg_log(_sin_2j(J))
 
 
 def mu_prime(J):
     """Mean mixing rate over the w family with cos(theta) uniform."""
-    s = math.sin(2 * require_finite(J, "J"))
+    s = _sin_2j(J)
     return (1 - s) / (1 + s)
 
 
 def nu_plus_exact(J):
     """Maximal mixing rate over the v family, -ln sin^{2/3}(2J); numerically
     the optimum over all single-qubit gates."""
-    return (2.0 / 3.0) * _neg_log(math.sin(2 * require_finite(J, "J")))
+    return (2.0 / 3.0) * _neg_log(_sin_2j(J))
 
 
 def cubic_roots(a2, a1, a0):
@@ -121,7 +131,7 @@ def restricted_v_cubic(J, phi):
     """Nontrivial channel eigenvalues for a v-family local:
     roots of x^3 - cos(phi) sin(2J) x^2 + cos(phi) sin(2J) x - sin^2(2J),
     broadcast over phi."""
-    s = math.sin(2 * J)
+    s = math.sin(2 * require_finite(J, "J"))
     c = np.cos(phi)
     return cubic_roots(-c * s, c * s, -s * s)
 
@@ -129,7 +139,7 @@ def restricted_v_cubic(J, phi):
 def general_su2_cubic(J, theta, phi):
     """Nontrivial channel eigenvalues for a general single-qubit local,
     broadcast over theta and phi."""
-    s = math.sin(2 * J)
+    s = math.sin(2 * require_finite(J, "J"))
     c2 = np.cos(theta / 2) ** 2
     a2 = 1.0 - 2.0 * c2 * (s * np.cos(phi) + 1.0)
     a1 = s * (2.0 * c2 * (s + np.cos(phi)) - s)
@@ -141,9 +151,9 @@ def min_lambda1_general(J):
     """Smallest spectral radius over (theta, phi) from the general cubic.
 
     Coarse grid then coordinate shrink; the closed-form reference is
-    sin^{2/3}(2J).  A non-finite J is refused.
+    sin^{2/3}(2J).  A J that is not finite or has sin 2J < 0 is refused.
     """
-    require_finite(J, "J")
+    s = _sin_2j(J)
 
     def radius(theta, phi):
         return np.abs(general_su2_cubic(J, theta, phi)).max(axis=-1)
@@ -163,4 +173,4 @@ def min_lambda1_general(J):
         else:
             d *= 0.5
     return {"min_radius": r, "theta": th, "phi": ph,
-            "closed_form": math.sin(2 * J) ** (2.0 / 3.0) if J > 0 else 0.0}
+            "closed_form": s ** (2.0 / 3.0) if J > 0 else 0.0}

@@ -43,6 +43,14 @@ def require_finite(value, what):
     return value
 
 
+def require_positive(value, what):
+    """value, if it is a finite number > 0; a bool, a NaN, an infinity and
+    anything <= 0 are refused naming `what`."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValidationError(f"{what} must be a finite positive number, got {value!r}")
+    return value
+
+
 def local_dim(X):
     """Local dimension q of a q^2 x q^2 matrix; validates squareness."""
     X = np.asarray(X)

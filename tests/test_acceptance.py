@@ -413,6 +413,9 @@ def test_criterion_11_circuit_cross_validation():
 
 @pytest.mark.slow
 def test_criterion_12_unistochastic_reduction_and_lu_inequivalence():
+    """The D2S reference 0.55045 sits 0.0096 above the 10^6-sample estimate
+    0.54084 +- 0.00011 of perfbench/reference.json, so the check uses 96% of
+    its 0.01 tolerance; the values and the tolerance stay as written."""
     worst = 0.0
     deltoid_frac = []
     for k in range(1000):
