@@ -12,12 +12,12 @@ Subcommand map (program name `dualu`):
     oracle haar-identity / reshuffle-identities
     perm enumerate -q 3 -o perms.csv
 
-Determinism: all randomness flows from one --seed (env DUALUNITARY_SEED as
-default); subsystems derive substreams by labeled hashing, so reruns are
-byte-identical.  CSV floats are written with shortest round-trip formatting,
-'.' decimal, ',' separator and LF line ends.  Exit codes: 0 ok, 1 internal
-error, 2 usage, 3 validation (an argument the command does not take, a
-refused value, or a file that cannot be read or written), 4 non-convergence.
+Determinism: all randomness flows from one --seed (default 0; no environment
+variable is read); subsystems derive substreams by labeled hashing, so reruns
+are byte-identical.  CSV floats are written with shortest round-trip
+formatting, '.' decimal, ',' separator and LF line ends.  Exit codes: 0 ok, 1
+internal error, 2 usage, 3 validation (an argument the command does not take,
+a refused value, or a file that cannot be read or written), 4 non-convergence.
 Exits 1, 3 and 4 write a one-line JSON error record as the first line on
 stderr; exit 2 is argparse's usage message alone (an unknown command or
 family, a value argparse cannot convert, or an option placed before the
@@ -188,20 +188,6 @@ def _int(text, what):
 # (option attribute, flag, least value) of every integer option with a floor
 OPTION_FLOORS = (("workers", "--workers", 1), ("n", "-N", 1), ("points", "--points", 1),
                  ("q", "-q", 2), ("max_iter", "--max-iter", 1))
-
-
-def _resolve_defaults(args):
-    """Fill --seed and --workers from the environment (--workers: else the
-    usable CPUs) and check the integer options."""
-    if getattr(args, "seed", 0) is None:
-        args.seed = _int(os.environ.get("DUALUNITARY_SEED", 0), "DUALUNITARY_SEED")
-    if getattr(args, "workers", 1) is None:
-        args.workers = _int(os.environ.get("DUALUNITARY_WORKERS", _usable_cpus()),
-                            "DUALUNITARY_WORKERS")
-    for attr, flag, least in OPTION_FLOORS:
-        value = getattr(args, attr, None)
-        if value is not None and value < least:
-            raise ValidationError(f"{flag} must be at least {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +517,12 @@ def build_parser():
     sub = p.add_subparsers(dest="group", required=True)
 
     def add_seed(sp):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=0)
 
     def add_workers(sp):
         sp.add_argument("--workers", type=int, default=None,
                         help="run the samples on at most this many threads (default: "
-                        "$DUALUNITARY_WORKERS, else the usable CPUs); the output does "
-                        "not depend on it")
+                        "the usable CPUs); the output does not depend on it")
 
     # gate: each family is a subparser with only the options it reads
     gate = sub.add_parser("gate").add_subparsers(dest="sub", required=True)
@@ -663,7 +648,12 @@ def main(argv=None):
         if extra:  # the leftovers of every parser level, in argv order
             where = " ".join([*args._command_path, *([args.family] if "family" in args else [])])
             raise ValidationError(f"{where} takes no {_option_name(extra[0])}")
-        _resolve_defaults(args)
+        if getattr(args, "workers", 1) is None:  # a sweep without --workers
+            args.workers = _usable_cpus()
+        for attr, flag, least in OPTION_FLOORS:
+            value = getattr(args, attr, None)
+            if value is not None and value < least:
+                raise ValidationError(f"{flag} must be at least {least}, got {value}")
         # looked up at call time, so a rebound cmd_* function takes effect
         command = "_".join(["cmd", *args._command_path]).replace("-", "_")
         _emit_manifest(args, globals()[command](args), t0)

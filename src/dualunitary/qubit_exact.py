@@ -173,4 +173,4 @@ def min_lambda1_general(J):
         else:
             d *= 0.5
     return {"min_radius": r, "theta": th, "phi": ph,
-            "closed_form": s ** (2.0 / 3.0) if J > 0 else 0.0}
+            "closed_form": s ** (2.0 / 3.0)}

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import io
 import itertools
 import json
 import math
@@ -22,8 +23,9 @@ from dualunitary import haar_mc as hm
 from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
 from dualunitary.constructions import ols_pair, perm_spec_to_json
+from dualunitary.qubit_exact import cartan_gate
 from dualunitary.tensor_ops import gate_to_json
-from dualunitary.tolerances import FLOW_TOL
+from dualunitary.tolerances import CONE_TOL, FLOW_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
 from parity_corpus import defective_gate
 
 
@@ -116,7 +118,7 @@ def test_gate_make_families(tmp_path, capsys):
             assert _strict_json(capsys.readouterr().out)["duality"]["dual"] is True
 
 
-def test_gate_make_refuses_options_its_family_ignores(tmp_path, capsys, monkeypatch):
+def test_gate_make_refuses_options_its_family_ignores(tmp_path, capsys):
     # exit 3 naming the first ignored option, before any gate is built or written
     out = tmp_path / "g.json"
     for argv, flag in ((["cartan", "-q", "5", "--epsilon", "0.3", "--seed", "9"], "-q"),
@@ -132,9 +134,6 @@ def test_gate_make_refuses_options_its_family_ignores(tmp_path, capsys, monkeypa
         assert main(["gate", "make", *argv, "-o", str(out)]) == 3
         assert f"takes no {flag}" in _validation_error(capsys)
         assert not out.exists()
-    # a default seed from the environment is no option given
-    monkeypatch.setenv("DUALUNITARY_SEED", "9")
-    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(out)]) == 0
 
 
 def _choices(parser):
@@ -150,7 +149,7 @@ def _subparser(*path):
 
 def test_each_family_declares_only_its_own_options():
     # (command path, the options it declares besides -h and -o, its defaults)
-    seeded = {"seed": None}
+    seeded = {"seed": 0}
     for path, defaults in (
             (("gate", "make", "block"), {"q": 3, "side": "ds", "sizes": None, **seeded}),
             (("gate", "make", "diag"), {"q": 3, "epsilon": 1.0, **seeded}),
@@ -232,12 +231,10 @@ def test_an_option_before_the_family_is_a_usage_error(capsys):
         assert "invalid choice" in err and not err.startswith("{")
 
 
-def test_unseeded_families_read_no_seed(tmp_path, monkeypatch):
-    # perm, cat, cartan and fixture draw nothing: the manifest records no seed,
-    # and a malformed environment seed is not theirs to refuse
+def test_unseeded_families_read_no_seed(tmp_path):
+    # perm, cat, cartan and fixture draw nothing: the manifest records no seed
     spec = tmp_path / "perm.json"
     spec.write_text(json.dumps(perm_spec_to_json(*ols_pair(3))))
-    monkeypatch.setenv("DUALUNITARY_SEED", "abc")
     for k, extra in enumerate((["perm", "--spec", str(spec)], ["cat", "-q", "3"],
                                ["cartan", "--J", "0.2"], ["fixture", "--name", "dual_q3_d3s"])):
         out = tmp_path / f"g{k}.json"
@@ -253,6 +250,45 @@ def test_gate_make_perm_spec(tmp_path):
     assert main(["gate", "make", "perm", "--spec", str(spec), "-o", str(gate)]) == 0
     payload = _strict_json(gate.read_text())
     assert payload["q"] == 3
+
+
+# the dual permutation 147258360 (1-indexed K, L): unphased it is NonErgodic;
+# a phase pi on |00> leaves it dual and gives the hierarchy's fourth level
+PERM_147258360 = {"q": 3, "K": [[1, 2, 3], [1, 2, 3], [2, 3, 1]],
+                  "L": [[2, 2, 2], [3, 3, 3], [1, 1, 1]]}
+
+
+@pytest.mark.parametrize("theta00, e_p, label, counts", [
+    (None, 0.5, "NonErgodic", (4, 2, 6)),
+    (math.pi, 13 / 18, "ErgodicNonMixing", (2, 0, 6)),
+])
+def test_a_phased_dual_permutation_is_ergodic_but_not_mixing(tmp_path, capsys, theta00, e_p,
+                                                             label, counts):
+    spec = dict(PERM_147258360)
+    K, L = (np.array(spec[key]) - 1 for key in ("K", "L"))
+    assert "".join(str(k) for k in (3 * K + L).ravel()) == "147258360"
+    if theta00 is not None:
+        spec["theta"] = [[theta00, 0, 0], [0, 0, 0], [0, 0, 0]]
+    (tmp_path / "perm.json").write_text(json.dumps(spec))
+    gate = tmp_path / "g.json"
+    assert main(["gate", "make", "perm", "--spec", str(tmp_path / "perm.json"),
+                 "-o", str(gate)]) == 0
+    capsys.readouterr()
+    assert main(["gate", "classify", str(gate)]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["duality"]["dual"] is True and abs(rep["e_p"] - e_p) < 1e-12
+    assert rep["ergodic_class"] == label
+    assert (rep["ergodic_counts"]["unit"], rep["ergodic_counts"]["one"],
+            rep["ergodic_counts"]["zero"]) == counts
+    # the library reports the same class of the same gate
+    U = dualunitary.gate_from_json(_strict_json(gate.read_text()))
+    erg = dualunitary.classify_gate(U)
+    assert (erg.label, erg.unit_count, erg.one_count, erg.zero_count) == (label, *counts)
+    if theta00 is not None:  # its unit modes, both of M-, are the cube roots e^(+-2 pi i/3)
+        unit = [lam for M in (dualunitary.build_m_plus(U), dualunitary.build_m_minus(U))
+                for lam in dualunitary.channel_spectrum(M).eigenvalues if abs(abs(lam) - 1) < 1e-9]
+        assert np.allclose(sorted(unit, key=np.angle),
+                           np.exp([-2j * math.pi / 3, 2j * math.pi / 3]), atol=1e-12)
 
 
 def test_channel_spectrum_csv(tmp_path):
@@ -297,23 +333,42 @@ def test_sweep_haar_deterministic(tmp_path):
 
 
 def test_sweep_manifest_records_the_thread_cap(tmp_path, monkeypatch):
-    # from the option, else the environment, else the usable CPUs
+    # from the option, else the usable CPUs
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
     gate = tmp_path / "g.json"
     assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
     out = tmp_path / "s.csv"
-    runs = ((["--workers", "2"], "3", 2), ([], "3", 3), ([], None, 5))
-    for option, env, workers in runs:
-        if env is None:
-            monkeypatch.delenv("DUALUNITARY_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("DUALUNITARY_WORKERS", env)
+    for option, workers in ((["--workers", "2"], 2), ([], 5)):
         for argv in (["sweep", "haar", str(gate)], ["sweep", "family", "cartan", "--points", "2"]):
             assert main([*argv, "-N", "10", *option, "-o", str(out)]) == 0
             man = _strict_json((tmp_path / "s.csv.manifest.json").read_text())
             assert man["workers"] == workers
     assert main(["gate", "classify", str(gate), "-o", str(out)]) == 0
     assert "workers" not in _strict_json((tmp_path / "s.csv.manifest.json").read_text())
+
+
+def test_the_environment_changes_no_seed_thread_cap_or_output_byte(tmp_path, monkeypatch):
+    # --seed and --workers are the only sources of the seed and the thread cap:
+    # the variables that once stood in for them change nothing, malformed or not
+    gate = tmp_path / "g.json"
+    assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
+    commands = (["gate", "make", "block", "-q", "3"], ["gate", "make", "diag", "-q", "3"],
+                ["sweep", "haar", str(gate), "-N", "300"],
+                ["sweep", "family", "diag", "--points", "2", "-N", "100"])
+
+    def runs(tag):
+        for k, argv in enumerate(commands):
+            out = tmp_path / f"{tag}{k}.out"
+            assert main([*argv, "-o", str(out)]) == 0
+            man = _strict_json(pathlib.Path(f"{out}.manifest.json").read_text())
+            yield out.read_bytes(), man["seed"], man.get("workers")
+
+    plain = list(runs("plain"))
+    assert [(seed, workers) for _, seed, workers in plain] == [
+        (0, None), (0, None), (0, hm._usable_cpus()), (0, hm._usable_cpus())]
+    monkeypatch.setenv("DUALUNITARY_SEED", "9")
+    monkeypatch.setenv("DUALUNITARY_WORKERS", "abc")
+    assert list(runs("env")) == plain
 
 
 def test_manifest_records_the_blas_kernel(tmp_path, monkeypatch):
@@ -419,6 +474,37 @@ def test_circuit_verify_checks_the_configured_pairs(tmp_path, capsys, monkeypatc
     for (P, a, b), build in zip(checked, (build_m_plus, build_m_minus)):
         assert np.array_equal(P, np.linalg.matrix_power(build(U), 2))
         assert np.array_equal(a, basis[[3, 1, 3]]) and np.array_equal(b, basis[[2, 3, 3]])
+
+
+def test_circuit_verify_refuses_a_cone_residual_above_its_tolerance(tmp_path, capsys,
+                                                                   monkeypatch):
+    # no unitary gate reaches this branch: the cone holds the channel's values
+    # for every one, a non-dual Haar gate too (residual about 1e-16), so the
+    # prediction is shifted here; the report is written with ok false, exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "L": 4, "gate": gate_to_json(cartan_gate(0.2))}))
+    real = cli.channel_power_traces
+    monkeypatch.setattr(cli, "channel_power_traces", lambda P, a, b: [
+        v + 10 * CONE_TOL for v in real(P, a, b)])
+    out = tmp_path / "verify.json"
+    assert main(["circuit", "verify", str(cfg), "-o", str(out)]) == 3
+    report = _strict_json(out.read_text())
+    assert report["ok"] is False and report["cone_residual"] > CONE_TOL
+    assert _validation_error(capsys).startswith(
+        f"cone residual {report['cone_residual']:.3e} above {CONE_TOL:.1e}")
+    assert not pathlib.Path(f"{out}.manifest.json").exists()
+
+
+def test_a_gate_is_read_from_stdin_for_a_dash(capsys, monkeypatch):
+    text = json.dumps(gate_to_json(cartan_gate(0.2)))
+    for data, code in ((text, 0), ("{", 3)):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data.encode())))
+        capsys.readouterr()
+        assert main(["gate", "classify", "-"]) == code
+        if code == 0:
+            assert _strict_json(capsys.readouterr().out)["duality"]["dual"] is True
+        else:  # the refusal names where the bad JSON came from
+            assert "stdin" in _validation_error(capsys)
 
 
 def test_circuit_verify_builds_the_channels_once_per_ray_and_time(tmp_path, capsys, monkeypatch):
@@ -579,6 +665,24 @@ def test_oracles(tmp_path, capsys):
     assert rep2["z_score"] < 3.0
 
 
+def test_oracles_refuse_a_result_outside_their_bounds(tmp_path, capsys, monkeypatch):
+    # the oracles hold at their defaults, so each check is handed a result
+    # outside its bound: the report is still written, and the run exits 3
+    real_oracle, real_identities = cli.haar_monomial_oracle, cli.verify_reshuffle_identities
+    monkeypatch.setattr(cli, "haar_monomial_oracle", lambda *a: {
+        **real_oracle(*a), "z_score": ORACLE_SIGMAS + 1.0})
+    monkeypatch.setattr(cli, "verify_reshuffle_identities", lambda *a: {
+        **real_identities(*a), "r1_from_r2": 2 * RESHUFFLE_TOL})
+    for argv, message in ((["haar-identity", "-N", "100"],
+                           f"MC estimate {ORACLE_SIGMAS + 1.0:.2f} sigma from closed form"),
+                          (["reshuffle-identities"],
+                           f"identity residual {2 * RESHUFFLE_TOL:.3e} above {RESHUFFLE_TOL:.0e}")):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main(["oracle", *argv, "-o", str(out)]) == 3
+        assert _strict_json(out.read_text())
+        assert _validation_error(capsys).startswith(message)
+
+
 def test_perm_enumerate_q2(tmp_path):
     out = tmp_path / "perms.csv"
     assert main(["perm", "enumerate", "-q", "2", "-o", str(out)]) == 0
@@ -725,18 +829,10 @@ def _validation_error(capsys):
     return err["message"]
 
 
-def test_malformed_environment_defaults_are_validation_errors(tmp_path, monkeypatch, capsys):
+def test_malformed_integers_in_option_values_are_validation_errors(tmp_path, capsys):
     gate = tmp_path / "g.json"
     assert main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)]) == 0
-    for name, argv in (("DUALUNITARY_SEED", ["gate", "make", "block", "-q", "2"]),
-                       ("DUALUNITARY_WORKERS", ["sweep", "haar", str(gate), "-N", "10"])):
-        monkeypatch.setenv(name, "abc")
-        capsys.readouterr()
-        assert main(argv) == 3
-        assert name in _validation_error(capsys)
-        monkeypatch.delenv(name)
-    # the integers inside option values are parsed the same way; --locals takes
-    # seed:<int> and nothing else, a gate file among them
+    # --locals takes seed:<int> and nothing else, a gate file among them
     for argv, word in ((["gate", "make", "block", "--sizes", "3,x"], "--sizes"),
                        (["channel", "spectrum", str(gate), "--locals", "seed:abc"], "--locals"),
                        (["channel", "spectrum", str(gate), "--locals", "7"], "--locals"),

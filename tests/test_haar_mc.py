@@ -138,6 +138,14 @@ def test_worker_pool_is_capped_by_blocks_and_cpus(monkeypatch, helpers, cpus, wo
     assert np.array_equal(b, reference_radii(cartan_gate(0.2), n, 7))
 
 
+def test_usable_cpus_fall_back_to_the_cpu_count_without_an_affinity_api(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert hm._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable: one
+    assert hm._usable_cpus() == 1
+
+
 def test_unset_workers_use_the_usable_cpus_and_one_block_starts_no_thread(monkeypatch, helpers):
     monkeypatch.setattr(hm, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("DUALUNITARY_WORKERS", "1")  # the library does not read it

@@ -174,6 +174,25 @@ def test_general_minimum_matches_v_family_value():
         assert abs(rep["min_radius"] - rep["closed_form"]) < 1e-4
 
 
+# closed_form of min_lambda1_general at J = k pi/32, k = 0..8: sin^{2/3}(2J), 0.0 at J = 0
+CLOSED_FORMS = (0.0, 0.3363750823157301, 0.5271001102523707, 0.6758121245181159,
+                0.7937005259840997, 0.8842279822666798, 0.9485864075433501,
+                0.987148809800253, 1.0)
+
+
+def test_general_minimum_reports_the_closed_form_at_every_accepted_j():
+    # the family's J keep their values bit for bit
+    for J, closed in zip(np.linspace(0.0, math.pi / 4, 9), CLOSED_FORMS, strict=True):
+        rep = qe.min_lambda1_general(J)
+        assert list(rep) == ["min_radius", "theta", "phi", "closed_form"]
+        assert rep["closed_form"] == closed and type(rep["closed_form"]) is float
+        assert abs(rep["min_radius"] - closed) < 1e-4
+    # a J outside [0, pi/4] with sin 2J >= 0 has the same closed form, not 0.0
+    rep = qe.min_lambda1_general(-2.0)
+    assert rep["closed_form"] == math.sin(-4.0) ** (2.0 / 3.0) == 0.8304657070520576
+    assert abs(rep["min_radius"] - rep["closed_form"]) < 1e-4
+
+
 def test_restricted_maximality_ordering():
     for J in np.linspace(0.05, math.pi / 4, 9):
         assert qe.nu_plus_exact(J) >= qe.nu_prime(J) - 1e-14

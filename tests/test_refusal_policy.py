@@ -10,13 +10,16 @@ import pytest
 
 import dualunitary
 from dualunitary import ValidationError
-from dualunitary.channels import ChannelSpectrum, lightcone_correlation_prediction
-from dualunitary.circuit_sim import CircuitConfig, weyl_basis
-from dualunitary.constructions import (block_channel_forms, block_diagonal_gate, cat_family,
-                                       cat_fourier_local_lambda1, cat_map, classify_permutation,
-                                       diagonal_dual_sample, enumerate_dual_permutations,
-                                       mr_iterate, mrt_iterate, ols_pair, permutation_gate,
-                                       two_unitary_permutation)
+from dualunitary.channels import (ChannelSpectrum, inhomogeneous_bound,
+                                  lightcone_correlation_prediction)
+from dualunitary.circuit_sim import CircuitConfig, CircuitSimulator, weyl_basis
+from dualunitary.constructions import (block_channel_forms, block_diagonal_gate,
+                                       block_diagonal_matrix, cat_family,
+                                       cat_fourier_local_lambda1, cat_map, cat_psi_vectors,
+                                       classify_permutation, diagonal_dual_sample,
+                                       enumerate_dual_permutations, mr_iterate, mrt_iterate,
+                                       ols_pair, permutation_gate, random_block_gate,
+                                       two_unitary_permutation, unistochastic_reduction)
 from dualunitary.haar_mc import (MCEstimate, avg_mixing_rate, avg_norm_power,
                                  avg_spectral_radius, haar_monomial_oracle, max_mixing_rate,
                                  spectral_radius_samples)
@@ -25,7 +28,7 @@ from dualunitary.invariants import (SchmidtSpectrum, classify_duality, mixing_th
 from dualunitary.qubit_exact import (cartan_gate, critical_theta, ep_cartan, general_su2_cubic,
                                      min_lambda1_general, mu_prime, nu_plus_exact, nu_prime,
                                      restricted_v_cubic, restricted_w_spectrum)
-from dualunitary.tensor_ops import max_entangled_vector, sample_haar, swap_operator
+from dualunitary.tensor_ops import local_dim, max_entangled_vector, sample_haar, swap_operator
 
 
 def test_no_module_raises_a_bare_value_error():
@@ -160,3 +163,41 @@ def test_every_exported_scalar_parameter_has_an_out_of_domain_row():
         missing += [f"{attr}({p})" for p in params if p in SCALAR_PARAMETERS
                     and (obj, p) not in EXEMPT and (obj, SCALAR_PARAMETERS[p]) not in covered]
     assert missing == []
+
+
+# refused input that is not one scalar: (case, the call, the start of its message)
+REFUSED_INPUT = [
+    ("local_dim-not-square", lambda: local_dim(np.eye(4)[:3]), "expected a square matrix"),
+    ("local_dim-side-not-q2", lambda: local_dim(np.eye(5)), "matrix side 5 is not q^2"),
+    ("site_leg-not-half-integer",
+     lambda: CircuitSimulator(CircuitConfig(q=2, L=2, gate=cartan_gate(0.3))).site_leg(0.25),
+     "site 0.25 is not a half-integer"),
+    ("inhomogeneous_bound-no-gate", lambda: inhomogeneous_bound([]), "need at least one gate"),
+    ("inhomogeneous_bound-non-dual", lambda: inhomogeneous_bound([cartan_gate(0.3), np.eye(4)]),
+     "all gates must be dual-unitary"),
+    ("block_diagonal_matrix-non-square", lambda: block_diagonal_matrix(2, [np.ones((2, 4))]),
+     "blocks must be square"),
+    ("random_block_gate-sum",
+     lambda: random_block_gate(3, [1, 1], np.random.default_rng(0)),
+     "multipliers [1, 1] must be positive and sum to q=3"),
+    ("random_block_gate-zero",
+     lambda: random_block_gate(3, [0, 3], np.random.default_rng(0)),
+     "multipliers [0, 3] must be positive and sum to q=3"),
+    ("perm-shape", lambda: permutation_gate(np.zeros((2, 3)), np.zeros((2, 3))),
+     "K and L must be square integer matrices"),
+    ("perm-range", lambda: permutation_gate([[0, 2], [1, 0]], [[0, 0], [1, 1]]),
+     "entries must lie in 0..q-1"),
+    ("enumerate_dual_permutations-q4", lambda: next(enumerate_dual_permutations(4)),
+     "exhaustive enumeration is limited to q <= 3"),
+    ("cat_psi_vectors-odd-q", lambda: cat_psi_vectors(3), "defined for even q"),
+    ("unistochastic_reduction-q2", lambda: unistochastic_reduction(np.eye(2)),
+     "the reduction fixture is the q = 3 gate D3.S"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=case)
+                                           for case, call, message in REFUSED_INPUT])
+def test_refused_input_is_a_validation_error(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value).startswith(message)
