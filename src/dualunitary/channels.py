@@ -126,16 +126,16 @@ def hermitian_basis(q):
 
 
 def factored_channel(M):
-    """Mt = X Yh for the deflated channel Mt of the unital channel M.
+    """(X, s, Yh): Mt = X Yh for the deflated channel Mt of the unital channel M.
 
     A unital channel preserves Hermiticity, so Mt is a real matrix R in the
-    Hermitian basis T (`hermitian_basis`); one real SVD R = X_r Y_r gives
-    X = T X_r (q^2 x m) and Yh = Y_r T^dag (m x q^2), and Yh A X is real for
-    every A that preserves Hermiticity.  m counts the singular values above
-    `channel_rank_tol(q)`: 0 for a 2-unitary, q^2 - 1 for a generic dual
-    gate, and never more, since Mt |Phi+> = 0 (a channel unital only to
-    UNITALITY_TOL keeps that direction's singular value out).  A channel whose
-    imaginary part in the basis T exceeds UNITALITY_TOL is refused.
+    Hermitian basis T (`hermitian_basis`); one real SVD R = W diag(s) V gives
+    X = T W diag(s) (q^2 x m) and Yh = V T^dag (m x q^2), so X^dag X = diag(s)^2,
+    Yh Yh^dag = 1 and Yh A X is real for every A that preserves Hermiticity.
+    s keeps the m singular values above `channel_rank_tol(q)`: none for a
+    2-unitary, q^2 - 1 for a generic dual gate and never more, as Mt |Phi+> = 0
+    (a channel unital only to UNITALITY_TOL keeps that one out).  A channel
+    whose imaginary part in T exceeds UNITALITY_TOL is refused.
     """
     q = local_dim(M)
     T = hermitian_basis(q)
@@ -146,7 +146,7 @@ def factored_channel(M):
                               "in the Hermitian basis")
     W, s, Yh = np.linalg.svd(R.real)
     m = min(int((s > channel_rank_tol(q)).sum()), q * q - 1)
-    return T @ (W[:, :m] * s[:m]), Yh[:m] @ T.conj().T
+    return T @ (W[:, :m] * s[:m]), s[:m], Yh[:m] @ T.conj().T
 
 
 def channel_spectrum(M):
@@ -160,7 +160,7 @@ def channel_spectrum(M):
     eigensolved; the other q^2 - 1 - m modes are exact zeros.
     """
     q = local_dim(M)
-    X, Yh = factored_channel(M)
+    X, _, Yh = factored_channel(M)
     zeros = np.zeros(q * q - 1 - Yh.shape[0], dtype=complex)
     vals = _sort_desc(np.concatenate([np.linalg.eigvals((Yh @ X).real), zeros]))
     return ChannelSpectrum(q=q, eigenvalues=vals, rates=decay_rates(np.abs(vals)))

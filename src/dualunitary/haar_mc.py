@@ -10,16 +10,16 @@ new consumer label never perturbs existing streams.  `substream` gives one
 independent generator per (seed, label, index) for everything else: the
 gate factories, `channel spectrum --locals` and the oracles' inputs.
 
-The radius engine factors the deflated channel once per gate, Mt = X Yh
-(`channels.factored_channel`, the same factorisation `channel_spectrum`
-eigensolves: one real SVD in an orthonormal Hermitian operator basis that
-keeps the m singular values above `channel_rank_tol(q)`).  The nonzero
-eigenvalues of (u x u*) X Yh are those of the m x m matrix Yh (u x u*) X
-(Sylvester).  u x u* preserves Hermiticity, so that matrix is real up to
-rounding, and only its real part is eigensolved.
-A 2-unitary (Bernoulli) gate has m = 0: every radius is exactly 0.0, with no
-Haar draw and no eigensolve.  The block duals D3S and D4S have m = 2 and 3,
-the even-q cat map m = 1, and a generic dual gate m = q^2 - 1.
+The engine factors the deflated channel once per gate, Mt = X Yh, keeping
+its m singular values s above `channel_rank_tol(q)` (`channels.factored_channel`,
+the factorisation `channel_spectrum` eigensolves), and that one factorisation
+feeds the radii and the norm powers alike.  A sample's one object is the real
+m x m compression C = Yh (u x u*) X (`_compression`; u x u* preserves
+Hermiticity, so C is real up to rounding): the nonzero eigenvalues of
+(u x u*) Mt are those of C (Sylvester), and its norm powers are those of
+diag(s) C^(k-1) (`avg_norm_power`).  A 2-unitary (Bernoulli) gate has m = 0:
+every sample is exactly 0.0, with no Haar draw.  The block duals D3S and D4S
+have m = 2 and 3, the even-q cat map m = 1, a generic dual gate m = q^2 - 1.
 
 One local per sample is the paper's full average: sandwiching U with
 (u1 x u2) and (v1 x v2) maps the channel to (v2^dag x v2^T) Mt (u1^dag x u1^T),
@@ -31,30 +31,27 @@ The estimators evaluate the indices on one fixed grid of blocks
 (`_map_blocks`): block k holds the indices [k BLOCK, (k + 1) BLOCK), the last
 one cut at N.  A block reads its Philox words with one `random_raw` call,
 then runs one vectorised Box-Muller step, one stacked QR with the phase fold
-and one broadcast u x u* before its kernel, e.g. the stacked compressions
-(Yh (u x u*)) X and one stacked m x m eigensolve.  BLOCK bounds a thread's
-memory (BLOCK q^2 x q^2 complex u x u*, 1 MiB at q = 4), and a block's fixed
-Python cost (Philox set-up, the QR and eigvals wrappers) holds the GIL,
-which is why a block is not fewer indices.  The QR, the compression's two
-products and the eigensolve hand LAPACK/BLAS one index at a time: the calls
-of the per-index recipe (`haar_sample_at`, then eig of (Yh (u x u*)) X).
-
+and one broadcast u x u* before its kernel, e.g. the stacked compressions C
+and their eigensolves.  BLOCK bounds a thread's memory (BLOCK q^2 x q^2
+complex u x u*, 1 MiB at q = 4), and a block's fixed Python cost (Philox
+set-up, the QR and eigvals wrappers) holds the GIL, which is why a block is
+not fewer indices.  The QR, the compression's two products, the eigensolve
+and the powers of C run one index at a time, as in the per-index recipe.
 So sample i of stream (seed, label) is the recipe's value, whatever N, the
-block and the thread count, on every OpenBLAS kernel.  The kernel test
-checks it under each of the SkylakeX, Haswell, Sandybridge and Prescott
-kernels the CPU can run (`OPENBLAS_CORETYPE`).  The values round per
-kernel, so the CLI parity corpus holds on SkylakeX, where it was made.
+block and the thread count, on every OpenBLAS kernel that the kernel test
+forces (`OPENBLAS_CORETYPE`: SkylakeX, Haswell, Sandybridge, Prescott).  The
+values round per kernel, so the CLI parity corpus holds on SkylakeX, where
+it was made.
 
-`_map_blocks` is the engine's one parallel loop.  It deals the blocks
-round-robin to at most `workers` threads (default: the usable CPUs; never
-more than the usable CPUs or the blocks): thread i, the caller being thread
-0, takes the blocks k = i mod threads, each other thread a plain thread the
-call starts and joins.  An exception raised in a helper's block is
-re-raised in the caller after the join, so no partial result is returned;
-one block starts no thread.  The threads share nothing but the result
-list: every BLAS and LAPACK call runs unsynchronised (numpy's OpenBLAS is
-thread-safe) and releases the GIL, so the draw, the QR, the compressions
-and the eigensolve of different blocks overlap.
+`_map_blocks`, the engine's one parallel loop, deals the blocks round-robin
+to at most `workers` threads (default: the usable CPUs; never more than the
+usable CPUs or the blocks): thread i, the caller being thread 0, takes the
+blocks k = i mod threads, each other thread a plain thread the call starts
+and joins, and one block starts none.  An exception in a helper's block is
+re-raised in the caller after the join, so no partial result is returned.
+The threads share only the result list: every BLAS and LAPACK call runs
+unsynchronised (numpy's OpenBLAS is thread-safe) and releases the GIL, so
+the draws and kernels of different blocks overlap.
 
 The central estimates: for a dual gate U with deflated channel Mt and
 r = |lambda_1((u x u*) Mt)|, u Haar,
@@ -85,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import build_m_plus, decay_rates, deflate_trivial, factored_channel
+from .channels import build_m_plus, decay_rates, factored_channel
 from .invariants import entangling_power
 from .tensor_ops import (ValidationError, expi_hermitian, haar_from_ginibre, local_dim,
                          realign_r2, require_int)
@@ -207,11 +204,14 @@ def _map_blocks(kernel, q, seed, label, n, workers=None):
     return np.concatenate(results)
 
 
+def _compression(X, Yh, K):
+    """The real m x m compression (Yh K) X of each K of a stack, or of one K."""
+    return ((Yh @ K) @ X).real
+
+
 def _radii(X, Yh, K):
-    """|lambda_1| of K X Yh for each K of a stack, or for a single K: the
-    largest eigenvalue modulus of the real part of the m x m compression
-    (Yh K) X."""
-    return np.abs(np.linalg.eigvals(((Yh @ K) @ X).real)).max(axis=-1)
+    """|lambda_1| of K X Yh: the largest eigenvalue modulus of the compression."""
+    return np.abs(np.linalg.eigvals(_compression(X, Yh, K))).max(axis=-1)
 
 
 def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
@@ -222,8 +222,8 @@ def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
     that is not an integer >= 1 is refused, here and in every estimator.
     """
     U = np.asarray(U, dtype=complex)
-    X, Yh = factored_channel(build_m_plus(U))
-    return _factored_radii(X, Yh, local_dim(U), n, seed, workers, label)
+    X, _, Yh = factored_channel(build_m_plus(U))
+    return _factored_samples(_radii, X, Yh, local_dim(U), n, seed, workers, label)
 
 
 def _check_counts(n, workers=None):
@@ -233,12 +233,12 @@ def _check_counts(n, workers=None):
         require_int(workers, "workers", 1)
 
 
-def _factored_radii(X, Yh, q, n, seed, workers, label):
-    """spectral_radius_samples of the channel factored as Mt = X Yh."""
+def _factored_samples(kernel, X, Yh, q, n, seed, workers, label):
+    """kernel(X, Yh, K) of the blocks of stream (seed, label); m = 0: zeros, no draw."""
     _check_counts(n, workers)
-    if not Yh.shape[0]:  # a zero channel: no Haar draw, no eigensolve
+    if not Yh.shape[0]:
         return np.zeros(n)
-    return _map_blocks(lambda K: _radii(X, Yh, K), q, seed, label, n, workers)
+    return _map_blocks(lambda K: kernel(X, Yh, K), q, seed, label, n, workers)
 
 
 def _estimate(values, seed, extras=None):
@@ -296,8 +296,8 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
     require_int(refine_steps, "refine_steps", 0)
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
-    X, Yh = factored_channel(build_m_plus(U))
-    r = _factored_radii(X, Yh, q, n, seed, None, "max-rate")
+    X, _, Yh = factored_channel(build_m_plus(U))
+    r = _factored_samples(_radii, X, Yh, q, n, seed, None, "max-rate")
     i = int(np.argmin(r))  # the first strict minimum
     best_r, best_u = r[i], haar_sample_at(q, seed, "max-rate", i)
 
@@ -324,24 +324,24 @@ def max_mixing_rate(U, n, seed, refine_steps=0):
 
 
 def avg_norm_power(U, k, n, seed):
-    """E || [(u x u*) Mtilde]^k ||_F^2 with the exact k = 2 reference value."""
+    """E ||[(u x u*) Mt]^k||_F^2 over Haar u.  With Mt = X Yh (`factored_channel`),
+    X^dag X = diag(s)^2 and Yh Yh^dag = 1, (K Mt)^k = K X C^(k-1) Yh for K = u x u*
+    and the radii's compression C = Yh K X, so a sample is ||diag(s) C^(k-1)||_F^2.
+    extras: exact_k2 = (q^2-1)(1-e_p)^2 is the k = 2 average; approx_k =
+    (q^2-1)(1-e_p)^k is a scale, not the average, at k >= 3."""
     require_int(k, "k", 2)
-    _check_counts(n)
     U = np.asarray(U, dtype=complex)
     q = local_dim(U)
-    Mt = deflate_trivial(build_m_plus(U))
+    X, s, Yh = factored_channel(build_m_plus(U))
 
-    def norm_powers(K):
-        return [np.vdot(B, B).real for B in np.linalg.matrix_power(K @ Mt, k)]
+    def norm_powers(X, Yh, K):
+        P = s[:, None] * np.linalg.matrix_power(_compression(X, Yh, K), k - 1)
+        return (P * P).reshape(len(P), -1).sum(axis=-1)
 
-    vals = _map_blocks(norm_powers, q, seed, f"norm-power-{k}", n)
+    vals = _factored_samples(norm_powers, X, Yh, q, n, seed, None, f"norm-power-{k}")
     ep = entangling_power(U)
-    extras = {
-        "e_p": ep,
-        "exact_k2": (q * q - 1) * (1.0 - ep) ** 2,
-        "approx_k": (q * q - 1) * (1.0 - ep) ** k,
-        "k": k,
-    }
+    extras = {"e_p": ep, "exact_k2": (q * q - 1) * (1.0 - ep) ** 2,
+              "approx_k": (q * q - 1) * (1.0 - ep) ** k, "k": k}
     return _estimate(vals, seed, extras)
 
 

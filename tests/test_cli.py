@@ -24,7 +24,7 @@ from dualunitary.circuit_sim import CircuitSimulator, weyl_basis
 from dualunitary.cli import main
 from dualunitary.constructions import ols_pair, perm_spec_to_json
 from dualunitary.qubit_exact import cartan_gate
-from dualunitary.tensor_ops import gate_to_json
+from dualunitary.tensor_ops import gate_to_json, sample_haar
 from dualunitary.tolerances import CONE_TOL, FLOW_TOL, ORACLE_SIGMAS, RESHUFFLE_TOL
 from parity_corpus import defective_gate
 
@@ -492,6 +492,23 @@ def test_circuit_verify_refuses_a_cone_residual_above_its_tolerance(tmp_path, ca
     assert report["ok"] is False and report["cone_residual"] > CONE_TOL
     assert _validation_error(capsys).startswith(
         f"cone residual {report['cone_residual']:.3e} above {CONE_TOL:.1e}")
+    assert not pathlib.Path(f"{out}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_circuit_verify_refuses_a_gate_that_is_not_dual(tmp_path, capsys, q):
+    # a Haar gate's cone still holds the channel's values, but its interior
+    # entry C+(x = 0) does not vanish: only a dual gate's does
+    cfg = tmp_path / "cfg.json"
+    U = sample_haar(q * q, hm.substream(37, "not-dual", q))
+    cfg.write_text(json.dumps({"q": q, "L": 4, "gate": gate_to_json(U)}))
+    out = tmp_path / "verify.json"
+    assert main(["circuit", "verify", str(cfg), "-o", str(out)]) == 3
+    report = _strict_json(out.read_text())
+    assert report["ok"] is False and report["cone_residual"] <= CONE_TOL
+    assert report["interior_max"] > 1e-3
+    assert _validation_error(capsys).startswith(
+        f"interior_max {report['interior_max']:.3e} above {CONE_TOL:.1e}")
     assert not pathlib.Path(f"{out}.manifest.json").exists()
 
 

@@ -19,7 +19,7 @@ from dualunitary.constructions import (cat_map, cat_psi_vectors, diagonal_dual_s
 from dualunitary.invariants import entangling_power
 from dualunitary.qubit_exact import cartan_gate
 from dualunitary.tolerances import ZERO_TOL
-from haar_recipe import kron_at, reference_max_rate, reference_radii
+from haar_recipe import kron_at, reference_max_rate, reference_norm_powers, reference_radii
 
 
 def test_samples_are_unitary():
@@ -198,12 +198,14 @@ def test_concurrent_callers_get_the_bytes_of_sequential_calls(monkeypatch):
 # OpenBLAS kernels (OPENBLAS_CORETYPE) and the CPU flag each one needs
 KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
 # radii that differ from the prefix of the N = 1537 one-thread run or from the
-# per-index recipe, and max_mixing_rate minima and locals that differ from it
-MOVED_RADII = """
+# per-index recipe, max_mixing_rate minima and locals that differ from it, and
+# norm-power means and stderrs that differ from the recipe's on three threads
+MOVED_SAMPLES = """
+import math
 import numpy as np
 from dualunitary import haar_mc as hm
 from dualunitary.constructions import fixtures
-from haar_recipe import reference_max_rate, reference_radii
+from haar_recipe import reference_max_rate, reference_norm_powers, reference_radii
 
 hm._usable_cpus = lambda: 3  # three threads on a smaller machine too
 moved = 0
@@ -218,6 +220,9 @@ for name in ("dual_q3_ep8over9", "dual_q3_d2s", "dual_q4_ep4over5"):
     rep = hm.max_mixing_rate(U, 600, 30)
     best_r, best_u = reference_max_rate(U, 600, 30)
     moved += int(rep["min_radius"] != best_r) + int(not np.array_equal(rep["local"], best_u))
+    for k in (2, 3, 4):
+        est, ref = hm.avg_norm_power(U, k, 600, 31), reference_norm_powers(U, k, 600, 31)
+        moved += int(est.mean != ref.mean()) + int(est.stderr != ref.std(ddof=1) / math.sqrt(600))
 print(hm.openblas_kernel(), moved)
 """
 
@@ -225,8 +230,9 @@ print(hm.openblas_kernel(), moved)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_a_sample_depends_on_its_index_alone_on_every_blas_kernel(kernel):
     # the engine makes the recipe's BLAS and LAPACK calls one index at a time,
-    # so no kernel moves a radius with N, the threads or the block, nor off the
-    # recipe; at the row-stacked X product Haswell, Sandybridge and Prescott did
+    # so no kernel moves a radius or a norm power with N, the threads or the
+    # block, nor off the recipe; at the row-stacked X product Haswell,
+    # Sandybridge and Prescott did
     cpuinfo = pathlib.Path("/proc/cpuinfo")
     flags = set(cpuinfo.read_text().split()) if cpuinfo.is_file() else set()
     if KERNELS[kernel] not in flags:
@@ -235,7 +241,7 @@ def test_a_sample_depends_on_its_index_alone_on_every_blas_kernel(kernel):
     src = str(pathlib.Path(hm.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
         p for p in (src, str(here), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", MOVED_RADII], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", MOVED_SAMPLES], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     running, moved = proc.stdout.split()
@@ -430,8 +436,8 @@ def _rank_gates():
 def test_compressed_radii_match_the_full_eigensolve(gate, four_locals):
     U, rank = _rank_gates()[gate]
     q = to.local_dim(U)
-    X, Yh = factored_channel(build_m_plus(U))
-    assert Yh.shape == (rank, q * q) and X.shape == (q * q, rank)
+    X, s, Yh = factored_channel(build_m_plus(U))
+    assert Yh.shape == (rank, q * q) and X.shape == (q * q, rank) and s.shape == (rank,)
     Mt = deflate_trivial(build_m_plus(U))
     full = np.empty(N_BLOCKS)
     for i in range(N_BLOCKS):
@@ -461,16 +467,52 @@ def test_even_cat_radius_is_the_closed_form(q):
     assert np.abs(r - closed).max() <= 1e-15
 
 
+def _norm_power_gates():
+    """m from 1 (the even-q cat map) to 15 (a generic q = 4 dual gate)."""
+    fx = fixtures()
+    return {"cartan": cartan_gate(0.3), "cat_q2": cat_map(2), "d3s": fx["dual_q3_d3s"],
+            "d2s": fx["dual_q3_d2s"], "ep4over5": fx["dual_q4_ep4over5"]}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("gate", list(_norm_power_gates()))
+def test_factored_norm_powers_equal_the_dense_channel_power(gate, k):
+    # (K X Yh)^k = K X C^(k-1) Yh, X^dag X = diag(s)^2 and Yh Yh^dag = 1: the
+    # engine's ||diag(s) C^(k-1)||_F^2 is the dense ||(K Mt)^k||_F^2
+    U = _norm_power_gates()[gate]
+    q = to.local_dim(U)
+    Mt = deflate_trivial(build_m_plus(U))
+    n = hm.BLOCK + 5
+    dense = np.empty(n)
+    for i in range(n):
+        B = np.linalg.matrix_power(kron_at(q, 21, f"norm-power-{k}", i) @ Mt, k)
+        dense[i] = np.vdot(B, B).real
+    vals = reference_norm_powers(U, k, n, 21)
+    # relative to the largest sample: the dense product rounds at that scale, so
+    # a sample near zero (the rank-one cat map at k = 4 reads 2e-13) keeps no digits
+    assert np.abs(vals - dense).max() <= 1e-13 * dense.max()
+    est = hm.avg_norm_power(U, k, n, 21)
+    assert est.mean == vals.mean()
+
+
+def test_a_two_unitary_norm_power_is_zero_with_no_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a Haar block was drawn")
+
+    monkeypatch.setattr(hm, "_kron_block", no_draw)
+    for n in (0, -3):  # a refused N is refused first
+        with pytest.raises(to.ValidationError, match=f"^N must be an integer >= 1, got {n}$"):
+            hm.avg_norm_power(cat_map(3), 2, n, 1)
+    for k in (2, 3, 4):
+        est = hm.avg_norm_power(cat_map(3), k, 40, 1)
+        assert (est.mean, est.stderr, est.n) == (0.0, 0.0, 40)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_block_norm_power_and_monomial_equal_per_index_reference(q):
     U = _engine_gates()[q]
-    Mt = deflate_trivial(build_m_plus(U))
     n = hm.BLOCK + 5
-    vals = []
-    for i in range(n):
-        u = hm.haar_sample_at(q, 21, "norm-power-3", i)
-        B = np.linalg.matrix_power(np.kron(u, u.conj()) @ Mt, 3)
-        vals.append(np.vdot(B, B).real)
+    vals = reference_norm_powers(U, 3, n, 21)
     est = hm.avg_norm_power(U, 3, n, 21)
     assert est.mean == np.mean(vals)
     assert est.stderr == np.std(vals, ddof=1) / math.sqrt(n)
