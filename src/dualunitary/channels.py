@@ -235,31 +235,28 @@ def check_norm_and_bounds(U, dual_tol=DUALITY_TOL):
     }
 
 
-def channel_power_traces(P, a_i, a_j):
-    """tr[P(a_i) a_j]/q for the vectorized channel P (q^2 x q^2), one value per
-    pair of the paired stacks a_i, a_j (k x q x q): P applied to each a_i alone,
-    as one stacked matrix-vector product, then one stacked product with the a_j."""
+def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):
+    """Light-cone correlation C_(+/-)(+/-t, t) = tr[M^(2t)(a_i) a_j]/q, the
+    prediction that `dualu circuit verify` checks on the brickwork circuit.
+
+    a_i and a_j are q x q operators, or paired stacks of them (k x q x q),
+    which give a list of one value per pair.  The channel is built and raised
+    to the power 2t once per call, applied to each a_i alone as one stacked
+    matrix-vector product, then traced with the a_j in one stacked product."""
+    if side not in ("plus", "minus"):
+        raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
+    require_int(t, "t", 0)
+    M = build_m_plus(U) if side == "plus" else build_m_minus(U)
+    P = np.linalg.matrix_power(M, 2 * t)
     q = local_dim(P)
+    stacked = np.ndim(a_i) == 3
     a_i = np.asarray(a_i, dtype=complex).reshape(-1, q * q)
     a_j = np.asarray(a_j).reshape(-1, q, q)
     if len(a_i) != len(a_j):
         raise ValidationError(f"{len(a_i)} a_i against {len(a_j)} a_j: the stacks must pair up")
     traces = np.trace(np.matmul(P, a_i[..., None]).reshape(-1, q, q) @ a_j, axis1=1, axis2=2)
-    return [c / q for c in traces.tolist()]
-
-
-def lightcone_correlation_prediction(U, a_i, a_j, t, side="plus"):
-    """Light-cone correlation C_(+/-)(+/-t, t) = tr[M^(2t)(a_i) a_j]/q.
-
-    a_i and a_j are q x q operators, or paired stacks of them (k x q x q),
-    which give a list of one value per pair.  The channel is built and raised
-    to the power 2t once per call (`channel_power_traces`)."""
-    if side not in ("plus", "minus"):
-        raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
-    require_int(t, "t", 0)
-    M = build_m_plus(U) if side == "plus" else build_m_minus(U)
-    values = channel_power_traces(np.linalg.matrix_power(M, 2 * t), a_i, a_j)
-    return values if np.ndim(a_i) == 3 else values[0]
+    values = [c / q for c in traces.tolist()]
+    return values if stacked else values[0]
 
 
 def inhomogeneous_bound(gates):
@@ -268,6 +265,8 @@ def inhomogeneous_bound(gates):
     The bound after applying the listed gates once each is
     (q^2-1) * prod_k (1 - e_p(U_k)); when all gates coincide the decay is
     exponential with rate gamma = -ln(1-e_p)^2 per time step (two gate layers).
+    Every gate must act on the same q and be unitary (`require_unitary`) as
+    well as dual.
     """
     gates = [np.asarray(U, dtype=complex) for U in gates]
     if not gates:
@@ -275,6 +274,9 @@ def inhomogeneous_bound(gates):
     q = local_dim(gates[0])
     eps = []
     for U in gates:
+        if local_dim(U) != q:
+            raise ValidationError(f"all gates must share q = {q}, got a gate of q = {local_dim(U)}")
+        require_unitary(U, what="gate")
         if not classify_duality(U).is_dual:
             raise ValidationError("all gates must be dual-unitary")
         eps.append(entangling_power(U))

@@ -51,9 +51,9 @@ from . import __version__
 from .channels import (
     build_m_minus,
     build_m_plus,
-    channel_power_traces,
     channel_spectrum,
     classify_gate,
+    lightcone_correlation_prediction,
 )
 from .circuit_sim import CircuitConfig, CircuitSimulator
 from .constructions import (
@@ -432,15 +432,14 @@ def cmd_circuit_verify(args):
     worst_cone, worst_interior = 0.0, 0.0
     a_i, a_j = (sim.basis[[p[k] for p in pairs]] for k in (0, 1))
     batch = sorted({i for i, _ in pairs})
-    channels = build_m_plus(cfg.gate), build_m_minus(cfg.gate)
     for t in (t_max, *range(1, t_max)):  # an over-budget t_max is refused first
         # interior entry C+(x = 0), 0 for a dual gate, first: its sweep carries the largest state
         worst_interior = max(worst_interior, abs(sim.correlations(1, 0.0, 0.0, t)[1]))
         # one sweep per ray, the configured a_i as its batch: C+(x = t), C-(x = -t)
         gp, gm = (sim.correlations(batch, y, y + x, t) for y, x in ((0.0, t), (0.5, -t)))
-        # tr[M^(2t)(a_i) a_j] / q on each ray, M+ and M- built once per call
-        pp, pm = (channel_power_traces(np.linalg.matrix_power(M, 2 * t), a_i, a_j)
-                  for M in channels)
+        # the channel prediction tr[M^(2t)(a_i) a_j] / q on each ray
+        pp, pm = (lightcone_correlation_prediction(cfg.gate, a_i, a_j, t, side)
+                  for side in ("plus", "minus"))
         for (i, j), vp, vm in zip(pairs, pp, pm, strict=True):
             k = batch.index(i)
             worst_cone = max(worst_cone, abs(gp[k, j] - vp), abs(gm[k, j] - vm))

@@ -46,6 +46,7 @@ from .tensor_ops import (
     require_finite,
     require_int,
     require_positive,
+    require_unitary,
     sample_haar,
     swap_operator,
 )
@@ -510,10 +511,10 @@ def phased_dft_local(q, phi1, phi2):
 def cat_fourier_local_lambda1(q, phi1, phi2):
     """Leading nontrivial channel eigenvalue of the even-q cat under a phased
     DFT local: cos(pi phi2).  Computed as <Psibar|(u x u*)|Psi> and verified
-    against the eigensolver to CAT_CHECK_TOL."""
+    against the eigensolver to CAT_CHECK_TOL.  A non-finite phi1 or phi2 is refused."""
     if require_int(q, "q", 2) % 2:
         raise ValidationError("defined for even q")
-    u = phased_dft_local(q, phi1, phi2)
+    u = phased_dft_local(q, require_finite(phi1, "phi1"), require_finite(phi2, "phi2"))
     psi, psibar = cat_psi_vectors(q)
     lam = complex(psibar.conj() @ np.kron(u, u.conj()) @ psi)
 
@@ -651,12 +652,15 @@ def unistochastic_reduction(u):
     Restricted to the span of |ii> the channel matrix IS B = |u_ij|^2; the
     remaining six modes vanish.  Returns the restriction residual, the two
     sorted spectra, and a (reported, never asserted) deltoid-containment
-    summary for the complex eigenvalues.
+    summary for the complex eigenvalues.  A local that is not a 3 x 3
+    unitary is refused.
     """
     u = np.asarray(u, dtype=complex)
-    q = u.shape[0]
-    if q != 3:
-        raise ValidationError("the reduction fixture is the q = 3 gate D3.S")
+    if u.shape != (3, 3):
+        raise ValidationError(f"the reduction fixture is the q = 3 gate D3.S: "
+                              f"the local must be 3 x 3, got shape {u.shape}")
+    require_unitary(u, what="local")
+    q = 3
     gate = fixtures()["dual_q3_d3s"]
     M = np.kron(u, u.conj()) @ build_m_plus(gate)
     diag_idx = [i * q + i for i in range(q)]

@@ -110,7 +110,11 @@ def _philox_key(seed, label, index):
 
 
 def substream(seed, label, index=0):
-    """Independent deterministic generator for one (seed, label, index)."""
+    """Independent deterministic generator for one (seed, label, index).  The
+    key hashes their text, so a seed or index that is not an integer is
+    refused: 1.0 or True would silently key another stream than 1."""
+    require_int(seed, "seed")
+    require_int(index, "index")
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, label, index)))
 
 
@@ -219,23 +223,26 @@ def spectral_radius_samples(U, n, seed, workers=None, label="spectral-radius"):
 
     The indices run on at most `workers` threads (default: the usable CPUs;
     see `_map_blocks`); the values do not depend on it.  An n or workers
-    that is not an integer >= 1 is refused, here and in every estimator.
+    that is not an integer >= 1, or a seed that is not an integer, is
+    refused, here and in every estimator.
     """
     U = np.asarray(U, dtype=complex)
     X, _, Yh = factored_channel(build_m_plus(U))
     return _factored_samples(_radii, X, Yh, local_dim(U), n, seed, workers, label)
 
 
-def _check_counts(n, workers=None):
-    """Refuse a sample count or a thread cap that is not an integer >= 1."""
+def _check_counts(n, seed, workers=None):
+    """Refuse a sample count or a thread cap that is not an integer >= 1, and
+    a seed that is not an integer (its text keys the stream, as in `substream`)."""
     require_int(n, "N", 1)
+    require_int(seed, "seed")
     if workers is not None:
         require_int(workers, "workers", 1)
 
 
 def _factored_samples(kernel, X, Yh, q, n, seed, workers, label):
     """kernel(X, Yh, K) of the blocks of stream (seed, label); m = 0: zeros, no draw."""
-    _check_counts(n, workers)
+    _check_counts(n, seed, workers)
     if not Yh.shape[0]:
         return np.zeros(n)
     return _map_blocks(lambda K: kernel(X, Yh, K), q, seed, label, n, workers)
@@ -361,7 +368,7 @@ def haar_monomial_oracle(X, Y, n, seed):
     """Monte-Carlo check of the Haar monomial identity; returns both sides.
 
     The z-score needs a finite standard error, so n >= 2 samples."""
-    _check_counts(n)
+    _check_counts(n, seed)
     if n < 2:
         raise ValidationError(f"the Haar-identity oracle needs N >= 2 samples for a "
                          f"standard error, got N = {n}")

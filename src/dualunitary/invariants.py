@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_ops import (
+    ValidationError,
     local_dim,
     partial_transpose_t2,
     realign_r1,
@@ -120,9 +121,12 @@ def threshold_report(q, ep):
     """Guaranteed number of mixing modes for a dual gate of entangling power ep.
 
     Values of ep within THRESHOLD_BOUNDARY_TOL of a threshold are not silently
-    classified; the report carries a `boundary` flag instead.
+    classified; the report carries a `boundary` flag instead.  An ep outside
+    [0, 1], the range of e_p, is refused.
     """
     ladder = mixing_thresholds(q)
+    if isinstance(ep, bool) or not 0 <= ep <= 1:
+        raise ValidationError(f"ep must be a number in [0, 1], got {ep!r}")
     boundary = bool(np.any(np.abs(ladder - ep) <= THRESHOLD_BOUNDARY_TOL))
     exceeded = np.nonzero(ep > ladder + THRESHOLD_BOUNDARY_TOL)[0]
     k = int(exceeded[0]) + 1 if exceeded.size else None  # smallest k with ep > e*_{p,k}

@@ -70,9 +70,10 @@ def v_local(phi, psi=0.0):
 
 
 def restricted_w_spectrum(J, theta):
-    """The three nontrivial channel eigenvalues for a w-family local."""
+    """The three nontrivial channel eigenvalues for a w-family local; a
+    non-finite J or theta is refused."""
     s = math.sin(2 * require_finite(J, "J"))
-    c = math.cos(theta)
+    c = math.cos(require_finite(theta, "theta"))
     disc = cmath.sqrt((1 + s) ** 2 * c * c - 4 * s)
     lam1 = 0.5 * ((1 + s) * c + disc)
     lam2 = 0.5 * ((1 + s) * c - disc)
@@ -130,19 +131,20 @@ def cubic_roots(a2, a1, a0):
 def restricted_v_cubic(J, phi):
     """Nontrivial channel eigenvalues for a v-family local:
     roots of x^3 - cos(phi) sin(2J) x^2 + cos(phi) sin(2J) x - sin^2(2J),
-    broadcast over phi."""
+    broadcast over phi; a non-finite J or phi entry is refused."""
     s = math.sin(2 * require_finite(J, "J"))
-    c = np.cos(phi)
+    c = np.cos(require_finite(phi, "phi"))
     return cubic_roots(-c * s, c * s, -s * s)
 
 
 def general_su2_cubic(J, theta, phi):
     """Nontrivial channel eigenvalues for a general single-qubit local,
-    broadcast over theta and phi."""
+    broadcast over theta and phi; a non-finite J, theta or phi entry is refused."""
     s = math.sin(2 * require_finite(J, "J"))
-    c2 = np.cos(theta / 2) ** 2
-    a2 = 1.0 - 2.0 * c2 * (s * np.cos(phi) + 1.0)
-    a1 = s * (2.0 * c2 * (s + np.cos(phi)) - s)
+    c2 = np.cos(require_finite(theta, "theta") / 2) ** 2
+    cp = np.cos(require_finite(phi, "phi"))
+    a2 = 1.0 - 2.0 * c2 * (s * cp + 1.0)
+    a1 = s * (2.0 * c2 * (s + cp) - s)
     a0 = -s * s
     return cubic_roots(a2, a1, a0)
 

@@ -28,17 +28,21 @@ class ValidationError(ValueError):
     """Input the library refuses: a malformed gate, spec, config or argument."""
 
 
-def require_int(value, what, least):
-    """value, if it is an integer >= least; anything else, a bool, a float
-    with an integer value and a NaN among them, is refused naming `what`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+def require_int(value, what, least=None):
+    """value, if it is an integer >= least (any integer for least None);
+    anything else, a bool, a float with an integer value, a string and a NaN
+    among them, is refused naming `what`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")
     return value
 
 
 def require_finite(value, what):
-    """value, if it is a finite number; a NaN or an infinity is refused naming `what`."""
-    if not math.isfinite(value):
+    """value, if it is a finite real number or an array of them; a NaN or an
+    infinity anywhere in it, or a complex value, is refused naming `what`."""
+    if not (np.isrealobj(value) and np.isfinite(value).all()):
         raise ValidationError(f"{what} must be finite, got {value}")
     return value
 

@@ -371,28 +371,30 @@ def test_real_factorisation_keeps_every_class_and_count(name):
 
 def _power_traces_loop(P, a_i, a_j):
     """tr[P(a_i) a_j]/q pair by pair, one gemv, matmul and trace each: the
-    former form of `channel_power_traces`."""
+    former loop form of the stacked traces in `lightcone_correlation_prediction`."""
     q = to.local_dim(P)
     a_i = np.asarray(a_i, dtype=complex).reshape(-1, q * q)
     return [complex(np.trace((P @ a).reshape(q, q) @ b)) / q
             for a, b in zip(a_i, np.asarray(a_j).reshape(-1, q, q), strict=True)]
 
 
-def test_channel_power_traces_keep_the_values_of_the_loop_form():
+def test_lightcone_prediction_keeps_the_values_of_the_loop_form():
     from dualunitary.circuit_sim import weyl_basis
 
     for q in range(2, 7):
         basis = weyl_basis(q)
         i, j = np.divmod(np.arange(q**4), q * q)  # every (i, j) pair
         U = haar(q * q, "power-traces", q)
-        for M in (ch.build_m_plus(U), ch.build_m_minus(U)):
+        for side, build in (("plus", ch.build_m_plus), ("minus", ch.build_m_minus)):
             for t in range(4):
-                P = np.linalg.matrix_power(M, 2 * t)
-                got = ch.channel_power_traces(P, basis[i], basis[j])
+                P = np.linalg.matrix_power(build(U), 2 * t)
+                got = ch.lightcone_correlation_prediction(U, basis[i], basis[j], t, side)
                 want = _power_traces_loop(P, basis[i], basis[j])
                 assert len(got) == len(want) == q**4
                 assert all(type(g) is complex and g == w for g, w in zip(got, want))
-                # ... and one pair alone
-                assert ch.channel_power_traces(P, basis[1], basis[2]) == want[q * q + 2: q * q + 3]
+                # ... and one pair alone, as a scalar
+                one = ch.lightcone_correlation_prediction(U, basis[1], basis[2], t, side)
+                assert type(one) is complex and one == want[q * q + 2]
     with pytest.raises(ValueError, match="pair up"):
-        ch.channel_power_traces(np.eye(4), weyl_basis(2)[:2], weyl_basis(2)[:1])
+        ch.lightcone_correlation_prediction(cartan_gate(0.3), weyl_basis(2)[:2],
+                                            weyl_basis(2)[:1], 1)

@@ -455,24 +455,22 @@ def test_circuit_corr_rejects_bad_basis_pairs(tmp_path, capsys):
 
 
 def test_circuit_verify_checks_the_configured_pairs(tmp_path, capsys, monkeypatch):
-    from dualunitary.channels import build_m_minus, build_m_plus
-
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 2, "L": 2, "gate": str(gate), "t_max": 1,
                                "basis_pairs": [[3, 2], [1, 3], [3, 3]]}))
     checked = []
-    real = cli.channel_power_traces
-    monkeypatch.setattr(cli, "channel_power_traces", lambda P, a, b: (
-        checked.append((P, a, b)) or real(P, a, b)))
+    real = cli.lightcone_correlation_prediction
+    monkeypatch.setattr(cli, "lightcone_correlation_prediction", lambda U, a, b, t, side: (
+        checked.append((U, a, b, t, side)) or real(U, a, b, t, side)))
     assert main(["circuit", "verify", str(cfg)]) == 0
     assert _strict_json(capsys.readouterr().out)["ok"] is True
     # every configured pair, in one stack, on the M+ ray and then the M- ray
     U, basis = cli._read_gate(str(gate)), weyl_basis(2)
-    assert len(checked) == 2
-    for (P, a, b), build in zip(checked, (build_m_plus, build_m_minus)):
-        assert np.array_equal(P, np.linalg.matrix_power(build(U), 2))
+    assert [(t, side) for *_, t, side in checked] == [(1, "plus"), (1, "minus")]
+    for V, a, b, _, _ in checked:
+        assert np.array_equal(V, U)
         assert np.array_equal(a, basis[[3, 1, 3]]) and np.array_equal(b, basis[[2, 3, 3]])
 
 
@@ -483,9 +481,9 @@ def test_circuit_verify_refuses_a_cone_residual_above_its_tolerance(tmp_path, ca
     # prediction is shifted here; the report is written with ok false, exit 3
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 2, "L": 4, "gate": gate_to_json(cartan_gate(0.2))}))
-    real = cli.channel_power_traces
-    monkeypatch.setattr(cli, "channel_power_traces", lambda P, a, b: [
-        v + 10 * CONE_TOL for v in real(P, a, b)])
+    real = cli.lightcone_correlation_prediction
+    monkeypatch.setattr(cli, "lightcone_correlation_prediction", lambda U, a, b, t, side: [
+        v + 10 * CONE_TOL for v in real(U, a, b, t, side)])
     out = tmp_path / "verify.json"
     assert main(["circuit", "verify", str(cfg), "-o", str(out)]) == 3
     report = _strict_json(out.read_text())
@@ -525,12 +523,12 @@ def test_a_gate_is_read_from_stdin_for_a_dash(capsys, monkeypatch):
 
 
 def test_circuit_verify_builds_the_channels_once_per_ray_and_time(tmp_path, capsys, monkeypatch):
-    # one M+ and one M- per call, each gate checked once; one power 2t per (side, t)
+    # per t, one M+ and then one M-, each gate checked as it is built and raised to 2t
     from dualunitary import channels
 
     calls = []
     for name in ("build_m_plus", "build_m_minus"):
-        monkeypatch.setattr(cli, name, lambda U, real=getattr(cli, name), name=name: (
+        monkeypatch.setattr(channels, name, lambda U, real=getattr(channels, name), name=name: (
             calls.append(name) or real(U)))
     check = channels.require_unitary
     monkeypatch.setattr(channels, "require_unitary", lambda U, what: (
@@ -539,16 +537,15 @@ def test_circuit_verify_builds_the_channels_once_per_ray_and_time(tmp_path, caps
     monkeypatch.setattr(np.linalg, "matrix_power", lambda M, n: calls.append(n) or power(M, n))
     gate = tmp_path / "g.json"
     main(["gate", "make", "cartan", "--J", "0.2", "-o", str(gate)])
-    built = ["build_m_plus", "require_unitary", "build_m_minus", "require_unitary"]
-    for L, t_max, want in ((2, 1, built + [2, 2]), (4, 2, built + [4, 4, 2, 2]),
-                           (6, 3, built + [6, 6, 2, 2, 4, 4])):
+    for L, t_max, times in ((2, 1, [1]), (4, 2, [2, 1]), (6, 3, [3, 1, 2])):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 2, "L": L, "gate": str(gate), "t_max": t_max}))
         calls.clear()
         capsys.readouterr()
         assert main(["circuit", "verify", str(cfg)]) == 0  # the nine default pairs
         assert _strict_json(capsys.readouterr().out)["ok"] is True
-        assert calls == want
+        assert calls == [call for t in times for call in (
+            "build_m_plus", "require_unitary", 2 * t, "build_m_minus", "require_unitary", 2 * t)]
 
 
 def test_circuit_verify_reaches_q3_at_t2(tmp_path, capsys):

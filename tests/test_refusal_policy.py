@@ -10,7 +10,7 @@ import pytest
 
 import dualunitary
 from dualunitary import ValidationError
-from dualunitary.channels import (ChannelSpectrum, inhomogeneous_bound,
+from dualunitary.channels import (ChannelSpectrum, check_norm_and_bounds, inhomogeneous_bound,
                                   lightcone_correlation_prediction)
 from dualunitary.circuit_sim import CircuitConfig, CircuitSimulator, weyl_basis
 from dualunitary.constructions import (block_channel_forms, block_diagonal_gate,
@@ -22,13 +22,14 @@ from dualunitary.constructions import (block_channel_forms, block_diagonal_gate,
                                        two_unitary_permutation, unistochastic_reduction)
 from dualunitary.haar_mc import (MCEstimate, avg_mixing_rate, avg_norm_power,
                                  avg_spectral_radius, haar_monomial_oracle, max_mixing_rate,
-                                 spectral_radius_samples)
+                                 spectral_radius_samples, substream)
 from dualunitary.invariants import (SchmidtSpectrum, classify_duality, mixing_thresholds,
                                     swap_entanglement, threshold_report)
 from dualunitary.qubit_exact import (cartan_gate, critical_theta, ep_cartan, general_su2_cubic,
                                      min_lambda1_general, mu_prime, nu_plus_exact, nu_prime,
                                      restricted_v_cubic, restricted_w_spectrum)
-from dualunitary.tensor_ops import local_dim, max_entangled_vector, sample_haar, swap_operator
+from dualunitary.tensor_ops import (local_dim, max_entangled_vector, realign_r1, sample_haar,
+                                    swap_operator)
 
 
 def test_no_module_raises_a_bare_value_error():
@@ -47,6 +48,11 @@ def test_no_module_raises_a_bare_value_error():
 
 NAN = float("nan")
 SZ = np.diag([1.0, -1.0])
+# a seed or index is keyed by its text, so anything but an integer names another stream;
+# a negative integer is a seed like any other
+NOT_AN_INTEGER = (1.0, True, "1", NAN)
+# the cubics broadcast: one non-finite entry of an array is refused
+NOT_FINITE = (NAN, math.inf, -math.inf, np.array([0.1, NAN]))
 # (parameter the message names, the exported callable it checks, the call of that
 # one scalar or None for the callable itself, its out-of-domain values)
 OUT_OF_DOMAIN = [
@@ -76,7 +82,7 @@ OUT_OF_DOMAIN = [
      (0, 1, -2, 2.5, NAN, True)),
     ("d", sample_haar, lambda d: sample_haar(d, np.random.default_rng(0)),
      (0, -2, 2.5, NAN, True)),
-    ("J", cartan_gate, None, (NAN, math.inf, -math.inf)),
+    ("J", cartan_gate, None, (NAN, math.inf, -math.inf, 0.3j)),  # 0.3j would build no unitary
     ("N", spectral_radius_samples, lambda n: spectral_radius_samples(cartan_gate(0.3), n, 1),
      (0, -2, 2.5, NAN, True)),
     ("N", avg_spectral_radius, lambda n: avg_spectral_radius(cartan_gate(0.3), n, 1),
@@ -125,16 +131,44 @@ OUT_OF_DOMAIN = [
     ("J", restricted_v_cubic, lambda J: restricted_v_cubic(J, 0.3), (NAN, math.inf, -math.inf)),
     ("J", general_su2_cubic, lambda J: general_su2_cubic(J, 0.3, 0.2),
      (NAN, math.inf, -math.inf)),
+    ("seed", substream, lambda s: substream(s, "label"), NOT_AN_INTEGER),
+    ("index", substream, lambda i: substream(1, "label", i), NOT_AN_INTEGER),
+    ("seed", avg_spectral_radius, lambda s: avg_spectral_radius(cartan_gate(0.3), 5, s),
+     NOT_AN_INTEGER),
+    ("seed", avg_mixing_rate, lambda s: avg_mixing_rate(cartan_gate(0.3), 5, s), NOT_AN_INTEGER),
+    ("seed", max_mixing_rate, lambda s: max_mixing_rate(cartan_gate(0.3), 5, s), NOT_AN_INTEGER),
+    ("seed", avg_norm_power, lambda s: avg_norm_power(cartan_gate(0.3), 2, 5, s), NOT_AN_INTEGER),
+    ("seed", haar_monomial_oracle, lambda s: haar_monomial_oracle(np.eye(4), np.eye(4), 5, s),
+     NOT_AN_INTEGER),
+    ("theta", restricted_w_spectrum, lambda th: restricted_w_spectrum(0.3, th), NOT_FINITE[:3]),
+    ("theta", general_su2_cubic, lambda th: general_su2_cubic(0.3, th, 0.2), NOT_FINITE),
+    ("phi", restricted_v_cubic, lambda ph: restricted_v_cubic(0.3, ph), NOT_FINITE),
+    ("phi", general_su2_cubic, lambda ph: general_su2_cubic(0.3, 0.2, ph), NOT_FINITE),
+    ("phi1", cat_fourier_local_lambda1, lambda ph: cat_fourier_local_lambda1(4, ph, 0.5),
+     NOT_FINITE[:3]),
+    ("phi2", cat_fourier_local_lambda1, lambda ph: cat_fourier_local_lambda1(4, 0.0, ph),
+     NOT_FINITE[:3]),
+    ("ep", threshold_report, lambda ep: threshold_report(3, ep),
+     (-5, -0.1, 1.5, NAN, math.inf, True)),
+    ("epsilon", diagonal_dual_sample,
+     lambda e: diagonal_dual_sample(2, e, np.random.default_rng(0)), (0, -0.5, 1.5, NAN, math.inf)),
+    ("b", cat_family, lambda b: cat_family(3, b), (NAN, math.inf, -math.inf)),
+    ("tol", check_norm_and_bounds, lambda tol: check_norm_and_bounds(cartan_gate(0.3), tol),
+     (0, -2, NAN, math.inf, True)),
 ]
 
 # the exported parameters a scalar row must exercise, each with the name its
-# message gives it (the sample count n is refused as N, the CLI's -N)
+# message gives it (the sample count n is refused as N, the CLI's -N, and the
+# duality tolerance dual_tol as tol, the name classify_duality gives it)
 SCALAR_PARAMETERS = {"q": "q", "L": "L", "t": "t", "n": "N", "d": "d", "J": "J", "k": "k",
                      "workers": "workers", "refine_steps": "refine_steps",
-                     "max_iter": "max_iter", "tol": "tol"}
+                     "max_iter": "max_iter", "tol": "tol", "seed": "seed", "index": "index",
+                     "theta": "theta", "phi": "phi", "phi1": "phi1", "phi2": "phi2", "ep": "ep",
+                     "epsilon": "epsilon", "b": "b", "dual_tol": "tol"}
 EXEMPT = {
     (ChannelSpectrum, "q"): "a record of a computed spectrum, built by channel_spectrum",
     (MCEstimate, "n"): "a record of an estimate, built by the estimators after their checks",
+    (MCEstimate, "seed"): "a record of an estimate, built by the estimators after their checks",
     (SchmidtSpectrum, "q"): "a record of a computed spectrum, built by schmidt_spectrum",
     (permutation_gate, "L"): "L is the matrix of second targets, checked as a matrix with K",
     (classify_permutation, "L"): "L is the matrix of second targets, checked as a matrix with K",
@@ -175,6 +209,13 @@ REFUSED_INPUT = [
     ("inhomogeneous_bound-no-gate", lambda: inhomogeneous_bound([]), "need at least one gate"),
     ("inhomogeneous_bound-non-dual", lambda: inhomogeneous_bound([cartan_gate(0.3), np.eye(4)]),
      "all gates must be dual-unitary"),
+    # U^R1 = V is a Haar unitary, so U is dual, but U itself is far from unitary
+    ("inhomogeneous_bound-not-unitary",
+     lambda: inhomogeneous_bound([realign_r1(sample_haar(9, np.random.default_rng(0)))]),
+     "gate is not unitary"),
+    ("inhomogeneous_bound-mixed-q",
+     lambda: inhomogeneous_bound([cartan_gate(0.3), two_unitary_permutation(3)]),
+     "all gates must share q = 2"),
     ("block_diagonal_matrix-non-square", lambda: block_diagonal_matrix(2, [np.ones((2, 4))]),
      "blocks must be square"),
     ("random_block_gate-sum",
@@ -192,6 +233,10 @@ REFUSED_INPUT = [
     ("cat_psi_vectors-odd-q", lambda: cat_psi_vectors(3), "defined for even q"),
     ("unistochastic_reduction-q2", lambda: unistochastic_reduction(np.eye(2)),
      "the reduction fixture is the q = 3 gate D3.S"),
+    ("unistochastic_reduction-3x4", lambda: unistochastic_reduction(np.ones((3, 4))),
+     "the reduction fixture is the q = 3 gate D3.S"),
+    ("unistochastic_reduction-not-unitary", lambda: unistochastic_reduction(np.ones((3, 3))),
+     "local is not unitary"),
 ]
 
 
